@@ -232,7 +232,11 @@ def _corpus_from_args(args) -> list[tuple[str, Graph]]:
 
 def cmd_verify(args) -> int:
     corpus = _corpus_from_args(args)
-    tol = Tolerances.scaled(args.tolerance) if args.tolerance else DEFAULT_TOLERANCES
+    tol = (
+        Tolerances.scaled(args.tolerance)
+        if args.tolerance is not None
+        else DEFAULT_TOLERANCES
+    )
     report = counterexample_sweep(
         corpus, args.b, args.k, args.delta, args.theorem, cap=args.cap, tol=tol
     )
@@ -260,7 +264,11 @@ def cmd_sweep(args) -> int:
     base, meta = _build_variant(args)
     corpus = [(meta["variant"], base)] if args.include_base else []
     corpus += [(f"{meta['variant']}{tag}", g) for tag, g in one_edge_supergraphs(base)]
-    tol = Tolerances.scaled(args.tolerance) if args.tolerance else DEFAULT_TOLERANCES
+    tol = (
+        Tolerances.scaled(args.tolerance)
+        if args.tolerance is not None
+        else DEFAULT_TOLERANCES
+    )
     report = counterexample_sweep(
         corpus, args.b, args.k, args.delta, args.theorem, cap=args.cap, tol=tol
     )

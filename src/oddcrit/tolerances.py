@@ -7,7 +7,10 @@ tighten both together.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -17,8 +20,10 @@ class Tolerances:
 
     @classmethod
     def scaled(cls, factor: float) -> "Tolerances":
-        if factor <= 0:
-            raise ValueError("tolerance scale factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ParameterError(
+                f"tolerance scale factor must be positive and finite, got {factor!r}"
+            )
         return cls(1e-8 * factor, 1e-9 * factor)
 
 

@@ -221,6 +221,18 @@ class TestVerifyAndSweep:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("factor", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_exit_two(self, command, factor, capsys):
+        code = main([
+            command, "--theorem", "1.1", "--n", "13", "--b", "1", "--k", "1",
+            "--delta", "3", "--tolerance", factor,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: tolerance scale factor must be positive" in err
+        assert "Traceback" not in err
+
 
 def test_unknown_theorem_flag_rejected(capsys):
     with pytest.raises(SystemExit):

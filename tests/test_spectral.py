@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oddcrit import (
+    ConvergenceError,
     DisconnectedGraphError,
     ExtremalParams,
     Graph,
@@ -20,12 +21,15 @@ from oddcrit import (
     family,
     make_complete,
     matrix_csv,
+    proof_graph_g2,
+    proof_graph_g3,
     spectral_radius,
     symmetric_eigenvalues,
     transmissions,
     wiener_gprime_closed_form,
     wiener_index,
 )
+from oddcrit.spectral import _round_robin_schedule
 from conftest import random_connected_graph
 
 
@@ -100,11 +104,62 @@ class TestEigensolver:
 
     def test_agrees_with_lapack(self):
         rng = random.Random(1)
-        for n in (1, 2, 3, 5, 8, 13, 20):
-            a = random_symmetric(rng, n)
+        matrices = [
+            random_symmetric(rng, n)
+            for n in (1, 2, 3, 5, 8, 13, 20, 21, 34, 35, 36, 47, 60, 61)
+        ]
+        # degenerate spectra
+        graphs = [make_complete(2), make_complete(9), make_complete(36)]
+        for p in (ExtremalParams(35, 3, 1, 3, 2), ExtremalParams(36, 1, 2, 4, 3)):
+            graphs += [extremal_gprime(p), proof_graph_g2(p), proof_graph_g3(p)]
+        matrices += [distance_matrix(g) for g in graphs]
+        # exactly zero off-diagonal blocks: every pair across them is skipped
+        blocks = np.zeros((23, 23))
+        blocks[:10, :10] = random_symmetric(rng, 10)
+        blocks[10:, 10:] = random_symmetric(rng, 13)
+        matrices.append(blocks)
+        for a in matrices:
             ours = symmetric_eigenvalues(a)
             ref = np.sort(np.linalg.eigvalsh(a))[::-1]
             assert np.allclose(ours, ref, atol=1e-9)
+
+    def test_diagonal_input_needs_no_sweep(self):
+        diag = [3.0, -1.0, 7.5, 0.0, 2.0]
+        got = symmetric_eigenvalues(np.diag(diag), max_sweeps=1)
+        assert got.tolist() == sorted(diag, reverse=True)
+
+    def test_max_sweeps_still_raises(self):
+        rng = random.Random(12)
+        d = distance_matrix(random_connected_graph(rng, 36, 0.2))
+        with pytest.raises(ConvergenceError, match="within 1 sweeps"):
+            symmetric_eigenvalues(d, max_sweeps=1)
+        assert len(symmetric_eigenvalues(d)) == 36
+
+    def test_rel_tol_sets_the_stopping_rule(self):
+        rng = random.Random(13)
+        a = random_symmetric(rng, 20)
+        ref = np.sort(np.linalg.eigvalsh(a))[::-1]
+        loose = symmetric_eigenvalues(a, rel_tol=1e-2)
+        tight = symmetric_eigenvalues(a)
+        assert np.abs(tight - ref).max() < 1e-9
+        assert np.abs(loose - ref).max() > 1e3 * np.abs(tight - ref).max()
+        # a loose stop is reached within a sweep budget that a tight one exceeds
+        symmetric_eigenvalues(a, rel_tol=0.5, max_sweeps=2)
+        with pytest.raises(ConvergenceError):
+            symmetric_eigenvalues(a, max_sweeps=2)
+
+    @pytest.mark.parametrize("n", range(2, 42))
+    def test_round_robin_schedule_covers_each_pair_once(self, n):
+        rounds = _round_robin_schedule(n)
+        assert len(rounds) == n - 1 + n % 2
+        seen = []
+        for p, q in rounds:
+            members = np.concatenate([p, q])
+            assert len(set(members.tolist())) == len(members)
+            assert len(p) == n // 2
+            assert (p < q).all()
+            seen += list(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ParameterError, match="not symmetric"):
