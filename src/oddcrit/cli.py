@@ -39,14 +39,14 @@ from .spectral import (
     wiener_gprime_closed_form,
     wiener_index,
 )
-from .theorems import THEOREM_IDS, counterexample_sweep, one_edge_supergraphs
+from .theorems import THEOREM_IDS, counterexample_sweep, one_edge_supergraphs, report_json
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 VARIANTS = ("gprime", "g2", "g3", "gstar")
 
 
-def _emit_json(payload: dict, out_path, human_lines) -> None:
-    text = json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n"
+def _emit(text: str, out_path, human_lines) -> None:
+    """Machine output to ``out_path`` (summary on stdout), or to stdout (summary on stderr)."""
     if out_path:
         Path(out_path).write_text(text)
         for line in human_lines:
@@ -56,16 +56,6 @@ def _emit_json(payload: dict, out_path, human_lines) -> None:
         sys.stdout.write(text)
         for line in human_lines:
             print(line, file=sys.stderr)
-
-
-def _round12(obj):
-    if isinstance(obj, float):
-        return float(format(obj, ".12g"))
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
 
 
 def _load_graph(path: str) -> Graph:
@@ -134,7 +124,7 @@ def cmd_analyze(args) -> int:
             f"[{report['transmission_min']}, {report['transmission_max']}]"
         )
     lines.append(f"{kind} spectral radius = {format(report['spectral_radius'], '.12g')}")
-    _emit_json(report, args.out, lines)
+    _emit(report_json(report), args.out, lines)
     return 0
 
 
@@ -168,7 +158,7 @@ def cmd_extremal(args) -> int:
         f"eta1={format(summary['distance_signless_laplacian_radius'], '.12g')}",
         f"graph6: {text}",
     ]
-    _emit_json(summary, args.out, lines)
+    _emit(report_json(summary), args.out, lines)
     return 0
 
 
@@ -190,7 +180,7 @@ def cmd_check_critical(args) -> int:
             f"critical={verdict.critical} subsets_examined={verdict.subsets_examined}"
             + (f" witness={sorted(verdict.witness)}" if verdict.witness else "")
         ]
-        _emit_json(payload, args.out, lines)
+        _emit(report_json(payload), args.out, lines)
         return 0 if verdict.critical else 1
     # witness-only: search small separators, never certify criticality
     max_size = args.max_size if args.max_size is not None else min(g.n - 1, 4)
@@ -213,11 +203,17 @@ def cmd_check_critical(args) -> int:
     if mask is not None:
         witness = sorted(i for i in range(g.n) if mask >> i & 1)
         payload.update({"critical": False, "witness": witness, "odd_components": odd, "bound": bound})
-        _emit_json(payload, args.out, [f"not critical: witness {witness} gives o={odd} > {bound}"])
+        _emit(
+            report_json(payload),
+            args.out,
+            [f"not critical: witness {witness} gives o={odd} > {bound}"],
+        )
         return 1
     payload.update({"critical": None, "witness": None})
-    _emit_json(
-        payload, args.out, [f"no witness up to size {max_size}; verdict inconclusive"]
+    _emit(
+        report_json(payload),
+        args.out,
+        [f"no witness up to size {max_size}; verdict inconclusive"],
     )
     return 2
 
@@ -231,39 +227,21 @@ def _corpus_from_args(args) -> list[tuple[str, Graph]]:
 
 
 def cmd_verify(args) -> int:
-    corpus = _corpus_from_args(args)
-    tol = (
-        Tolerances.scaled(args.tolerance)
-        if args.tolerance is not None
-        else DEFAULT_TOLERANCES
-    )
-    report = counterexample_sweep(
-        corpus, args.b, args.k, args.delta, args.theorem, cap=args.cap, tol=tol
-    )
-    lines = [
-        f"{r['graph_id']}: {r['conclusion']}"
-        + (
-            f" brute_force={r['brute_force_verdict']}"
-            if r["brute_force_verdict"] is not None
-            else ""
-        )
-        for r in report.records
-    ]
-    lines.append(
-        f"theorem {args.theorem}: {len(report.records)} graphs, "
-        f"{len(report.falsifications)} falsifications"
-    )
-    if args.format == "csv":
-        _emit_csv(report, args.out, lines)
-    else:
-        _emit_json(report.as_dict(), args.out, lines)
-    return 1 if report.falsifications else 0
+    return _sweep(args, _corpus_from_args(args), per_graph=True)
 
 
 def cmd_sweep(args) -> int:
     base, meta = _build_variant(args)
     corpus = [(meta["variant"], base)] if args.include_base else []
     corpus += [(f"{meta['variant']}{tag}", g) for tag, g in one_edge_supergraphs(base)]
+    return _sweep(args, corpus, per_graph=False)
+
+
+def _sweep(args, corpus, *, per_graph: bool) -> int:
+    """Run ``args.theorem`` over ``corpus`` and emit the report (verify and sweep).
+
+    ``per_graph`` adds one summary line per record ahead of the totals.
+    """
     tol = (
         Tolerances.scaled(args.tolerance)
         if args.tolerance is not None
@@ -272,18 +250,27 @@ def cmd_sweep(args) -> int:
     report = counterexample_sweep(
         corpus, args.b, args.k, args.delta, args.theorem, cap=args.cap, tol=tol
     )
-    lines = [
-        f"theorem {args.theorem}: swept {len(report.records)} graphs, "
-        f"{len(report.falsifications)} falsifications"
-    ]
-    if args.format == "csv":
-        _emit_csv(report, args.out, lines)
-    else:
-        _emit_json(report.as_dict(), args.out, lines)
+    lines = []
+    if per_graph:
+        lines = [
+            f"{r['graph_id']}: {r['conclusion']}"
+            + (
+                f" brute_force={r['brute_force_verdict']}"
+                if r["brute_force_verdict"] is not None
+                else ""
+            )
+            for r in report.records
+        ]
+    lines.append(
+        f"theorem {args.theorem}: {'' if per_graph else 'swept '}"
+        f"{len(report.records)} graphs, {len(report.falsifications)} falsifications"
+    )
+    text = _csv(report) if args.format == "csv" else report.to_json()
+    _emit(text, args.out, lines)
     return 1 if report.falsifications else 0
 
 
-def _emit_csv(report, out_path, human_lines) -> None:
+def _csv(report) -> str:
     rows = ["graph_id,theorem_id,conclusion,condition_lhs,condition_rhs,brute_force,witness"]
     for r in report.records:
         witness = r.get("witness")
@@ -300,15 +287,7 @@ def _emit_csv(report, out_path, human_lines) -> None:
                 ]
             )
         )
-    text = "\n".join(rows) + "\n"
-    if out_path:
-        Path(out_path).write_text(text)
-        for line in human_lines:
-            print(line)
-    else:
-        sys.stdout.write(text)
-        for line in human_lines:
-            print(line, file=sys.stderr)
+    return "\n".join(rows) + "\n"
 
 
 def _add_params(p, *, need_delta=True):

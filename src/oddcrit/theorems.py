@@ -314,7 +314,16 @@ class SweepReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(_format_floats(self.as_dict()), indent=2, sort_keys=True) + "\n"
+        return report_json(self.as_dict())
+
+
+def report_json(payload: dict) -> str:
+    """A report as JSON: keys sorted and floats at 12 significant digits.
+
+    Equal payloads give byte-identical text; every report the package writes
+    goes through here.
+    """
+    return json.dumps(_format_floats(payload), indent=2, sort_keys=True) + "\n"
 
 
 def _format_floats(obj):
@@ -393,4 +402,5 @@ __all__ = [
     "one_edge_supergraphs",
     "order_bound",
     "ordering_lemma_check",
+    "report_json",
 ]
