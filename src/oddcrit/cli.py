@@ -184,7 +184,7 @@ def cmd_check_critical(args) -> int:
         return 0 if verdict.critical else 1
     # witness-only: search small separators, never certify criticality
     max_size = args.max_size if args.max_size is not None else min(g.n - 1, 4)
-    mask, odd, bound, examined = _find_violation(
+    mask, _, _, examined = _find_violation(
         g,
         spec.values_for(g.n),
         args.k,
@@ -202,6 +202,9 @@ def cmd_check_critical(args) -> int:
     }
     if mask is not None:
         witness = sorted(i for i in range(g.n) if mask >> i & 1)
+        # the scan stops counting once o(G-S) passes the bound: recount exactly
+        odd = g.odd_components_after_removal(witness)
+        bound = args.b * (len(witness) - args.k)
         payload.update({"critical": False, "witness": witness, "odd_components": odd, "bound": bound})
         _emit(
             report_json(payload),

@@ -120,6 +120,22 @@ class TestCheckCritical:
         assert code == 1
         assert json.loads(out.read_text())["witness"] == [0, 1]
 
+    @pytest.mark.parametrize("n, b, odd", [(31, 1, 3), (19, 3, 5)])
+    def test_witness_only_reports_exact_odd_count(self, tmp_path, capsys, n, b, odd):
+        g = extremal_gprime(ExtremalParams(n, b, 1, 2))
+        f = write_graph(tmp_path, "gp.g6", g)
+        code = main([
+            "check-critical", "--input", f, "--b", str(b), "--k", "1",
+            "--mode", "witness-only", "--max-size", "4",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["witness"] == [0, 1]
+        assert payload["odd_components"] == odd == g.odd_components_after_removal([0, 1])
+        assert payload["bound"] == b
+        assert f"o={odd} > {b}" in captured.err
+
     def test_witness_only_inconclusive(self, tmp_path):
         f = write_graph(tmp_path, "k6.g6", make_complete(6))
         code = main([
