@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
     ScaleLimitError,
 )
-from .factors import ENUMERATION_CAP, is_k_critical, _find_violation, FactorSpec
+from .factors import ENUMERATION_CAP, FactorSpec, is_k_critical
 from .graphs import (
     ExtremalParams,
     Graph,
@@ -165,60 +165,36 @@ def cmd_extremal(args) -> int:
 def cmd_check_critical(args) -> int:
     g = _load_graph(args.input)
     spec = FactorSpec(args.b, args.k)
+    payload = {"input": args.input, "b": args.b, "k": args.k, "mode": args.mode}
     if args.mode == "exact":
         verdict = is_k_critical(g, spec, cap=args.cap)
-        payload = {
-            "input": args.input,
-            "b": args.b,
-            "k": args.k,
-            "mode": "exact",
+        witness = sorted(verdict.witness) if verdict.witness else None
+        line = f"critical={verdict.critical} subsets_examined={verdict.subsets_examined}" + (
+            f" witness={witness}" if witness else ""
+        )
+    else:
+        # witness-only: search small separators, never certify criticality
+        max_size = args.max_size if args.max_size is not None else min(g.n - 1, 4)
+        verdict = is_k_critical(g, spec, cap=max(args.cap, g.n), max_size=max_size)
+        payload["max_size"] = max_size
+        witness = sorted(verdict.witness) if verdict.witness is not None else None
+        if witness is None:
+            line = f"no witness up to size {max_size}; verdict inconclusive"
+        else:
+            # the scan stops counting once o(G-S) passes the bound: recount exactly
+            odd = g.odd_components_after_removal(witness)
+            bound = args.b * (len(witness) - args.k)
+            payload.update({"odd_components": odd, "bound": bound})
+            line = f"not critical: witness {witness} gives o={odd} > {bound}"
+    payload.update(
+        {
             "critical": verdict.critical,
-            "witness": sorted(verdict.witness) if verdict.witness else None,
+            "witness": witness,
             "subsets_examined": verdict.subsets_examined,
         }
-        lines = [
-            f"critical={verdict.critical} subsets_examined={verdict.subsets_examined}"
-            + (f" witness={sorted(verdict.witness)}" if verdict.witness else "")
-        ]
-        _emit(report_json(payload), args.out, lines)
-        return 0 if verdict.critical else 1
-    # witness-only: search small separators, never certify criticality
-    max_size = args.max_size if args.max_size is not None else min(g.n - 1, 4)
-    mask, _, _, examined = _find_violation(
-        g,
-        spec.values_for(g.n),
-        args.k,
-        cap=max(args.cap, g.n),
-        skip_settled_sizes=True,
-        max_size=max_size,
     )
-    payload = {
-        "input": args.input,
-        "b": args.b,
-        "k": args.k,
-        "mode": "witness-only",
-        "max_size": max_size,
-        "subsets_examined": examined,
-    }
-    if mask is not None:
-        witness = sorted(i for i in range(g.n) if mask >> i & 1)
-        # the scan stops counting once o(G-S) passes the bound: recount exactly
-        odd = g.odd_components_after_removal(witness)
-        bound = args.b * (len(witness) - args.k)
-        payload.update({"critical": False, "witness": witness, "odd_components": odd, "bound": bound})
-        _emit(
-            report_json(payload),
-            args.out,
-            [f"not critical: witness {witness} gives o={odd} > {bound}"],
-        )
-        return 1
-    payload.update({"critical": None, "witness": None})
-    _emit(
-        report_json(payload),
-        args.out,
-        [f"no witness up to size {max_size}; verdict inconclusive"],
-    )
-    return 2
+    _emit(report_json(payload), args.out, [line])
+    return {True: 0, False: 1, None: 2}[verdict.critical]
 
 
 def _corpus_from_args(args) -> list[tuple[str, Graph]]:

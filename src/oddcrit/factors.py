@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .errors import ParameterError, ScaleLimitError
-from .graphs import ExtremalParams, Graph
+from .graphs import ExtremalParams, Graph, _bits
 
 #: default cap on the order of graphs accepted for exhaustive subset enumeration
 ENUMERATION_CAP = 22
@@ -68,10 +68,11 @@ class CriticalityVerdict:
     """Outcome of the odd-component criterion.
 
     ``witness`` is a violating vertex set S (present iff not critical);
-    ``subsets_examined`` counts the subsets actually tested.
+    ``subsets_examined`` counts the subsets actually tested.  ``critical`` is
+    None when a search bounded by ``max_size`` found no witness.
     """
 
-    critical: bool
+    critical: Optional[bool]
     witness: Optional[frozenset[int]]
     subsets_examined: int
 
@@ -132,7 +133,7 @@ def _find_violation(
 ):
     """First S (by size, then numeric bitmask order) violating the criterion.
 
-    Returns ``(mask, odd_count, bound, examined)`` or ``(None, 0, 0, examined)``.
+    Returns ``(mask, examined)``, with ``mask`` None when no S violates it.
     S ranges over k <= |S| <= n-1: deleting everything leaves no components, so
     S = V can never violate and is skipped.  When ``skip_settled_sizes`` is on,
     sizes s with n - s <= min(f) * (s - k) are discharged arithmetically
@@ -157,27 +158,25 @@ def _find_violation(
         for mask in _subsets_of_size(n, size):
             examined += 1
             if not constant:
-                chosen = sorted((fvals[i] for i in _mask_bits(mask)), reverse=True)
+                chosen = sorted((fvals[i] for i in _bits(mask)), reverse=True)
                 bound = sum(chosen) - sum(chosen[:k])
             odd = _odd_components_bounded(adj, full & ~mask, bound)
             if odd > bound:
-                return mask, odd, bound, examined
-    return None, 0, 0, examined
+                return mask, examined
+    return None, examined
 
 
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _as_spec(f, k: Optional[int]) -> FactorSpec:
+    """``f`` (an odd bound, per-vertex bounds or a FactorSpec) with order ``k``.
 
-
-def _as_spec(f, k: int) -> FactorSpec:
+    A FactorSpec keeps its own k; passing a different explicit ``k`` with it
+    is an error.  Plain bounds take ``k``, or 0 when it is None.
+    """
     if isinstance(f, FactorSpec):
-        if f.k != k:
+        if k is not None and f.k != k:
             raise ParameterError(f"factor spec has k={f.k}, expected k={k}")
         return f
-    return FactorSpec(f, k)
+    return FactorSpec(f, 0 if k is None else k)
 
 
 def has_odd_factor(g: Graph, f, *, cap: int = ENUMERATION_CAP) -> bool:
@@ -190,7 +189,7 @@ def has_odd_factor(g: Graph, f, *, cap: int = ENUMERATION_CAP) -> bool:
     spec = _as_spec(f, 0)
     if g.n == 0:
         return True
-    mask, _, _, _ = _find_violation(
+    mask, _ = _find_violation(
         g, spec.values_for(g.n), 0, cap=cap, skip_settled_sizes=True
     )
     return mask is None
@@ -203,25 +202,33 @@ def is_k_critical(
     *,
     cap: int = ENUMERATION_CAP,
     skip_settled_sizes: bool = True,
+    max_size: Optional[int] = None,
 ) -> CriticalityVerdict:
     """Whether deleting any k vertices leaves a graph with an odd factor.
 
-    Exhaustive check of the odd-component criterion over all S with |S| >= k,
-    in increasing size with early exit on the first violation; the witness of
-    a negative verdict is the first violating set in (size, numeric) order.
-    ``skip_settled_sizes=False`` forces the literal full scan.
+    ``f`` is an odd bound, per-vertex bounds, or a FactorSpec (whose k must
+    agree with an explicit ``k``).  Exhaustive check of the odd-component
+    criterion over all S with |S| >= k, in increasing size with early exit on
+    the first violation; the witness of a negative verdict is the first
+    violating set in (size, numeric) order.  ``skip_settled_sizes=False``
+    forces the literal full scan.  ``max_size`` limits the search to
+    |S| <= max_size: the verdict is then non-critical with a witness, or
+    ``critical=None`` when none was found; it never certifies criticality.
     """
-    spec = f if isinstance(f, FactorSpec) else FactorSpec(f, 0 if k is None else k)
-    if k is not None and spec.k != k:
-        spec = FactorSpec(spec.f, k)
+    spec = _as_spec(f, k)
     if g.n < spec.k + 2:
         raise ParameterError(f"criticality needs n >= k+2, got n={g.n}, k={spec.k}")
-    mask, odd, bound, examined = _find_violation(
-        g, spec.values_for(g.n), spec.k, cap=cap, skip_settled_sizes=skip_settled_sizes
+    mask, examined = _find_violation(
+        g,
+        spec.values_for(g.n),
+        spec.k,
+        cap=cap,
+        skip_settled_sizes=skip_settled_sizes,
+        max_size=max_size,
     )
-    if mask is None:
-        return CriticalityVerdict(True, None, examined)
-    return CriticalityVerdict(False, frozenset(_mask_bits(mask)), examined)
+    if mask is not None:
+        return CriticalityVerdict(False, frozenset(_bits(mask)), examined)
+    return CriticalityVerdict(None if max_size is not None else True, None, examined)
 
 
 def is_k_critical_definitional(g: Graph, b: int, k: int, *, cap: int = ENUMERATION_CAP) -> bool:

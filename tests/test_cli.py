@@ -136,6 +136,16 @@ class TestCheckCritical:
         assert payload["bound"] == b
         assert f"o={odd} > {b}" in captured.err
 
+    def test_witness_only_order_precondition(self, tmp_path, capsys):
+        f = write_graph(tmp_path, "k3.g6", make_complete(3))
+        code = main([
+            "check-critical", "--input", f, "--b", "1", "--k", "2", "--mode", "witness-only",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: criticality needs n >= k+2" in captured.err
+        assert captured.out == ""
+
     def test_witness_only_inconclusive(self, tmp_path):
         f = write_graph(tmp_path, "k6.g6", make_complete(6))
         code = main([

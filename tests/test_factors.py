@@ -162,6 +162,25 @@ class TestCriticality:
         assert not is_k_critical(make_complete(5), 1, 2).critical
         assert not is_k_critical(make_complete(4), 3, 1).critical
 
+    def test_factor_spec_k_must_agree(self):
+        assert is_k_critical(make_complete(3), FactorSpec(1, 1), 1).critical
+        assert is_k_critical(make_complete(3), FactorSpec(1, 1)).critical
+        with pytest.raises(ParameterError, match="k=1, expected k=0"):
+            is_k_critical(make_complete(3), FactorSpec(1, 1), 0)
+        with pytest.raises(ParameterError, match="k=1, expected k=0"):
+            has_odd_factor(make_complete(3), FactorSpec(1, 1))
+
+    def test_max_size_never_certifies(self):
+        g = extremal_gprime(ExtremalParams(19, 1, 1, 3))
+        assert is_k_critical(g, 1, 1, max_size=2) == CriticalityVerdict(None, None, 19 + 171)
+        found = is_k_critical(g, 1, 1, max_size=3)
+        assert found.critical is False and found.witness == frozenset({0, 1, 2})
+        assert found == is_k_critical(g, 1, 1)
+        # even a search that covers every size leaves the verdict open
+        assert is_k_critical(make_complete(3), 1, 1, max_size=2).critical is None
+        with pytest.raises(ParameterError, match="k\\+2"):
+            is_k_critical(make_complete(3), 1, 2, max_size=4)
+
     def test_full_scan_matches_pruned_scan(self):
         rng = random.Random(41)
         for _ in range(15):
