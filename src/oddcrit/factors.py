@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .errors import ParameterError, ScaleLimitError
-from .graphs import ExtremalParams, Graph, _bits
+from .graphs import ExtremalParams, Graph, _bits, _component_mask
 
 #: default cap on the order of graphs accepted for exhaustive subset enumeration
 ENUMERATION_CAP = 22
@@ -105,18 +105,7 @@ def _odd_components_bounded(adj, alive: int, bound: int) -> int:
             return odd
         if odd + rem.bit_count() <= bound:
             return odd
-        seed = rem & -rem
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & rem & ~comp
-            comp |= frontier
+        comp = _component_mask(adj, rem & -rem, rem)
         rem ^= comp
         odd += comp.bit_count() & 1
     return odd

@@ -26,7 +26,7 @@ from .errors import (
     DisconnectedGraphError,
     ParameterError,
 )
-from .graphs import ExtremalParams, Graph
+from .graphs import ExtremalParams, Graph, _bits
 
 #: relative off-diagonal mass at which the Jacobi sweeps stop
 OFF_DIAGONAL_TOLERANCE = 1e-12
@@ -212,31 +212,19 @@ def distance_matrix(g: Graph) -> np.ndarray:
         raise DisconnectedGraphError("distance undefined: graph is disconnected")
     n = g.n
     adj = g.adjacency_rows
-    full = (1 << n) - 1
     dist = np.zeros((n, n), dtype=np.int64)
     for v in range(n):
         seen = frontier = 1 << v
         d = 0
-        while seen != full:
-            d += 1
+        while frontier:
             nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
+            for u in _bits(frontier):
+                dist[v, u] = d
+                nxt |= adj[u]
             frontier = nxt & ~seen
             seen |= frontier
-            for u in _bit_positions(frontier):
-                dist[v, u] = d
+            d += 1
     return dist
-
-
-def _bit_positions(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def transmissions(g: Graph) -> np.ndarray:
