@@ -54,7 +54,6 @@ from .spectral import (
     dominant_eigenpair,
     eigenvalues,
     graph_matrix,
-    matrix_csv,
     signless_laplacian_matrix,
     spectral_radius,
     symmetric_eigenvalues,

@@ -261,20 +261,15 @@ def graph_matrix(g: Graph, kind: str) -> np.ndarray:
     return builder(g)
 
 
-def spectral_radius(g: Graph, kind: str = "distance", *, method: str = "auto") -> float:
+def spectral_radius(g: Graph, kind: str = "distance") -> float:
     """Largest eigenvalue of the requested graph matrix.
 
-    method='auto' uses the power-iteration fast path (all four matrices are
-    nonnegative) and falls back to the Jacobi solver if it stalls;
-    method='full' always runs the full decomposition.
+    Uses the power-iteration fast path (all four matrices are nonnegative)
+    and falls back to the Jacobi solver if it stalls.
     """
     if g.n == 0:
         raise ParameterError("spectral radius undefined for the empty graph")
     m = graph_matrix(g, kind)
-    if method == "full":
-        return float(symmetric_eigenvalues(m)[0])
-    if method != "auto":
-        raise ParameterError(f"unknown method {method!r}, expected 'auto' or 'full'")
     try:
         lam, _ = dominant_eigenpair(m)
         return lam
@@ -318,11 +313,3 @@ def check_interlacing(outer, inner, *, tol: float = 1e-8) -> bool:
             return False
     return True
 
-
-def matrix_csv(matrix) -> str:
-    """CSV rendering for debugging."""
-    a = np.asarray(matrix)
-    lines = []
-    for row in a:
-        lines.append(",".join(format(x, ".12g") for x in row))
-    return "\n".join(lines) + "\n"
