@@ -332,23 +332,58 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _apply_config(args, parser) -> None:
-    if not getattr(args, "config", None):
-        return
+def _with_config(parser, argv: list[str]) -> list[str]:
+    """``argv`` with the ``--config`` file's values placed as leading subcommand flags.
+
+    Each key the chosen subcommand defines becomes a ``--flag=value`` token
+    right after the subcommand name, so argparse converts and checks it
+    exactly like the flag itself, and the user's own flags, which come later,
+    win.  Other keys are ignored.
+    """
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    at = next(
+        (
+            i
+            for i, token in enumerate(argv)
+            if token in commands and (i == 0 or argv[i - 1] != "--config")
+        ),
+        None,
+    )
+    if at is None:
+        return argv
+    top = argparse.ArgumentParser(add_help=False)
+    top.add_argument("--config")
+    path = top.parse_known_args(argv[:at])[0].config
+    if path is None:
+        return argv
     try:
-        defaults = json.loads(Path(args.config).read_text())
+        config = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config {args.config}: {exc}")
-    for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+        parser.error(f"cannot read config {path}: {exc}")
+    if not isinstance(config, dict):
+        parser.error(f"config {path} must hold a JSON object")
+    values = {key.replace("-", "_"): value for key, value in config.items()}
+    tokens = []
+    for action in commands[argv[at]]._actions:
+        value = values.get(action.dest)
+        if not action.option_strings or action.dest == "help" or value is None:
+            continue
+        flag = action.option_strings[-1]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value is True:
+            tokens.append(flag)
+        elif value is not False:
+            parser.error(f"config {path}: {action.dest} must be true or false")
+    return argv[: at + 1] + tokens + argv[at + 1 :]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_config(args, parser)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_with_config(parser, argv))
     try:
         return args.func(args)
     except (

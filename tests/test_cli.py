@@ -247,6 +247,54 @@ class TestVerifyAndSweep:
         ])
         assert code == 0
 
+    def run_with_config(self, tmp_path, capsys, config, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["--config", str(cfg), *argv])
+        return code, capsys.readouterr()
+
+    def test_config_values_reach_every_flag(self, tmp_path, capsys):
+        verify = ["verify", "--theorem", "1.2", "--n", "13", "--b", "1", "--k", "1",
+                  "--delta", "2"]
+        code, flagged = main([*verify, "--cap", "5", "--format", "csv"]), capsys.readouterr()
+        got = self.run_with_config(tmp_path, capsys, {"cap": 5, "format": "csv"}, verify)
+        assert got == (code, flagged)
+        assert flagged.out.splitlines()[1].endswith(",None,")  # not brute-forced
+
+    def test_config_values_are_converted_like_flags(self, tmp_path, capsys):
+        config = {"n": "13", "b": "1", "k": 1, "delta": 2, "include-base": True}
+        code, got = self.run_with_config(tmp_path, capsys, config, ["sweep", "--theorem", "1.2"])
+        expected = main(["sweep", "--theorem", "1.2", "--n", "13", "--b", "1", "--k", "1",
+                         "--delta", "2", "--include-base"])
+        assert (code, got) == (expected, capsys.readouterr())
+        assert json.loads(got.out)["graphs"] == 20
+
+    @pytest.mark.parametrize("config, message", [
+        ({"variant": "bogus"}, "argument --variant: invalid choice: 'bogus'"),
+        ({"n": "thirteen"}, "argument --n: invalid int value: 'thirteen'"),
+        ({"n": True}, "argument --n: invalid int value: 'True'"),
+        ({"include_base": "yes"}, "include_base must be true or false"),
+        ([13], "must hold a JSON object"),
+    ])
+    def test_bad_config_value_exit_two(self, tmp_path, capsys, config, message):
+        with pytest.raises(SystemExit) as exc:
+            self.run_with_config(tmp_path, capsys, config, [
+                "sweep", "--theorem", "1.2", "--n", "13", "--b", "1", "--k", "1",
+                "--delta", "2",
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_flags_override_config_and_foreign_keys_are_ignored(self, tmp_path, capsys):
+        config = {"cap": 5, "format": "csv", "max_size": 3, "matrix": "adjacency"}
+        code, got = self.run_with_config(tmp_path, capsys, config, [
+            "verify", "--theorem", "1.2", "--n", "13", "--b", "1", "--k", "1", "--delta", "2",
+            "--cap", "22", "--format", "json",
+        ])
+        assert code == 0
+        assert json.loads(got.out)["records"][0]["brute_force_verdict"] is False
+
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     @pytest.mark.parametrize("factor", ["-1", "0", "nan", "inf"])
     def test_bad_tolerance_exit_two(self, command, factor, capsys):
