@@ -4,7 +4,8 @@ Commands: analyze, extremal, check-critical, verify, sweep.  JSON is the
 machine output (floats fixed at 12 significant digits, keys sorted, so equal
 inputs give byte-identical reports); a short human-readable summary goes to
 standard output.  Exit codes: 0 success/affirmative, 1 negative verdict,
-2 usage or runtime error.
+2 usage or runtime error, an inconclusive witness-only search, or a verify or
+sweep whose assertions were not all confirmed by brute force.
 """
 from __future__ import annotations
 
@@ -219,7 +220,9 @@ def cmd_sweep(args) -> int:
 def _sweep(args, corpus, *, per_graph: bool) -> int:
     """Run ``args.theorem`` over ``corpus`` and emit the report (verify and sweep).
 
-    ``per_graph`` adds one summary line per record ahead of the totals.
+    ``per_graph`` adds one summary line per record ahead of the totals.  Exit
+    code 1 on a falsification, else 2 if some assertion went unconfirmed
+    (above the enumeration cap), else 0.
     """
     tol = (
         Tolerances.scaled(args.tolerance)
@@ -242,11 +245,15 @@ def _sweep(args, corpus, *, per_graph: bool) -> int:
         ]
     lines.append(
         f"theorem {args.theorem}: {'' if per_graph else 'swept '}"
-        f"{len(report.records)} graphs, {len(report.falsifications)} falsifications"
+        f"{len(report.records)} graphs, {len(report.falsifications)} falsifications, "
+        f"{len(report.unconfirmed)} unconfirmed"
     )
     text = _csv(report) if args.format == "csv" else report.to_json()
     _emit(text, args.out, lines)
-    return 1 if report.falsifications else 0
+    if report.falsifications:
+        return 1
+    # an assertion nobody could check is not a success
+    return 2 if report.unconfirmed else 0
 
 
 def _csv(report) -> str:

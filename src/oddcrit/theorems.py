@@ -296,7 +296,7 @@ def ordering_lemma_check(
 
 @dataclass
 class SweepReport:
-    """Per-graph records of a theorem sweep plus the falsification count."""
+    """Per-graph records of a theorem sweep plus the falsification and unconfirmed counts."""
 
     theorem_id: str
     records: list[dict] = field(default_factory=list)
@@ -305,11 +305,22 @@ class SweepReport:
     def falsifications(self) -> list[dict]:
         return [r for r in self.records if r.get("falsification")]
 
+    @property
+    def unconfirmed(self) -> list[dict]:
+        """Asserted verdicts (criticality or an extremal exception) never brute-forced."""
+        return [
+            r
+            for r in self.records
+            if r["conclusion"] in (ASSERTS_CRITICAL, EXTREMAL_EXCEPTION)
+            and r["brute_force_verdict"] is None
+        ]
+
     def as_dict(self) -> dict:
         return {
             "theorem_id": self.theorem_id,
             "graphs": len(self.records),
             "falsification_count": len(self.falsifications),
+            "unconfirmed_count": len(self.unconfirmed),
             "records": self.records,
         }
 
@@ -353,7 +364,8 @@ def counterexample_sweep(
     condition hold are checked by exhaustive criticality: an asserted graph
     that fails the brute force becomes a falsification record with its witness.
     Extremal exceptions are confirmed non-critical the same way.  Graphs above
-    the enumeration cap produce per-graph error records, not failures.
+    the enumeration cap produce per-graph error records, not failures; their
+    assertions count as unconfirmed.
     """
     report = SweepReport(theorem_id)
     for graph_id, g in corpus:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oddcrit import ExtremalParams, extremal_gprime, make_complete, write_graph6
+from oddcrit import ExtremalParams, Graph, extremal_gprime, make_complete, write_graph6
 from oddcrit.cli import main
 
 
@@ -166,6 +166,36 @@ class TestVerifyAndSweep:
         report = json.loads(out.read_text())
         assert report["records"][0]["conclusion"] == "extremal_exception"
         assert report["falsification_count"] == 0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unconfirmed_assertions_exit_two(self, tmp_path, capsys, fmt):
+        out = tmp_path / "s.out"
+        code = main([
+            "sweep", "--theorem", "1.5", "--n", "47", "--b", "1", "--k", "1", "--delta", "3",
+            "--include-base", "--format", fmt, "--out", str(out),
+        ])
+        assert code == 2
+        assert "127 graphs, 0 falsifications, 127 unconfirmed" in capsys.readouterr().out
+        if fmt == "json":
+            report = json.loads(out.read_text())
+            assert report["unconfirmed_count"] == 127 and report["falsification_count"] == 0
+
+    def test_falsification_beats_unconfirmed(self, tmp_path, capsys):
+        # a relabelled extremal graph escapes the label-identity exception and is
+        # brute-forced as a falsification; the 47-vertex exception stays unconfirmed
+        corpus = tmp_path / "corpus.g6"
+        g = extremal_gprime(ExtremalParams(13, 1, 1, 2))
+        perm = list(range(13))[::-1]
+        relabelled = Graph(13, [(perm[u], perm[v]) for u, v in g.edges()])
+        corpus.write_text(write_graph6(relabelled) + "\n"
+                          + write_graph6(extremal_gprime(ExtremalParams(47, 1, 1, 2))) + "\n")
+        code = main([
+            "verify", "--theorem", "1.2", "--b", "1", "--k", "1", "--delta", "2",
+            "--input", str(corpus),
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert (payload["falsification_count"], payload["unconfirmed_count"]) == (1, 1)
 
     def test_verify_corpus_file(self, tmp_path):
         corpus = tmp_path / "corpus.g6"

@@ -246,6 +246,8 @@ class TestSweep:
         assert record["brute_force_verdict"] is None
         assert "error" in record
         assert not report.falsifications
+        assert report.unconfirmed == [record]
+        assert report.as_dict()["unconfirmed_count"] == 1
 
     def test_one_edge_supergraphs_count(self):
         g = extremal_gprime(ExtremalParams(19, 1, 1, 3))
