@@ -350,15 +350,10 @@ def _with_config(parser, argv: list[str]) -> list[str]:
     commands = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ).choices
-    at = next(
-        (
-            i
-            for i, token in enumerate(argv)
-            if token in commands and (i == 0 or argv[i - 1] != "--config")
-        ),
-        None,
-    )
-    if at is None:
+    at = 0
+    while at < len(argv) and argv[at] not in commands:
+        at += 2 if argv[at] == "--config" else 1
+    if at >= len(argv):
         return argv
     top = argparse.ArgumentParser(add_help=False)
     top.add_argument("--config")
