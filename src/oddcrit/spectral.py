@@ -312,4 +312,3 @@ def check_interlacing(outer, inner, *, tol: float = 1e-8) -> bool:
         if inner[i] < outer[n - m + i] - tol:
             return False
     return True
-
