@@ -12,7 +12,6 @@ import contextlib
 import io
 import os
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
@@ -24,6 +23,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 GSTAR13 = "L~~~~~~~~?[@w?"  # g_star(13, 1, 1)
 GPRIME13 = "L~~~~~~~~~w?o?"  # G'(13, 1, 1, 2)
+# G'(31, 1, 1, 2)
 GPRIME31 = "^~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~????E?????"
 GPRIME19B3 = "R~~~~~~~~~~~~~~~~~}??o?B??E???"  # G'(19, 3, 1, 2)
 
@@ -135,4 +135,3 @@ def regenerate() -> None:
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)
