@@ -38,6 +38,7 @@ from .partitions import (
     Partition,
     QuotientMatrix,
     discrete_partition,
+    family_quotient,
     is_equitable,
     join_partition,
     partition_of,
@@ -74,6 +75,7 @@ from .theorems import (
     evaluate_theorem,
     exceptional_graphs_for,
     extremal_graph_for,
+    extremal_layout_for,
     gstar_ordering_check,
     interlacing_bound_check,
     one_edge_supergraphs,

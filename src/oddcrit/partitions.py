@@ -16,12 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DisconnectedGraphError, ParameterError
 from .graphs import Graph
-from .spectral import _as_symmetric_float, dominant_eigenpair, symmetric_eigenvalues
+from .spectral import (
+    SPECTRAL_KINDS,
+    _as_symmetric_float,
+    dominant_eigenpair,
+    symmetric_eigenvalues,
+)
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,44 @@ class QuotientMatrix:
             det = float(np.linalg.det(a))
             return _cubic_largest_real_root(-tr, minors, -det)
         raise ParameterError(f"closed-form roots implemented for order <= 3, got {m}")
+
+
+def family_quotient(s: int, parts: Sequence[int], kind: str) -> QuotientMatrix:
+    """Quotient of a join family's graph matrix, written from ``(s, parts)`` alone.
+
+    The family is ``family(s, parts)`` = K_s v (K_{parts[0]} u K_{parts[1]} u ...).
+    The cells are the join cell (when s > 0), then one cell per distinct
+    part size in order of first appearance: every vertex of a merged cell
+    sees the same row sums, so the partition is equitable, and for these
+    nonnegative matrices the quotient's largest eigenvalue is the spectral
+    radius of the n x n matrix, which is never built.  The signless kinds add
+    each cell's row sum (degree or transmission) to its diagonal entry.
+    """
+    if kind not in SPECTRAL_KINDS:
+        raise ParameterError(f"unknown matrix kind {kind!r}, expected one of {SPECTRAL_KINDS}")
+    if s < 0 or not parts or any(p < 1 for p in parts):
+        raise ParameterError("join family needs s >= 0 and nonempty positive parts")
+    far = 2 if kind in ("distance", "distance_signless_laplacian") else 0
+    if far and s == 0 and len(parts) > 1:
+        raise DisconnectedGraphError("distance undefined: graph is disconnected")
+    counts: dict[int, int] = {}
+    for p in parts:
+        counts[p] = counts.get(p, 0) + 1
+    groups = list(counts.items())
+    rows = []
+    if s:
+        rows.append([s - 1] + [m * p for p, m in groups])
+    for i, (p, m) in enumerate(groups):
+        # every other clique lies at distance `far` (2 through the join cell,
+        # 0 for adjacency); the rest of the vertex's own clique at distance 1
+        row = [far * mq * q for q, mq in groups]
+        row[i] += p - 1 - far * p
+        rows.append(([s] if s else []) + row)
+    entries = np.array(rows, dtype=float)
+    if kind in ("signless_laplacian", "distance_signless_laplacian"):
+        entries += np.diag(entries.sum(axis=1))
+    sizes = ((s,) if s else ()) + tuple(m * p for p, m in groups)
+    return QuotientMatrix(entries, sizes)
 
 
 def _cbrt(x: float) -> float:

@@ -8,6 +8,13 @@ itself.  The evaluators check the hypotheses literally, run the comparison at
 the configured tolerance, and classify the outcome; a sweep driver confirms
 positive verdicts by brute-force criticality and reports any falsification.
 
+Every comparison family is a join K_s v (K_{n_1} u ... u K_{n_t}), known by
+its layout ``(s, parts)`` (``extremal_layout_for``).  The size condition uses
+the layout's exact edge count, and every comparison radius is the largest
+eigenvalue of the family's equitable quotient (``partitions.family_quotient``),
+which equals the radius of the n x n matrix.  Only the input graph gets a
+matrix; the extremal graph itself is built only for the exception test below.
+
 "Unless isomorphic to the extremal graph" is decided by label identity only:
 graphs produced by this package's constructors carry a canonical labeling, and
 general isomorphism testing is out of scope.
@@ -21,7 +28,8 @@ from typing import Optional, Sequence
 
 from .errors import ParameterError, ScaleLimitError
 from .factors import ENUMERATION_CAP, is_k_critical
-from .graphs import ExtremalParams, Graph, extremal_gprime, family, g_star
+from .graphs import ExtremalParams, Graph, family, g_star
+from .partitions import family_quotient
 from .spectral import spectral_radius
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -96,16 +104,39 @@ def order_bound(theorem_id: str, b: int, k: int, delta: Optional[int] = None) ->
     return max(first, second)
 
 
-def extremal_graph_for(theorem_id: str, n: int, b: int, k: int, delta: Optional[int]) -> Graph:
-    """The comparison graph of a theorem's size or spectral condition."""
+def extremal_layout_for(
+    theorem_id: str, n: int, b: int, k: int, delta: Optional[int]
+) -> tuple[int, list[int]]:
+    """``(s, parts)`` of a theorem's comparison family K_s v (K_{parts[0]} u ...)."""
     if theorem_id == "1.4":
         big = n - b - k - 2
         if big < 1:
             raise ParameterError(f"part n-b-k-2 = {big} must be >= 1")
-        return family(k + 1, [big] + [1] * (b + 1))
+        return k + 1, [big] + [1] * (b + 1)
     if delta is None:
         raise ParameterError(f"theorem {theorem_id} needs delta")
-    return extremal_gprime(ExtremalParams(n, b, k, delta))
+    return _gprime_layout(ExtremalParams(n, b, k, delta))
+
+
+def _gprime_layout(p: ExtremalParams) -> tuple[int, list[int]]:
+    """``(s, parts)`` of K_delta v (K_{n-(b+1)delta+bk-1} u (b*delta-bk+1) K_1)."""
+    big, singles = p.gprime_parts()
+    return p.delta, [big] + [1] * singles
+
+
+def extremal_graph_for(theorem_id: str, n: int, b: int, k: int, delta: Optional[int]) -> Graph:
+    """The comparison graph of a theorem's size or spectral condition."""
+    return family(*extremal_layout_for(theorem_id, n, b, k, delta))
+
+
+def _family_edge_count(s: int, parts: Sequence[int]) -> int:
+    n = s + sum(parts)
+    return s * (s - 1) // 2 + s * (n - s) + sum(p * (p - 1) // 2 for p in parts)
+
+
+def _family_radius(s: int, parts: Sequence[int], kind: str) -> float:
+    """Spectral radius of a join family's matrix, from its equitable quotient."""
+    return float(family_quotient(s, parts, kind).eigenvalues()[0])
 
 
 def exceptional_graphs_for(theorem_id: str, n: int, b: int, k: int, delta: Optional[int]) -> list[Graph]:
@@ -183,13 +214,13 @@ def evaluate_theorem(
         return TheoremVerdict(theorem_id, hyp, False, float("nan"), float("nan"), INAPPLICABLE)
 
     quantity, orientation = _CONDITION[theorem_id]
-    ext = extremal_graph_for(theorem_id, n, b, k, delta)
+    s, parts = extremal_layout_for(theorem_id, n, b, k, delta)
     if quantity == "size":
-        lhs, rhs = float(g.edge_count()), float(ext.edge_count())
+        lhs, rhs = float(g.edge_count()), float(_family_edge_count(s, parts))
         met = lhs >= rhs
     else:
         lhs = spectral_radius(g, quantity)
-        rhs = spectral_radius(ext, quantity)
+        rhs = _family_radius(s, parts, quantity)
         met = lhs >= rhs - tol.equality if orientation == "ge" else lhs <= rhs + tol.equality
     if not met:
         return TheoremVerdict(theorem_id, hyp, False, lhs, rhs, CONDITION_FAILS)
@@ -207,11 +238,9 @@ def gstar_ordering_check(
     mu1(K_{k+2} v (K_{n-2b-k-3} u (2b+1)K_1)) with the strictness margin.
     """
     star = g_star(n, b, k)
-    wide = extremal_graph_for("1.4", n, b, k, None)
-    narrow = family(k + 2, [n - 2 * b - k - 3] + [1] * (2 * b + 1))
-    mu_wide = spectral_radius(wide, "distance")
+    mu_wide = _family_radius(*extremal_layout_for("1.4", n, b, k, None), "distance")
     mu_star = spectral_radius(star, "distance")
-    mu_narrow = spectral_radius(narrow, "distance")
+    mu_narrow = _family_radius(k + 2, [n - 2 * b - k - 3] + [1] * (2 * b + 1), "distance")
     return mu_wide < mu_star - tol.strict and mu_star < mu_narrow - tol.strict
 
 
@@ -223,7 +252,7 @@ def interlacing_bound_check(
     The join cell and the big clique together induce a complete subgraph of
     order n - b*delta + b*k - 1, and distance spectra interlace.
     """
-    mu = spectral_radius(extremal_gprime(p), "distance")
+    mu = _family_radius(*_gprime_layout(p), "distance")
     return mu >= p.n - p.b * p.delta + p.b * p.k - 2 - tol.equality
 
 
@@ -235,11 +264,11 @@ def eta_lower_bound_check(
     Applies only when n >= 2(b^2+2b)delta^2 + 2delta + 2b^2k^2 (the regime in
     which the 4W/n lower bound gives this); returns None when inapplicable.
     """
-    p.gprime_parts()  # validates
+    s, parts = _gprime_layout(p)  # validates
     n, b, k, d = p.n, p.b, p.k, p.delta
     if n < 2 * (b * b + 2 * b) * d * d + 2 * d + 2 * b * b * k * k:
         return None
-    eta = spectral_radius(extremal_gprime(p), "distance_signless_laplacian")
+    eta = _family_radius(s, parts, "distance_signless_laplacian")
     return eta > 2 * n + 4 * b * d - 4 * b * k + 1 + tol.strict
 
 
@@ -274,8 +303,8 @@ def ordering_lemma_check(
         big = n - s - p * (t - 1)
         if parts[0] >= big:
             return None
-        lhs = spectral_radius(family(s, parts), "distance")
-        rhs = spectral_radius(family(s, [big] + [p] * (t - 1)), "distance")
+        lhs = _family_radius(s, parts, "distance")
+        rhs = _family_radius(s, [big] + [p] * (t - 1), "distance")
         return lhs > rhs + tol.strict
 
     if lemma_id == "2.9":
@@ -287,8 +316,8 @@ def ordering_lemma_check(
     else:
         raise ParameterError(f"unknown lemma id {lemma_id!r}")
 
-    lhs = spectral_radius(family(s, parts), "distance_signless_laplacian")
-    rhs = spectral_radius(family(s, flat), "distance_signless_laplacian")
+    lhs = _family_radius(s, parts, "distance_signless_laplacian")
+    rhs = _family_radius(s, flat, "distance_signless_laplacian")
     if sorted(parts, reverse=True) == sorted(flat, reverse=True):
         return abs(lhs - rhs) <= tol.equality
     return lhs > rhs + tol.strict
@@ -409,6 +438,7 @@ __all__ = [
     "evaluate_theorem",
     "exceptional_graphs_for",
     "extremal_graph_for",
+    "extremal_layout_for",
     "gstar_ordering_check",
     "interlacing_bound_check",
     "one_edge_supergraphs",

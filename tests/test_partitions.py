@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from oddcrit import (
+    SPECTRAL_KINDS,
+    DisconnectedGraphError,
     ExtremalParams,
     Graph,
     ParameterError,
@@ -11,6 +13,9 @@ from oddcrit import (
     distance_matrix,
     distance_signless_laplacian_matrix,
     extremal_gprime,
+    family,
+    family_quotient,
+    graph_matrix,
     is_equitable,
     join_partition,
     make_complete,
@@ -204,6 +209,101 @@ class TestQuotientSpectra:
         q = quotient(d, discrete_partition(5))
         with pytest.raises(ParameterError, match="order"):
             q.largest_root_closed_form()
+
+
+def family_cells(s, parts):
+    """Vertex cells of family(s, parts): the join cell, then all parts of each size."""
+    starts = [s + sum(parts[:i]) for i in range(len(parts))]
+    by_size = {}
+    for start, p in zip(starts, parts):
+        by_size.setdefault(p, []).extend(range(start, start + p))
+    return partition_of(([tuple(range(s))] if s else []) + list(by_size.values()))
+
+
+def comparison_layouts(parameter_grid):
+    """(s, parts) of G', g2, g3, the Theorem 1.4 family and the g* comparison pair."""
+    layouts = set()
+    for n, b, k, d, s in parameter_grid:
+        p = ExtremalParams(n, b, k, d, s)
+        big, singles = p.gprime_parts()
+        layouts.add((d, (big,) + (1,) * singles))
+        big, singles = p.g2_parts()
+        layouts.add((s, (big,) + (1,) * singles))
+        big, copies, order = p.g3_parts()
+        layouts.add((s, (big,) + (order,) * copies))
+        if n - b - k - 2 >= 1:
+            layouts.add((k + 1, (n - b - k - 2,) + (1,) * (b + 1)))
+        if n - 2 * b - k - 3 >= 1:
+            layouts.add((k + 2, (n - 2 * b - k - 3,) + (1,) * (2 * b + 1)))
+    return sorted(layouts)
+
+
+# lemma-style layouts: repeated part sizes, interleaved sizes, a big part of 1
+LEMMA_LAYOUTS = [
+    (2, (3, 3, 2, 2, 1)),
+    (1, (1, 1, 1, 1)),
+    (3, (4, 4, 4)),
+    (2, (2, 5, 2, 1, 5, 1)),
+    (4, (7, 1)),
+    (0, (6,)),
+    (1, (1,)),
+]
+
+
+class TestFamilyQuotient:
+    def test_radius_matches_eigvalsh(self, parameter_grid):
+        layouts = comparison_layouts(parameter_grid) + LEMMA_LAYOUTS
+        for n, b, k, d in ((47, 1, 1, 3), (63, 1, 1, 3), (271, 3, 1, 3)):
+            big, singles = ExtremalParams(n, b, k, d).gprime_parts()
+            layouts.append((d, (big,) + (1,) * singles))
+        for s, parts in layouts:
+            g = family(s, list(parts))
+            for kind in SPECTRAL_KINDS:
+                exact = np.linalg.eigvalsh(graph_matrix(g, kind).astype(float))[-1]
+                assert abs(family_quotient(s, parts, kind).eigenvalues()[0] - exact) < 1e-9
+
+    def test_cells_are_equitable_and_entries_exact(self, parameter_grid):
+        for s, parts in comparison_layouts(parameter_grid)[::5] + LEMMA_LAYOUTS:
+            g = family(s, list(parts))
+            cells = family_cells(s, list(parts))
+            for kind in SPECTRAL_KINDS:
+                matrix = graph_matrix(g, kind)
+                q = family_quotient(s, parts, kind)
+                assert is_equitable(matrix, cells)
+                assert q.cell_sizes == tuple(len(c) for c in cells.cells)
+                assert np.array_equal(q.entries, quotient(matrix, cells).entries)
+
+    def test_three_cells_match_the_closed_forms(self):
+        n, b, k, d = 28, 3, 2, 4
+        big, singles = ExtremalParams(n, b, k, d).gprime_parts()
+        layout = (d, [big] + [1] * singles)
+        assert np.array_equal(
+            family_quotient(*layout, "distance").entries,
+            np.array(expected_distance_quotient(n, b, k, d), float),
+        )
+        assert np.array_equal(
+            family_quotient(*layout, "distance_signless_laplacian").entries,
+            np.array(expected_qd_quotient(n, b, k, d), float),
+        )
+
+    def test_no_join_cell(self):
+        # K_3 u K_3 u K_1: adjacency radius 2; distance is undefined
+        for kind in ("adjacency", "signless_laplacian"):
+            exact = np.linalg.eigvalsh(graph_matrix(family(0, [3, 3, 1]), kind).astype(float))[-1]
+            assert abs(family_quotient(0, [3, 3, 1], kind).eigenvalues()[0] - exact) < 1e-12
+        for kind, k5_radius in (("distance", 4.0), ("distance_signless_laplacian", 8.0)):
+            with pytest.raises(DisconnectedGraphError):
+                family_quotient(0, [3, 3, 1], kind)
+            with pytest.raises(DisconnectedGraphError):
+                spectral_radius(family(0, [3, 3, 1]), kind)
+            assert family_quotient(0, [5], kind).eigenvalues()[0] == pytest.approx(k5_radius)
+
+    def test_rejects_bad_layouts(self):
+        with pytest.raises(ParameterError, match="kind"):
+            family_quotient(1, [2], "laplacian")
+        for s, parts in ((-1, [2]), (1, []), (1, [2, 0])):
+            with pytest.raises(ParameterError):
+                family_quotient(s, parts, "distance")
 
 
 class TestPerronVector:

@@ -1,8 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from oddcrit import spectral
 from oddcrit import (
     ASSERTS_CRITICAL,
     CONDITION_FAILS,
@@ -74,6 +76,15 @@ class TestExtremalGraphFor:
         g = extremal_graph_for("1.5", 19, 1, 1, 3)
         assert g == extremal_gprime(ExtremalParams(19, 1, 1, 3))
 
+    @pytest.mark.parametrize("b, k, d", [(1, 1, 3), (3, 1, 2), (1, 2, 4), (5, 1, 2), (3, 2, 3)])
+    def test_size_condition_uses_the_exact_edge_count(self, b, k, d):
+        n = math.ceil(order_bound("1.1", b, k, d))
+        n += (n - k) % 2
+        g = extremal_gprime(ExtremalParams(n, b, k, d))
+        verdict = evaluate_theorem(g.with_edge(*next(g.non_edges())), "1.1", b, k, d)
+        assert verdict.hypotheses_met
+        assert verdict.condition_rhs == g.edge_count()
+
     def test_exceptional_set_for_distance_variant(self):
         ex = exceptional_graphs_for("1.4", 19, 1, 1, None)
         assert family(1, [17, 1]) in ex and len(ex) == 2
@@ -133,6 +144,29 @@ class TestEvaluateTheorem:
             verdict = evaluate_theorem(g, tid, b, k, d)
             assert verdict.conclusion == EXTREMAL_EXCEPTION, (tid, verdict)
             assert abs(verdict.condition_lhs - verdict.condition_rhs) <= 1e-8
+
+    @pytest.mark.parametrize("tid, n, b, k, d", [
+        ("1.2", 19, 1, 1, 3),
+        ("1.3", 19, 1, 1, 3),
+        ("1.4", 19, 1, 1, None),
+        ("1.5", 47, 1, 1, 3),
+        ("1.6", 63, 1, 1, 3),
+    ])
+    def test_only_the_input_graph_gets_a_matrix(self, monkeypatch, tid, n, b, k, d):
+        # the comparison radius comes from the family's quotient, never a built matrix
+        built = []
+        build = spectral.graph_matrix
+
+        def counting(h, kind):
+            built.append(h)
+            return build(h, kind)
+
+        monkeypatch.setattr(spectral, "graph_matrix", counting)
+        g = extremal_graph_for(tid, n, b, k, d)
+        for h in (g, g.with_edge(*next(g.non_edges()))):
+            built.clear()
+            assert evaluate_theorem(h, tid, b, k, d).hypotheses_met
+            assert len(built) == 1 and built[0] is h
 
     def test_distance_variant_exception(self):
         g = extremal_graph_for("1.4", 19, 1, 1, None)
