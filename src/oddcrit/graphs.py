@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import GraphFormatError, ParameterError
 
@@ -24,6 +26,13 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _unpack_masks(masks: Sequence[int], n: int) -> np.ndarray:
+    """0/1 ``uint8`` array whose row i holds bits 0..n-1 of ``masks[i]``."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little")
 
 
 def _component_mask(adj, seed: int, alive: int) -> int:
@@ -419,37 +428,38 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise GraphFormatError("empty graph6 input", offset=0)
-    data = [ord(c) for c in s]
-    for i, c in enumerate(data):
-        if not 63 <= c <= 126:
-            raise GraphFormatError(f"invalid graph6 byte {c!r}", offset=i)
+    # code points, not bytes, so a non-ASCII character keeps its offset
+    data = np.frombuffer(s.encode("utf-32-le"), dtype="<u4")
+    bad = np.flatnonzero((data < 63) | (data > 126))
+    if bad.size:
+        i = int(bad[0])
+        raise GraphFormatError(f"invalid graph6 byte {int(data[i])!r}", offset=i)
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise GraphFormatError("graph6 orders beyond 258047 unsupported", offset=1)
         if len(data) < 4:
             raise GraphFormatError("truncated graph6 size header", offset=len(data))
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
+        n = (int(data[1] - 63) << 12) | (int(data[2] - 63) << 6) | int(data[3] - 63)
         body_offset = 4
     else:
-        n = data[0] - 63
-        body = data[1:]
+        n = int(data[0]) - 63
         body_offset = 1
+    body = data[body_offset:]
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphFormatError(
             f"graph6 body holds {len(body)} bytes, order {n} needs {need}",
             offset=body_offset + min(len(body), need),
         )
-    rows = [0] * n
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            byte = body[idx // 6] - 63
-            if byte >> (5 - idx % 6) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            idx += 1
+    # six bits per byte, high bit first; pair (u, v), u < v, is bit v(v-1)/2 + u,
+    # which is the row-major order of the strictly lower triangle at (v, u)
+    bits = np.unpackbits((body - 63).astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.tri(n, k=-1, dtype=bool)] = bits[: n * (n - 1) // 2]
+    adj |= adj.T
+    width = (n + 7) // 8
+    packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
+    rows = [int.from_bytes(packed[v * width:(v + 1) * width], "little") for v in range(n)]
     return Graph._from_rows(n, rows)
 
 

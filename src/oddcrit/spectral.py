@@ -26,7 +26,7 @@ from .errors import (
     DisconnectedGraphError,
     ParameterError,
 )
-from .graphs import ExtremalParams, Graph, _bits
+from .graphs import ExtremalParams, Graph, _unpack_masks
 
 #: relative off-diagonal mass at which the Jacobi sweeps stop
 OFF_DIAGONAL_TOLERANCE = 1e-12
@@ -205,25 +205,41 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """Shortest-path distances by breadth-first search from every vertex."""
+    """Shortest-path distances by breadth-first search from every vertex.
+
+    The n searches run on bitsets and advance one level at a time together.
+    A level stops expanding as soon as the neighbours of the vertices walked
+    so far cover every vertex still unseen, which on dense graphs is after a
+    few of them.  d(v, u) is the number of levels at which u is still unseen
+    from v, so after each level the unseen sets of all sources are unpacked
+    into one n x n 0/1 array and added to the result.
+    """
     if g.n == 0:
         raise ParameterError("distance matrix undefined for the empty graph")
     if not g.is_connected():
         raise DisconnectedGraphError("distance undefined: graph is disconnected")
     n = g.n
-    adj = g.adjacency_rows
+    full = (1 << n) - 1
+    missed = [full ^ row for row in g.adjacency_rows]
+    unseen = [full ^ (1 << v) for v in range(n)]
+    frontier = [1 << v for v in range(n)]
     dist = np.zeros((n, n), dtype=np.int64)
-    for v in range(n):
-        seen = frontier = 1 << v
-        d = 0
-        while frontier:
-            nxt = 0
-            for u in _bits(frontier):
-                dist[v, u] = d
-                nxt |= adj[u]
-            frontier = nxt & ~seen
-            seen |= frontier
-            d += 1
+    while any(unseen):
+        dist += _unpack_masks(unseen, n)
+        for v in range(n):
+            rest = unseen[v]
+            if not rest:
+                continue
+            # _bits inlined, as in _component_mask: this walk is the hot loop
+            f = frontier[v]
+            while f:
+                low = f & -f
+                rest &= missed[low.bit_length() - 1]
+                if not rest:
+                    break
+                f ^= low
+            frontier[v] = unseen[v] ^ rest
+            unseen[v] = rest
     return dist
 
 

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -253,6 +254,27 @@ class TestGraphIO:
             text = write_graph6(g)
             assert text.startswith("~")
             assert parse_graph6(text) == g
+
+    @pytest.mark.parametrize("n", [1, 2, 62, 63, 64, 271, 1000])
+    def test_agrees_with_networkx(self, n):
+        rng = random.Random(n)
+        g = random_connected_graph(rng, n, 0.1)
+        text = write_graph6(g)
+        h = nx.from_graph6_bytes(text.encode())
+        assert parse_graph6(text) == g
+        assert h.number_of_nodes() == n
+        assert sorted(tuple(sorted(e)) for e in h.edges()) == sorted(g.edges())
+        assert nx.to_graph6_bytes(h, header=False).decode().strip() == text
+
+    @pytest.mark.parametrize("n, at", [(5, 1), (5, 2), (63, 0), (63, 2), (271, 4), (271, 3000)])
+    @pytest.mark.parametrize("bad", ["*", "\x7f", "\u00e9", "\u4e00"])
+    def test_first_bad_byte_offset(self, n, at, bad):
+        text = write_graph6(random_connected_graph(random.Random(n), n, 0.2))
+        broken = text[:at] + bad + text[at + 1:] + bad
+        with pytest.raises(GraphFormatError, match="invalid graph6 byte") as info:
+            parse_graph6(broken)
+        assert info.value.offset == at
+        assert f"byte {ord(bad)!r} " in str(info.value)
 
     def test_roundtrip_canonical_bytes(self):
         rng = random.Random(11)

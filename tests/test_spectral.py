@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from oddcrit import (
     ConvergenceError,
@@ -45,6 +46,19 @@ def star(leaves):
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def assert_distances_match_scipy(g):
+    d = distance_matrix(g)
+    assert d.dtype == np.int64
+    expected = shortest_path(adjacency_matrix(g), directed=False, unweighted=True)
+    assert np.array_equal(d, expected)
+
+
 def random_symmetric(rng, n, scale=5.0):
     a = np.array([[rng.uniform(-scale, scale) for _ in range(n)] for _ in range(n)])
     return (a + a.T) / 2.0
@@ -60,11 +74,37 @@ class TestDistanceMatrix:
         assert d.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
     def test_integer_dtype(self):
-        assert np.issubdtype(distance_matrix(cycle(5)).dtype, np.integer)
+        assert distance_matrix(cycle(5)).dtype == np.int64
 
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedGraphError, match="distance undefined"):
             distance_matrix(disjoint_union(make_complete(2), make_complete(2)))
+
+    def test_disconnected_raises_across_words(self):
+        for g in (disjoint_union(path(64), make_complete(1)), Graph(2)):
+            with pytest.raises(DisconnectedGraphError, match="distance undefined"):
+                distance_matrix(g)
+
+    @given(st.integers(1, 80), st.sampled_from([0.0, 0.03, 0.2, 0.7]), st.randoms(use_true_random=False))
+    def test_matches_scipy_on_random_connected_graphs(self, n, extra, rnd):
+        assert_distances_match_scipy(random_connected_graph(rnd, n, extra))
+
+    @pytest.mark.parametrize("g", [path(120), cycle(65), make_complete(1)], ids=["P120", "C65", "K1"])
+    def test_matches_scipy_on_long_diameters(self, g):
+        assert_distances_match_scipy(g)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 271])
+    def test_matches_scipy_across_word_boundaries(self, n):
+        # several 64-bit words per bitset, and orders not a multiple of 8
+        rng = random.Random(n)
+        for extra in (0.0, 0.02, 0.3):
+            assert_distances_match_scipy(random_connected_graph(rng, n, extra))
+        assert_distances_match_scipy(relabelled(path(n), rng))
+        params = ExtremalParams(n, 3 if n == 271 else 1, 1, 3)
+        if (params.n - params.k) % 2 == 0:
+            g = extremal_gprime(params)
+            u, v = next(g.non_edges())
+            assert_distances_match_scipy(relabelled(g.with_edge(u, v), rng))
 
     def test_family_graphs_have_diameter_two(self):
         rng = random.Random(5)
