@@ -169,9 +169,9 @@ def cmd_check_critical(args) -> int:
     payload = {"input": args.input, "b": args.b, "k": args.k, "mode": args.mode}
     if args.mode == "exact":
         verdict = is_k_critical(g, spec, cap=args.cap)
-        witness = sorted(verdict.witness) if verdict.witness else None
+        witness = sorted(verdict.witness) if verdict.witness is not None else None
         line = f"critical={verdict.critical} subsets_examined={verdict.subsets_examined}" + (
-            f" witness={witness}" if witness else ""
+            f" witness={witness}" if witness is not None else ""
         )
     else:
         # witness-only: search small separators, never certify criticality

@@ -105,6 +105,16 @@ class TestCheckCritical:
         assert verdict["critical"] is False
         assert verdict["witness"] == [0, 1, 2]
 
+    def test_empty_witness_is_reported(self, tmp_path, capsys):
+        # K_3 has odd order, so S = {} already violates the k = 0 criterion
+        f = write_graph(tmp_path, "k3.g6", make_complete(3))
+        assert main(["check-critical", "--input", f, "--b", "1", "--k", "0"]) == 1
+        captured = capsys.readouterr()
+        verdict = json.loads(captured.out)
+        assert verdict["critical"] is False
+        assert verdict["witness"] == []
+        assert "witness=[]" in captured.err
+
     def test_cap_exceeded_exit_two(self, tmp_path, capsys):
         f = write_graph(tmp_path, "k30.g6", make_complete(30))
         assert main(["check-critical", "--input", f, "--b", "1", "--k", "2"]) == 2
