@@ -15,6 +15,7 @@ polynomial in closed form.  Both must agree to 1e-9.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -155,10 +156,7 @@ def family_quotient(s: int, parts: Sequence[int], kind: str) -> QuotientMatrix:
     far = 2 if kind in ("distance", "distance_signless_laplacian") else 0
     if far and s == 0 and len(parts) > 1:
         raise DisconnectedGraphError("distance undefined: graph is disconnected")
-    counts: dict[int, int] = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
-    groups = list(counts.items())
+    groups = list(Counter(parts).items())  # (part size, multiplicity), first appearance first
     rows = []
     if s:
         rows.append([s - 1] + [m * p for p, m in groups])

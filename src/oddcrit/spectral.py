@@ -220,7 +220,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
         raise DisconnectedGraphError("distance undefined: graph is disconnected")
     n = g.n
     full = (1 << n) - 1
-    missed = [full ^ row for row in g.adjacency_rows]
+    non_neighbours = [full ^ row for row in g.adjacency_rows]
     unseen = [full ^ (1 << v) for v in range(n)]
     frontier = [1 << v for v in range(n)]
     dist = np.zeros((n, n), dtype=np.int64)
@@ -234,7 +234,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
             f = frontier[v]
             while f:
                 low = f & -f
-                rest &= missed[low.bit_length() - 1]
+                rest &= non_neighbours[low.bit_length() - 1]
                 if not rest:
                     break
                 f ^= low
