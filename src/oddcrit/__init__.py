@@ -52,7 +52,6 @@ from .spectral import (
     check_interlacing,
     distance_matrix,
     distance_signless_laplacian_matrix,
-    dominant_eigenpair,
     eigenvalues,
     graph_matrix,
     signless_laplacian_matrix,

@@ -175,7 +175,8 @@ def cmd_check_critical(args) -> int:
         )
     else:
         # witness-only: search small separators, never certify criticality
-        max_size = args.max_size if args.max_size is not None else min(g.n - 1, 4)
+        # the search starts at |S| = k, so the default reaches at least that far
+        max_size = args.max_size if args.max_size is not None else min(g.n - 1, max(4, args.k))
         verdict = is_k_critical(g, spec, cap=max(args.cap, g.n), max_size=max_size)
         payload["max_size"] = max_size
         witness = sorted(verdict.witness) if verdict.witness is not None else None
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "witness-only"), default="exact")
     p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.add_argument(
-        "--max-size", type=int, help="witness-only: largest |S| to try (default 4)"
+        "--max-size", type=int, help="witness-only: largest |S| to try, >= k (default max(4, k))"
     )
     p.add_argument("--out", help="write the JSON verdict here")
     p.set_defaults(func=cmd_check_critical)

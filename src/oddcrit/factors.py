@@ -201,12 +201,14 @@ def is_k_critical(
     the first violation; the witness of a negative verdict is the first
     violating set in (size, numeric) order.  ``skip_settled_sizes=False``
     forces the literal full scan.  ``max_size`` limits the search to
-    |S| <= max_size: the verdict is then non-critical with a witness, or
+    k <= |S| <= max_size: the verdict is then non-critical with a witness, or
     ``critical=None`` when none was found; it never certifies criticality.
     """
     spec = _as_spec(f, k)
     if g.n < spec.k + 2:
         raise ParameterError(f"criticality needs n >= k+2, got n={g.n}, k={spec.k}")
+    if max_size is not None and max_size < spec.k:
+        raise ParameterError(f"max_size={max_size} is below k={spec.k}: no set S would be searched")
     mask, examined = _find_violation(
         g,
         spec.values_for(g.n),

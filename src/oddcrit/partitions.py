@@ -8,8 +8,8 @@ built so that their natural three-cell partitions are equitable.
 
 Quotients of join partitions are not symmetric, but they are diagonally
 similar to symmetric matrices (scale by sqrt of the cell sizes), so their
-spectra are real and can be computed two independent ways: through the
-symmetrized-Jacobi route or, for orders <= 3, from the characteristic
+spectra are real and can be computed two independent ways: from the
+symmetrized matrix by LAPACK or, for orders <= 3, from the characteristic
 polynomial in closed form.  Both must agree to 1e-9.
 """
 from __future__ import annotations
@@ -21,14 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, ParameterError
+from .errors import ConvergenceError, DisconnectedGraphError, ParameterError
 from .graphs import Graph
-from .spectral import (
-    SPECTRAL_KINDS,
-    _as_symmetric_float,
-    dominant_eigenpair,
-    symmetric_eigenvalues,
-)
+from .spectral import SPECTRAL_KINDS, _as_symmetric_float, symmetric_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -236,11 +231,12 @@ def is_equitable(matrix, partition: Partition, *, tol: float = 1e-9) -> bool:
     return True
 
 
-def perron_vector(matrix, *, rel_tol: float = 1e-14) -> np.ndarray:
-    """Positive unit eigenvector of the largest eigenvalue.
+def perron_vector(matrix) -> np.ndarray:
+    """Positive unit eigenvector of the largest eigenvalue, by LAPACK ``eigh``.
 
     Requires a nonnegative irreducible symmetric matrix (irreducibility is
-    checked as connectivity of the nonzero off-diagonal support).
+    checked as connectivity of the nonzero off-diagonal support).  LAPACK
+    fixes an eigenvector only up to sign; the one returned has a positive sum.
     """
     a = _as_symmetric_float(matrix)
     n = a.shape[0]
@@ -253,7 +249,12 @@ def perron_vector(matrix, *, rel_tol: float = 1e-14) -> np.ndarray:
         raise ParameterError("matrix is reducible: off-diagonal support is disconnected")
     if n == 1 and a[0, 0] == 0.0:
         raise ParameterError("zero matrix has no Perron vector")
-    _, x = dominant_eigenpair(a, rel_tol=rel_tol)
+    try:
+        x = np.linalg.eigh(a)[1][:, -1]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigh failed: {exc}") from exc
+    if x.sum() < 0:
+        x = -x
     if x.min() <= 0:
         raise ParameterError("dominant eigenvector is not strictly positive")
     return x

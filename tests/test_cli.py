@@ -1,7 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oddcrit
 from oddcrit import ExtremalParams, Graph, extremal_gprime, make_complete, write_graph6
 from oddcrit.cli import main
 
@@ -45,6 +50,16 @@ class TestAnalyze:
         path = tmp_path / "two.txt"
         path.write_text("0 1\n2 3\n")
         assert main(["analyze", "--input", str(path), "--matrix", "adjacency"]) == 0
+
+    def test_eigensolver_failure_exit_two(self, tmp_path, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert main(["analyze", "--input", path3_file(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "error: LAPACK eigvalsh failed: Eigenvalues did not converge" in captured.err
+        assert captured.out == ""
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.g6"
@@ -154,6 +169,26 @@ class TestCheckCritical:
         assert code == 2
         captured = capsys.readouterr()
         assert "error: criticality needs n >= k+2" in captured.err
+        assert captured.out == ""
+
+    def test_witness_only_default_size_reaches_k(self, tmp_path, capsys):
+        f = write_graph(tmp_path, "k10.g6", make_complete(10))
+        code = main(["check-critical", "--input", f, "--b", "1", "--k", "5", "--mode", "witness-only"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["max_size"] == 5
+        assert payload["witness"] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("max_size", ["4", "-1"])
+    def test_witness_only_max_size_below_k_exit_two(self, tmp_path, capsys, max_size):
+        f = write_graph(tmp_path, "k10.g6", make_complete(10))
+        code = main([
+            "check-critical", "--input", f, "--b", "1", "--k", "5",
+            "--mode", "witness-only", f"--max-size={max_size}",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: max_size={max_size} is below k=5" in captured.err
         assert captured.out == ""
 
     def test_witness_only_inconclusive(self, tmp_path):
@@ -351,3 +386,14 @@ class TestVerifyAndSweep:
 def test_unknown_theorem_flag_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--theorem", "7.7", "--n", "13", "--b", "1", "--k", "1", "--delta", "2"])
+
+
+def test_runtime_needs_numpy_alone():
+    # scipy and networkx are test-only references; the package must not import them
+    src = str(Path(oddcrit.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import oddcrit, oddcrit.cli; "
+        "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -180,6 +180,11 @@ class TestCriticality:
         assert is_k_critical(make_complete(3), 1, 1, max_size=2).critical is None
         with pytest.raises(ParameterError, match="k\\+2"):
             is_k_critical(make_complete(3), 1, 2, max_size=4)
+        # a bound below k would search nothing and report "no witness"
+        for too_small in (0, -1):
+            with pytest.raises(ParameterError, match="below k=1"):
+                is_k_critical(g, 1, 1, max_size=too_small)
+        assert is_k_critical(g, 1, 1, max_size=1).subsets_examined == 19
 
     def test_full_scan_matches_pruned_scan(self):
         rng = random.Random(41)

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh as scipy_eigh
 
 from oddcrit import (
     SPECTRAL_KINDS,
@@ -332,6 +333,15 @@ class TestPerronVector:
             perron_vector(np.zeros((1, 1)))
         with pytest.raises(ParameterError, match="nonnegative"):
             perron_vector(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("n, b, k, delta, s", [(11, 1, 1, 3, 2), (19, 3, 1, 4, 2), (25, 5, 1, 4, 2)])
+    def test_agrees_with_scipy_on_join_families(self, n, b, k, delta, s):
+        p = ExtremalParams(n, b, k, delta, s)
+        for build in (extremal_gprime, proof_graph_g2, proof_graph_g3):
+            d = distance_matrix(build(p))
+            x = perron_vector(d)
+            ref = scipy_eigh(d.astype(float), driver="ev")[1][:, -1]
+            assert min(np.abs(x - ref).max(), np.abs(x + ref).max()) < 1e-12
 
     def test_positive_entries(self):
         rng = random.Random(30)

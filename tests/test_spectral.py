@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import eigh as scipy_eigh
 from scipy.sparse.csgraph import shortest_path
 
 from oddcrit import (
@@ -16,12 +17,12 @@ from oddcrit import (
     check_interlacing,
     disjoint_union,
     distance_matrix,
-    dominant_eigenpair,
     eigenvalues,
     extremal_gprime,
     family,
     graph_matrix,
     make_complete,
+    perron_vector,
     proof_graph_g2,
     proof_graph_g3,
     spectral_radius,
@@ -30,7 +31,6 @@ from oddcrit import (
     wiener_gprime_closed_form,
     wiener_index,
 )
-from oddcrit.spectral import _round_robin_schedule
 from conftest import random_connected_graph
 
 
@@ -57,6 +57,11 @@ def assert_distances_match_scipy(g):
     assert d.dtype == np.int64
     expected = shortest_path(adjacency_matrix(g), directed=False, unweighted=True)
     assert np.array_equal(d, expected)
+
+
+def reference_eigenvalues(a):
+    """Descending spectrum from LAPACK's ``syev`` driver (numpy uses ``syevd``)."""
+    return scipy_eigh(np.asarray(a, dtype=float), eigvals_only=True, driver="ev")[::-1]
 
 
 def random_symmetric(rng, n, scale=5.0):
@@ -100,6 +105,12 @@ class TestDistanceMatrix:
         for extra in (0.0, 0.02, 0.3):
             assert_distances_match_scipy(random_connected_graph(rng, n, extra))
         assert_distances_match_scipy(relabelled(path(n), rng))
+        g = random_connected_graph(rng, n, 0.1)
+        expected = np.zeros((n, n), dtype=np.int64)
+        for u, v in g.edges():
+            expected[u, v] = expected[v, u] = 1
+        a = adjacency_matrix(g)
+        assert a.dtype == np.int64 and np.array_equal(a, expected)
         params = ExtremalParams(n, 3 if n == 271 else 1, 1, 3)
         if (params.n - params.k) % 2 == 0:
             g = extremal_gprime(params)
@@ -153,53 +164,35 @@ class TestEigensolver:
         for p in (ExtremalParams(35, 3, 1, 3, 2), ExtremalParams(36, 1, 2, 4, 3)):
             graphs += [extremal_gprime(p), proof_graph_g2(p), proof_graph_g3(p)]
         matrices += [distance_matrix(g) for g in graphs]
-        # exactly zero off-diagonal blocks: every pair across them is skipped
+        # block-diagonal: exactly zero entries between the blocks
         blocks = np.zeros((23, 23))
         blocks[:10, :10] = random_symmetric(rng, 10)
         blocks[10:, 10:] = random_symmetric(rng, 13)
         matrices.append(blocks)
         for a in matrices:
-            ours = symmetric_eigenvalues(a)
-            ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-            assert np.allclose(ours, ref, atol=1e-9)
+            assert np.allclose(symmetric_eigenvalues(a), reference_eigenvalues(a), atol=1e-9)
 
     def test_diagonal_input_needs_no_sweep(self):
         diag = [3.0, -1.0, 7.5, 0.0, 2.0]
-        got = symmetric_eigenvalues(np.diag(diag), max_sweeps=1)
+        got = symmetric_eigenvalues(np.diag(diag))
         assert got.tolist() == sorted(diag, reverse=True)
 
-    def test_max_sweeps_still_raises(self):
-        rng = random.Random(12)
-        d = distance_matrix(random_connected_graph(rng, 36, 0.2))
-        with pytest.raises(ConvergenceError, match="within 1 sweeps"):
-            symmetric_eigenvalues(d, max_sweeps=1)
-        assert len(symmetric_eigenvalues(d)) == 36
+    def test_zero_matrix(self):
+        assert symmetric_eigenvalues(np.zeros((3, 3))).tolist() == [0.0, 0.0, 0.0]
+        assert symmetric_eigenvalues(np.zeros((0, 0))).shape == (0,)
 
-    def test_rel_tol_sets_the_stopping_rule(self):
-        rng = random.Random(13)
-        a = random_symmetric(rng, 20)
-        ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-        loose = symmetric_eigenvalues(a, rel_tol=1e-2)
-        tight = symmetric_eigenvalues(a)
-        assert np.abs(tight - ref).max() < 1e-9
-        assert np.abs(loose - ref).max() > 1e3 * np.abs(tight - ref).max()
-        # a loose stop is reached within a sweep budget that a tight one exceeds
-        symmetric_eigenvalues(a, rel_tol=0.5, max_sweeps=2)
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            symmetric_eigenvalues(np.eye(2))
         with pytest.raises(ConvergenceError):
-            symmetric_eigenvalues(a, max_sweeps=2)
-
-    @pytest.mark.parametrize("n", range(2, 42))
-    def test_round_robin_schedule_covers_each_pair_once(self, n):
-        rounds = _round_robin_schedule(n)
-        assert len(rounds) == n - 1 + n % 2
-        seen = []
-        for p, q in rounds:
-            members = np.concatenate([p, q])
-            assert len(set(members.tolist())) == len(members)
-            assert len(p) == n // 2
-            assert (p < q).all()
-            seen += list(zip(p.tolist(), q.tolist()))
-        assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+            spectral_radius(make_complete(3), "distance")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            perron_vector(np.ones((2, 2)))
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ParameterError, match="not symmetric"):
@@ -221,13 +214,8 @@ class TestEigensolver:
         for _ in range(15):
             g = random_connected_graph(rng, rng.randrange(3, 12), rng.uniform(0.2, 0.9))
             for kind in ("distance", "distance_signless_laplacian", "adjacency"):
-                full = symmetric_eigenvalues(graph_matrix(g, kind))[0]
+                full = reference_eigenvalues(graph_matrix(g, kind))[0]
                 assert abs(spectral_radius(g, kind) - full) < 1e-8
-
-    def test_dominant_eigenpair_zero_matrix(self):
-        lam, vec = dominant_eigenpair(np.zeros((3, 3)))
-        assert lam == 0.0
-        assert np.allclose(np.linalg.norm(vec), 1.0)
 
     def test_spectrum_sorted_descending(self):
         rng = random.Random(3)
