@@ -177,22 +177,49 @@ class TestEigensolver:
         got = symmetric_eigenvalues(np.diag(diag))
         assert got.tolist() == sorted(diag, reverse=True)
 
-    def test_zero_matrix(self):
+    def test_dominant_eigenpair_zero_matrix(self):
+        # the radius of the zero matrix, by the solver and by the graph route
         assert symmetric_eigenvalues(np.zeros((3, 3))).tolist() == [0.0, 0.0, 0.0]
         assert symmetric_eigenvalues(np.zeros((0, 0))).shape == (0,)
+        assert spectral_radius(Graph(3), "adjacency") == 0.0
+        assert eigenvalues(np.zeros((3, 3))).radius == 0.0
+        # it has no Perron vector: the zero matrix is reducible
+        with pytest.raises(ParameterError, match="reducible"):
+            perron_vector(np.zeros((3, 3)))
 
-    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+    def test_max_sweeps_still_raises(self, monkeypatch):
+        """A solver that does not converge raises ConvergenceError.
+
+        There is no sweep budget any more; the failure now comes from LAPACK.
+        """
+        rng = random.Random(12)
+        d = distance_matrix(random_connected_graph(rng, 36, 0.2))
+
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(ConvergenceError, match="did not converge"):
-            symmetric_eigenvalues(np.eye(2))
+            symmetric_eigenvalues(d)
         with pytest.raises(ConvergenceError):
             spectral_radius(make_complete(3), "distance")
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError, match="did not converge"):
             perron_vector(np.ones((2, 2)))
+        monkeypatch.undo()
+        assert len(symmetric_eigenvalues(d)) == 36
+
+    def test_rel_tol_sets_the_stopping_rule(self):
+        """The stopping rule is LAPACK's, fixed at working precision.
+
+        The ``rel_tol`` knob is gone, and the solver rejects it.
+        """
+        rng = random.Random(13)
+        a = random_symmetric(rng, 20)
+        err = np.abs(symmetric_eigenvalues(a) - reference_eigenvalues(a)).max()
+        assert err <= 64 * np.finfo(float).eps * np.linalg.norm(a, 2)
+        with pytest.raises(TypeError):
+            symmetric_eigenvalues(a, rel_tol=1e-2)
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ParameterError, match="not symmetric"):
