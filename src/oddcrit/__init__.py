@@ -72,7 +72,7 @@ from .theorems import (
     counterexample_sweep,
     eta_lower_bound_check,
     evaluate_theorem,
-    exceptional_graphs_for,
+    exceptional_layouts_for,
     extremal_graph_for,
     extremal_layout_for,
     gstar_ordering_check,

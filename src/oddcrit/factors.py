@@ -12,6 +12,13 @@ b(|S| - k)).  The checkers below enumerate S exhaustively in increasing size
 with early exit, which is exact and fast enough up to ~22 vertices; a
 backtracking search over edge subsets provides an independent constructive
 oracle at very small scale.
+
+Most sizes need no enumeration.  Every odd component of G - S holds a vertex
+and those vertices are pairwise non-adjacent, so o(G - S) <= n - |S| and
+o(G - S) <= alpha(G) <= theta, the number of cliques in any clique cover of G.
+Once min(n - s, theta) <= min(f) * (s - k), no S of size s or larger can
+violate the criterion, and the scan stops.  theta comes from one greedy clique
+cover per scan.
 """
 from __future__ import annotations
 
@@ -111,6 +118,28 @@ def _odd_components_bounded(adj, alive: int, bound: int) -> int:
     return odd
 
 
+def _clique_cover_size(adj, n: int) -> int:
+    """Number of cliques in a greedy clique cover of the graph with rows ``adj``.
+
+    Each clique starts at an uncovered vertex of minimum degree and grows
+    inside its uncovered neighbourhood, taking the candidate adjacent to the
+    most other candidates.  Any cover bounds the independence number.
+    """
+    uncovered = (1 << n) - 1
+    cliques = 0
+    while uncovered:
+        v = min(_bits(uncovered), key=lambda u: adj[u].bit_count())
+        clique = 1 << v
+        candidates = adj[v] & uncovered
+        while candidates:
+            u = max(_bits(candidates), key=lambda w: (adj[w] & candidates).bit_count())
+            clique |= 1 << u
+            candidates &= adj[u]
+        uncovered &= ~clique
+        cliques += 1
+    return cliques
+
+
 def _find_violation(
     g: Graph,
     fvals: Sequence[int],
@@ -125,8 +154,9 @@ def _find_violation(
     Returns ``(mask, examined)``, with ``mask`` None when no S violates it.
     S ranges over k <= |S| <= n-1: deleting everything leaves no components, so
     S = V can never violate and is skipped.  When ``skip_settled_sizes`` is on,
-    sizes s with n - s <= min(f) * (s - k) are discharged arithmetically
-    (o(G-S) <= n - |S| always).
+    the scan ends at the first size s with min(n - s, theta) <= min(f) * (s - k),
+    theta the greedy clique cover size: o(G-S) is at most both, and each S of
+    size s has a bound of at least min(f) * (s - k), which only grows with s.
     """
     n = g.n
     if n > cap:
@@ -139,9 +169,10 @@ def _find_violation(
     constant = len(set(fvals)) <= 1
     fmin = min(fvals) if fvals else 1
     top = n - 1 if max_size is None else min(max_size, n - 1)
+    theta = _clique_cover_size(adj, n) if skip_settled_sizes else n
     examined = 0
     for size in range(k, top + 1):
-        if skip_settled_sizes and n - size <= fmin * (size - k):
+        if skip_settled_sizes and min(n - size, theta) <= fmin * (size - k):
             break
         bound = fvals[0] * (size - k) if constant else None
         for mask in _subsets_of_size(n, size):

@@ -6,8 +6,8 @@ enumeration on graphs of ~20 vertices.  Graphs are immutable: edits return new
 objects, so values can be shared freely between threads.
 
 Join-family constructors use a canonical labeling: the join cell comes first,
-then the parts in the given order.  This makes partition construction and
-label-identity comparisons deterministic.
+then the parts in the given order.  ``is_join_family`` recognises a family
+under any labeling.
 """
 from __future__ import annotations
 
@@ -273,6 +273,36 @@ def family(s: int, parts: list[int]) -> Graph:
     for p in parts[1:]:
         union = disjoint_union(union, make_complete(p))
     return join(make_complete(s), union)
+
+
+def is_join_family(g: Graph, s: int, parts: Sequence[int]) -> bool:
+    """Whether G is isomorphic to ``family(s, parts)``, whatever its labels.
+
+    In K_s v (K_{n_1} u ... u K_{n_t}) with t >= 2 the join cell is exactly
+    the set of universal vertices, and the rest splits into t clique
+    components.  A lone part is universal too (K_s v K_p = K_{s+p}), so the
+    expected layout is normalised that way before the universal count and
+    the sorted component orders are compared.
+    """
+    if len(parts) == 1:
+        s, parts = s + parts[0], ()
+    n = g.n
+    if n != s + sum(parts):
+        return False
+    full = (1 << n) - 1
+    adj = g._adj
+    universal = sum(1 << v for v in range(n) if adj[v] | (1 << v) == full)
+    if universal.bit_count() != s:
+        return False
+    rest = full ^ universal
+    orders = []
+    while rest:
+        comp = _component_mask(adj, rest & -rest, rest)
+        if any(adj[v] & comp != comp ^ (1 << v) for v in _bits(comp)):
+            return False
+        orders.append(comp.bit_count())
+        rest ^= comp
+    return sorted(orders) == sorted(parts)
 
 
 # -- the extremal families ----------------------------------------------------

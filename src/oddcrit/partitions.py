@@ -244,7 +244,10 @@ def perron_vector(matrix) -> np.ndarray:
         raise ParameterError("empty matrix has no Perron vector")
     if a.min() < 0:
         raise ParameterError("Perron vector requires a nonnegative matrix")
-    support = Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n) if a[u, v] > 0))
+    positive = a > 0
+    np.fill_diagonal(positive, False)
+    packed = np.packbits(positive, axis=1, bitorder="little")
+    support = Graph._from_rows(n, (int.from_bytes(row.tobytes(), "little") for row in packed))
     if n > 1 and not support.is_connected():
         raise ParameterError("matrix is reducible: off-diagonal support is disconnected")
     if n == 1 and a[0, 0] == 0.0:

@@ -93,7 +93,9 @@ def distance_matrix(g: Graph) -> np.ndarray:
     so far cover every vertex still unseen, which on dense graphs is after a
     few of them.  d(v, u) is the number of levels at which u is still unseen
     from v, so after each level the unseen sets of all sources are unpacked
-    into one n x n 0/1 array and added to the result.
+    into one n x n 0/1 array and added to the result.  The sum runs in
+    ``uint16`` (every distance is below n) up to order 65535 and is returned
+    as ``int64``, so transmissions and the Wiener index stay exact.
     """
     if g.n == 0:
         raise ParameterError("distance matrix undefined for the empty graph")
@@ -104,7 +106,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     non_neighbours = [full ^ row for row in g.adjacency_rows]
     unseen = [full ^ (1 << v) for v in range(n)]
     frontier = [1 << v for v in range(n)]
-    dist = np.zeros((n, n), dtype=np.int64)
+    dist = np.zeros((n, n), dtype=np.uint16 if n <= 0xFFFF else np.int64)
     while any(unseen):
         dist += _unpack_masks(unseen, n)
         for v in range(n):
@@ -121,7 +123,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
                 f ^= low
             frontier[v] = unseen[v] ^ rest
             unseen[v] = rest
-    return dist
+    return dist.astype(np.int64)
 
 
 def transmissions(g: Graph) -> np.ndarray:

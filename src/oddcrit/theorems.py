@@ -13,11 +13,11 @@ its layout ``(s, parts)`` (``extremal_layout_for``).  The size condition uses
 the layout's exact edge count, and every comparison radius is the largest
 eigenvalue of the family's equitable quotient (``partitions.family_quotient``),
 which equals the radius of the n x n matrix.  Only the input graph gets a
-matrix; the extremal graph itself is built only for the exception test below.
+matrix.
 
-"Unless isomorphic to the extremal graph" is decided by label identity only:
-graphs produced by this package's constructors carry a canonical labeling, and
-general isomorphism testing is out of scope.
+"Unless isomorphic to the extremal graph" is decided exactly and under any
+labeling by ``graphs.is_join_family``, which compares the input's universal
+vertices and clique components with each exceptional layout.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .errors import ParameterError, ScaleLimitError
 from .factors import ENUMERATION_CAP, is_k_critical
-from .graphs import ExtremalParams, Graph, family, g_star
+from .graphs import ExtremalParams, Graph, family, g_star, is_join_family
 from .partitions import family_quotient
 from .spectral import spectral_radius
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -139,14 +139,14 @@ def _family_radius(s: int, parts: Sequence[int], kind: str) -> float:
     return float(family_quotient(s, parts, kind).eigenvalues()[0])
 
 
-def exceptional_graphs_for(theorem_id: str, n: int, b: int, k: int, delta: Optional[int]) -> list[Graph]:
-    """The graphs excluded from the criticality conclusion, under canonical labels."""
-    if theorem_id == "1.4":
-        out = [extremal_graph_for("1.4", n, b, k, delta)]
-        if n - k - 1 >= 1:
-            out.append(family(k, [n - k - 1, 1]))
-        return out
-    return [extremal_graph_for(theorem_id, n, b, k, delta)]
+def exceptional_layouts_for(
+    theorem_id: str, n: int, b: int, k: int, delta: Optional[int]
+) -> list[tuple[int, list[int]]]:
+    """Layouts ``(s, parts)`` of the families excluded from the criticality conclusion."""
+    out = [extremal_layout_for(theorem_id, n, b, k, delta)]
+    if theorem_id == "1.4" and n - k - 1 >= 1:
+        out.append((k, [n - k - 1, 1]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def evaluate_theorem(
         met = lhs >= rhs - tol.equality if orientation == "ge" else lhs <= rhs + tol.equality
     if not met:
         return TheoremVerdict(theorem_id, hyp, False, lhs, rhs, CONDITION_FAILS)
-    if any(g == ex for ex in exceptional_graphs_for(theorem_id, n, b, k, delta)):
+    if any(is_join_family(g, *ex) for ex in exceptional_layouts_for(theorem_id, n, b, k, delta)):
         return TheoremVerdict(theorem_id, hyp, True, lhs, rhs, EXTREMAL_EXCEPTION)
     return TheoremVerdict(theorem_id, hyp, True, lhs, rhs, ASSERTS_CRITICAL)
 
@@ -436,7 +436,7 @@ __all__ = [
     "counterexample_sweep",
     "eta_lower_bound_check",
     "evaluate_theorem",
-    "exceptional_graphs_for",
+    "exceptional_layouts_for",
     "extremal_graph_for",
     "extremal_layout_for",
     "gstar_ordering_check",

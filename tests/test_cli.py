@@ -226,17 +226,16 @@ class TestVerifyAndSweep:
             assert report["unconfirmed_count"] == 127 and report["falsification_count"] == 0
 
     def test_falsification_beats_unconfirmed(self, tmp_path, capsys):
-        # a relabelled extremal graph escapes the label-identity exception and is
-        # brute-forced as a falsification; the 47-vertex exception stays unconfirmed
+        # a tolerance of 10 lets G'(13,1,1,2) minus a big-clique edge meet the
+        # radius condition, so it is asserted critical and brute-forced as a
+        # falsification; the 47-vertex exception stays unconfirmed
         corpus = tmp_path / "corpus.g6"
         g = extremal_gprime(ExtremalParams(13, 1, 1, 2))
-        perm = list(range(13))[::-1]
-        relabelled = Graph(13, [(perm[u], perm[v]) for u, v in g.edges()])
-        corpus.write_text(write_graph6(relabelled) + "\n"
+        corpus.write_text(write_graph6(g.without_edge(2, 3)) + "\n"
                           + write_graph6(extremal_gprime(ExtremalParams(47, 1, 1, 2))) + "\n")
         code = main([
             "verify", "--theorem", "1.2", "--b", "1", "--k", "1", "--delta", "2",
-            "--input", str(corpus),
+            "--tolerance", "1e9", "--input", str(corpus),
         ])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1

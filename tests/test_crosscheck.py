@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddcrit import DisconnectedGraphError, Graph, distance_matrix, is_k_critical
+from oddcrit.factors import _clique_cover_size
 
 
 @st.composite
@@ -37,6 +38,13 @@ def test_components_and_odd_components(case):
     assert g.components() == nx.number_connected_components(h)
     assert g.is_connected() == nx.is_connected(h)
     assert g.odd_components_after_removal(removed) == nx_odd_components(h, removed)
+
+
+@given(graphs_and_sets())
+def test_clique_cover_bounds_independence_number(case):
+    g, _ = case
+    alpha = max(len(c) for c in nx.find_cliques(nx.complement(to_nx(g))))
+    assert alpha <= _clique_cover_size(g.adjacency_rows, g.n) <= g.n
 
 
 @given(graphs_and_sets(min_n=2))

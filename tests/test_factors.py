@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -188,12 +189,28 @@ class TestCriticality:
 
     def test_full_scan_matches_pruned_scan(self):
         rng = random.Random(41)
-        for _ in range(15):
-            g = random_connected_graph(rng, rng.randrange(3, 8), rng.uniform(0.3, 0.9))
-            fast = is_k_critical(g, 1, 1)
-            slow = is_k_critical(g, 1, 1, skip_settled_sizes=False)
-            assert fast.critical == slow.critical
-            assert fast.witness == slow.witness
+        for k in (0, 1, 2):
+            for _ in range(15):
+                n = rng.randrange(k + 2, 10)
+                g = random_connected_graph(rng, n, rng.uniform(0.3, 0.9))
+                per_vertex = FactorSpec(tuple(rng.choice([1, 3, 5]) for _ in range(n)), k)
+                for f in (1, 3, per_vertex):
+                    fast = is_k_critical(g, f, k)
+                    slow = is_k_critical(g, f, k, skip_settled_sizes=False)
+                    assert (fast.critical, fast.witness) == (slow.critical, slow.witness)
+                    assert fast.subsets_examined <= slow.subsets_examined
+
+    def test_clique_cover_settles_sizes_that_n_minus_s_does_not(self):
+        # G'(17,1,1,2) with singleton 15 joined to the big clique: the greedy
+        # cover has 3 cliques, so o(G-S) <= 3 <= |S| - 1 settles every size from
+        # 4 on, where n - s alone settles nothing below 9
+        g = extremal_gprime(ExtremalParams(17, 1, 1, 2)).with_edge(2, 15)
+        fast = is_k_critical(g, 1, 1)
+        full = is_k_critical(g, 1, 1, skip_settled_sizes=False)
+        assert fast.critical and full.critical
+        assert fast.subsets_examined == sum(math.comb(17, s) for s in (1, 2, 3))
+        assert fast.subsets_examined < sum(math.comb(17, s) for s in range(1, 9))
+        assert full.subsets_examined == 2 ** 17 - 2
 
     def test_agrees_with_definitional_route(self):
         rng = random.Random(42)

@@ -23,6 +23,8 @@ from oddcrit import (
     proof_graph_g3,
     write_graph6,
 )
+from oddcrit.graphs import is_join_family
+from oddcrit.theorems import exceptional_layouts_for
 from conftest import random_connected_graph
 
 
@@ -148,6 +150,37 @@ class TestExtremalFamilies:
     def test_gstar_edge_count(self):
         base = family(3, [13, 1, 1, 1])
         assert g_star(19, 1, 1).edge_count() == base.edge_count() + 1
+
+    @pytest.mark.parametrize("s, parts", [
+        (3, [13, 1, 1, 1]),  # G'(19, 1, 1, 3)
+        (2, [15, 1, 1, 1, 1]),  # g2(21, 3, 1, 4, s=2)
+        (3, [10, 2, 2, 2]),  # g3(19, 1, 1, 4, s=3)
+        *exceptional_layouts_for("1.4", 19, 1, 1, None),
+        *exceptional_layouts_for("1.4", 25, 3, 1, None),
+    ])
+    def test_join_family_recognised_under_any_labels(self, s, parts):
+        g = family(s, parts)
+        reference = nx.from_graph6_bytes(write_graph6(g).encode())
+        rng = random.Random(s * 100 + len(parts))
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            added = h.with_edge(*rng.choice(list(h.non_edges())))
+            removed = h.without_edge(*rng.choice(list(h.edges())))
+            assert is_join_family(h, s, parts)
+            assert not is_join_family(added, s, parts)
+            assert not is_join_family(removed, s, parts)
+            for candidate in (h, added, removed):
+                other = nx.from_graph6_bytes(write_graph6(candidate).encode())
+                assert is_join_family(candidate, s, parts) == nx.is_isomorphic(other, reference)
+
+    def test_join_family_lone_part_is_universal(self):
+        # K_s v K_p is K_{s+p}, whichever way the layout splits it
+        for s, parts in ((0, [5]), (2, [3]), (4, [1])):
+            assert is_join_family(make_complete(5), s, parts)
+        assert not is_join_family(make_complete(5), 1, [3, 1])
+        assert not is_join_family(make_complete(5), 2, [2])
 
     def test_gstar_invalid(self):
         with pytest.raises(ParameterError):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from oddcrit import (
     counterexample_sweep,
     eta_lower_bound_check,
     evaluate_theorem,
-    exceptional_graphs_for,
+    exceptional_layouts_for,
     extremal_gprime,
     extremal_graph_for,
     family,
@@ -86,8 +87,8 @@ class TestExtremalGraphFor:
         assert verdict.condition_rhs == g.edge_count()
 
     def test_exceptional_set_for_distance_variant(self):
-        ex = exceptional_graphs_for("1.4", 19, 1, 1, None)
-        assert family(1, [17, 1]) in ex and len(ex) == 2
+        ex = exceptional_layouts_for("1.4", 19, 1, 1, None)
+        assert (1, [17, 1]) in ex and len(ex) == 2
 
 
 class TestEvaluateTheorem:
@@ -167,6 +168,22 @@ class TestEvaluateTheorem:
             built.clear()
             assert evaluate_theorem(h, tid, b, k, d).hypotheses_met
             assert len(built) == 1 and built[0] is h
+
+    @pytest.mark.parametrize("tid, n, b, k, d", [
+        ("1.1", 19, 1, 1, 3),
+        ("1.2", 19, 1, 1, 3),
+        ("1.4", 19, 1, 1, None),
+        ("1.5", 47, 1, 1, 3),
+    ])
+    def test_relabelled_exception_is_still_the_exception(self, tid, n, b, k, d):
+        rng = random.Random(n)
+        for s, parts in exceptional_layouts_for(tid, n, b, k, d):
+            g = family(s, parts)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabelled = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert relabelled != g
+            assert evaluate_theorem(relabelled, tid, b, k, d).conclusion == EXTREMAL_EXCEPTION
 
     def test_distance_variant_exception(self):
         g = extremal_graph_for("1.4", 19, 1, 1, None)
@@ -256,6 +273,17 @@ class TestSweep:
         assert record["conclusion"] == EXTREMAL_EXCEPTION
         assert record["brute_force_verdict"] is False
         assert record["witness"] == [0, 1, 2]
+        assert not report.falsifications
+
+    def test_relabelled_base_is_a_confirmed_exception(self):
+        g = extremal_gprime(ExtremalParams(19, 1, 1, 3))
+        perm = list(range(19))
+        random.Random(19).shuffle(perm)
+        relabelled = Graph(19, [(perm[u], perm[v]) for u, v in g.edges()])
+        report = counterexample_sweep([("base", relabelled)], 1, 1, 3, "1.1")
+        (record,) = report.records
+        assert record["conclusion"] == EXTREMAL_EXCEPTION
+        assert record["brute_force_verdict"] is False
         assert not report.falsifications
 
     def test_empty_corpus(self):
