@@ -73,7 +73,6 @@ from .theorems import (
     eta_lower_bound_check,
     evaluate_theorem,
     exceptional_layouts_for,
-    extremal_graph_for,
     extremal_layout_for,
     gstar_ordering_check,
     interlacing_bound_check,

@@ -18,7 +18,11 @@ and those vertices are pairwise non-adjacent, so o(G - S) <= n - |S| and
 o(G - S) <= alpha(G) <= theta, the number of cliques in any clique cover of G.
 Once min(n - s, theta) <= min(f) * (s - k), no S of size s or larger can
 violate the criterion, and the scan stops.  theta comes from one greedy clique
-cover per scan.
+cover per scan.  Below the vertex connectivity kappa, G - S stays connected,
+so o(G - S) <= 1 <= min(f) * (s - k) for k < s < kappa, and o(G - S) = 0 at
+s = k when n - k is even: those sizes are skipped.  Whether s < kappa is
+decided by one polynomial Menger test (G is (s+1)-connected) for each size
+the scan reaches, until one fails.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .errors import ParameterError, ScaleLimitError
-from .graphs import ExtremalParams, Graph, _bits, _component_mask
+from .graphs import ExtremalParams, Graph, _bits, _component_mask, _k_connected
 
 #: default cap on the order of graphs accepted for exhaustive subset enumeration
 ENUMERATION_CAP = 22
@@ -157,6 +161,8 @@ def _find_violation(
     the scan ends at the first size s with min(n - s, theta) <= min(f) * (s - k),
     theta the greedy clique cover size: o(G-S) is at most both, and each S of
     size s has a bound of at least min(f) * (s - k), which only grows with s.
+    It also skips the sizes k < s < kappa, and s = k when kappa > k and n - k
+    is even: G - S is connected there, with even order at s = k.
     """
     n = g.n
     if n > cap:
@@ -170,10 +176,15 @@ def _find_violation(
     fmin = min(fvals) if fvals else 1
     top = n - 1 if max_size is None else min(max_size, n - 1)
     theta = _clique_cover_size(adj, n) if skip_settled_sizes else n
+    # whether size < kappa, tested only for the sizes the scan reaches
+    below_kappa = skip_settled_sizes
     examined = 0
     for size in range(k, top + 1):
         if skip_settled_sizes and min(n - size, theta) <= fmin * (size - k):
             break
+        below_kappa = below_kappa and size + 1 < n and _k_connected(adj, size + 1)
+        if below_kappa and (size > k or (n - size) % 2 == 0):
+            continue
         bound = fvals[0] * (size - k) if constant else None
         for mask in _subsets_of_size(n, size):
             examined += 1

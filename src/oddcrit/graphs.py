@@ -12,7 +12,6 @@ under any labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -51,6 +50,119 @@ def _component_mask(adj, seed: int, alive: int) -> int:
         frontier = nxt & alive & ~comp
         comp |= frontier
     return comp
+
+
+def _fan_reaches(adj, sources: int, t: int, k: int) -> bool:
+    """Whether k paths lead from ``sources`` to t, pairwise disjoint except at t.
+
+    ``sources`` must not hold t.  Each path leaves ``sources`` at its first
+    vertex for good; a path that re-entered ``sources`` could start later,
+    so this loses nothing.  One-edge paths are taken first, then augmenting
+    paths are found by breadth-first search on the vertex-split residual
+    graph.  The flow is stored as ``into[v]``, the predecessor of each vertex
+    that a path passes through, and ``free``, the sources no path starts at
+    yet.
+    """
+    direct = sources & adj[t]
+    count = direct.bit_count()
+    if count >= k:
+        return True
+    into: dict[int, int] = {}
+    free = sources ^ direct
+    closed = sources | (1 << t)
+    while count < k:
+        # v_in is reached from u_out along edge uv (par_in[v] = u) or from
+        # v_out against v's own used capacity (-1); v_out is reached from
+        # v_in (-1), against the flow edge v -> w (w), or it is a source
+        # (absent from par_out).  Entering a used vertex along its own flow
+        # edge is harmless: its only exit leads back to where we came from.
+        # No reached v_out carries a flow edge into t, so every edge to t is free.
+        par_in: dict[int, int] = {}
+        par_out: dict[int, int] = {}
+        seen_in = 0
+        seen_out = free
+        queue = [(x, True) for x in _bits(free)]
+        end = -1
+        for v, is_out in queue:
+            if is_out:
+                if adj[v] >> t & 1:
+                    end = v
+                    break
+                new = adj[v] & ~closed & ~seen_in
+                seen_in |= new
+                for w in _bits(new):
+                    par_in[w] = v
+                    queue.append((w, False))
+                if v in into and not seen_in >> v & 1:
+                    seen_in |= 1 << v
+                    par_in[v] = -1
+                    queue.append((v, False))
+            else:
+                u = into.get(v, -1)
+                w, tag = (v, -1) if u < 0 else (u, v)
+                if not seen_out >> w & 1:
+                    seen_out |= 1 << w
+                    par_out[w] = tag
+                    queue.append((w, True))
+        if end < 0:
+            return False
+        # walk back to the source: flow edges crossed backwards are
+        # cancelled, the others added, cancellations first
+        added = []
+        cancelled = []
+        v, is_out = end, True
+        while True:
+            if is_out:
+                if v not in par_out:
+                    free &= ~(1 << v)
+                    break
+                w = par_out[v]
+                if w >= 0:
+                    cancelled.append(w)
+                    v = w
+                is_out = False
+            else:
+                u = par_in[v]
+                if u >= 0:
+                    added.append((u, v))
+                    v = u
+                is_out = True
+        for w in cancelled:
+            del into[w]
+        for u, v in added:
+            into[v] = u
+        count += 1
+    return True
+
+
+def _k_connected(adj, k: int) -> bool:
+    """Whether the graph with rows ``adj`` and more than k vertices is k-connected.
+
+    Even's test (Even 1975): with the vertices ordered v_1, v_2, ... by
+    non-increasing degree, G is k-connected iff every non-adjacent pair among
+    v_1..v_k is joined by k internally disjoint paths and every later v_j is
+    reached by k paths from {v_1..v_{j-1}} that share only v_j.  A cut of
+    fewer than k vertices either parts two of v_1..v_k, which are then
+    non-adjacent, or leaves those outside it on one side; then the first
+    vertex on another side has too few paths.  The s-t paths of a pair are
+    paths from N(s) to t, and s cannot lie on one, as all its neighbours are
+    sources.  A pair with k common neighbours and a v_j with k earlier
+    neighbours need no search.
+    """
+    if min(row.bit_count() for row in adj) < k:
+        return False
+    order = sorted(range(len(adj)), key=lambda v: -adj[v].bit_count())
+    for i in range(1, k):
+        t = order[i]
+        for s in order[:i]:
+            if not adj[s] >> t & 1 and not _fan_reaches(adj, adj[s], t, k):
+                return False
+    earlier = sum(1 << v for v in order[:k])
+    for t in order[k:]:
+        if not _fan_reaches(adj, earlier, t, k):
+            return False
+        earlier |= 1 << t
+    return True
 
 
 class Graph:
@@ -181,40 +293,30 @@ class Graph:
         return _component_mask(self._adj, 1, full) == full
 
     def is_k_connected(self, k: int) -> bool:
-        """Whether G stays connected after deleting any fewer than k vertices."""
+        """Whether G stays connected after deleting any fewer than k vertices.
+
+        Decided by Even's Menger test (``_k_connected``) in polynomial time.
+        """
         if k < 1:
             raise ParameterError("connectivity order k must be >= 1")
-        return self.n > k and self._smallest_cut(k) is None
+        return self.n > k and _k_connected(self._adj, k)
 
     def vertex_connectivity(self) -> int:
         """Minimum vertex-cut size; n-1 for complete graphs.
 
-        Exhaustive cut enumeration: cost grows like C(n, kappa), which is fine
-        at desk scale (small cuts or small n) but exponential in general.
+        Raises k from 0 while k < delta and G is (k+1)-connected, which costs
+        at most delta polynomial Menger tests.
         """
         n = self.n
         if n < 2:
             raise ParameterError("vertex connectivity needs at least 2 vertices")
         if self.is_complete():
             return n - 1
-        return self._smallest_cut(n - 1)
-
-    def _smallest_cut(self, limit: int) -> Optional[int]:
-        """Size of the smallest vertex cut with fewer than ``limit`` vertices, else None.
-
-        Tries every vertex set by increasing size; ``limit`` must be below n,
-        so each deletion leaves at least two vertices.
-        """
-        full = (1 << self.n) - 1
-        for size in range(limit):
-            for cut in combinations(range(self.n), size):
-                mask = 0
-                for v in cut:
-                    mask |= 1 << v
-                alive = full & ~mask
-                if _component_mask(self._adj, alive & -alive, alive) != alive:
-                    return size
-        return None
+        delta = self.min_degree()
+        kappa = 0
+        while kappa < delta and _k_connected(self._adj, kappa + 1):
+            kappa += 1
+        return kappa
 
     # -- dunder -------------------------------------------------------------
 

@@ -126,11 +126,6 @@ def _gprime_layout(p: ExtremalParams) -> tuple[int, list[int]]:
     return p.delta, [big] + [1] * singles
 
 
-def extremal_graph_for(theorem_id: str, n: int, b: int, k: int, delta: Optional[int]) -> Graph:
-    """The comparison graph of a theorem's size or spectral condition."""
-    return family(*extremal_layout_for(theorem_id, n, b, k, delta))
-
-
 def _family_edge_count(s: int, parts: Sequence[int]) -> int:
     n = s + sum(parts)
     return s * (s - 1) // 2 + s * (n - s) + sum(p * (p - 1) // 2 for p in parts)
@@ -439,7 +434,6 @@ __all__ = [
     "eta_lower_bound_check",
     "evaluate_theorem",
     "exceptional_layouts_for",
-    "extremal_graph_for",
     "extremal_layout_for",
     "gstar_ordering_check",
     "interlacing_bound_check",

@@ -67,3 +67,10 @@ def random_connected_graph(rng: random.Random, n: int, extra: float = 0.3) -> Gr
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph(n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """G under a random permutation of its vertex labels."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

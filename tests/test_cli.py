@@ -1,8 +1,11 @@
 import json
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -60,6 +63,20 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert "error: LAPACK eigvalsh failed: Eigenvalues did not converge" in captured.err
         assert captured.out == ""
+
+    def test_dense_graph_connectivity_is_polynomial(self, tmp_path, capsys):
+        # an exhaustive cut search gave no answer here within 10 s
+        rng = random.Random(1)
+        pairs = [(u, v) for u in range(40) for v in range(u + 1, 40)]
+        g = Graph(40, rng.sample(pairs, 414))
+        assert g.min_degree() >= 14
+        f = write_graph(tmp_path, "dense.g6", g)
+        start = time.perf_counter()
+        assert main(["analyze", "--input", f, "--matrix", "adjacency"]) == 0
+        assert time.perf_counter() - start < 2.0
+        report = json.loads(capsys.readouterr().out)
+        expected = nx.node_connectivity(nx.Graph(list(g.edges())))
+        assert report["connectivity"] == expected == 15
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.g6"

@@ -1,12 +1,30 @@
-"""Every bitset kernel against networkx, on random graphs with n <= 12."""
+"""Every bitset kernel against networkx, on random graphs with n <= 12.
+
+Connectivity is also checked at real orders (n = 20-60 and the one-edge
+supergraphs of G' that the distance theorems reach).
+"""
+import random
 from itertools import combinations
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
+from networkx.algorithms.connectivity import (
+    build_auxiliary_node_connectivity,
+    local_node_connectivity,
+)
+from networkx.algorithms.flow import build_residual_network
 
-from oddcrit import DisconnectedGraphError, Graph, distance_matrix, is_k_critical
+from oddcrit import (
+    DisconnectedGraphError,
+    ExtremalParams,
+    Graph,
+    distance_matrix,
+    extremal_gprime,
+    is_k_critical,
+)
 from oddcrit.factors import _clique_cover_size
+from conftest import relabelled
 
 
 @st.composite
@@ -54,6 +72,63 @@ def test_connectivity(case):
     assert g.vertex_connectivity() == kappa
     for k in range(1, g.n + 1):
         assert g.is_k_connected(k) == (g.n > k and kappa >= k)
+
+
+def assert_connectivity_matches(g: Graph, kappa: int):
+    assert g.vertex_connectivity() == kappa
+    for k in range(1, g.min_degree() + 2):
+        assert g.is_k_connected(k) == (kappa >= k)
+
+
+def seeded_graph(seed: int) -> Graph:
+    """n = 20-60: sparse, dense, or two dense halves glued by a few edges."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 60)
+    shape = ("sparse", "dense", "glued")[seed % 3]
+    if shape == "glued":
+        half = n // 2
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (u < half) == (v < half) and rng.random() < 0.7]
+        edges += [(rng.randrange(half), rng.randrange(half, n)) for _ in range(rng.randint(1, 6))]
+        return Graph(n, set(edges))
+    p = rng.uniform(0.08, 0.2) if shape == "sparse" else rng.uniform(0.5, 0.9)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_connectivity_at_real_orders(seed):
+    g = seeded_graph(seed)
+    assert_connectivity_matches(g, nx.node_connectivity(to_nx(g)))
+
+
+def nx_connectivity_around(h: nx.Graph, v) -> int:
+    """kappa of a non-complete graph from networkx local connectivities around v.
+
+    A minimum cut S either misses v, and then separates v from some
+    non-neighbour, or holds v, and then separates two non-adjacent
+    neighbours of v (Esfahanian and Hakimi 1984).  Any v is exact; a vertex
+    with few non-neighbours and a clique neighbourhood needs few flows.
+    """
+    pairs = [(v, w) for w in nx.non_neighbors(h, v)]
+    pairs += [(x, y) for x, y in combinations(h[v], 2) if not h.has_edge(x, y)]
+    aux = build_auxiliary_node_connectivity(h)
+    residual = build_residual_network(aux, "capacity")
+    return min(
+        local_node_connectivity(h, x, y, auxiliary=aux, residual=residual) for x, y in pairs
+    )
+
+
+@pytest.mark.parametrize("n, b, k, delta", [(47, 1, 1, 3), (63, 1, 1, 3), (271, 3, 1, 3)])
+def test_connectivity_of_relabelled_gprime_supergraphs(n, b, k, delta):
+    # an edge between the last two singletons; flows start at a big-clique vertex
+    base = extremal_gprime(ExtremalParams(n, b, k, delta))
+    rng = random.Random(n)
+    g = relabelled(base.with_edge(n - 2, n - 1), rng)
+    h = to_nx(g)
+    big = next(v for v in h if h.degree(v) == n - 1 - (b * delta - b * k + 1))
+    kappa = nx_connectivity_around(h, big)
+    assert kappa == delta
+    assert_connectivity_matches(g, kappa)
 
 
 @given(graphs_and_sets())

@@ -18,8 +18,14 @@ from oddcrit import (
     is_k_critical,
     is_k_critical_definitional,
     make_complete,
+    proof_graph_g2,
 )
-from conftest import graph_from_edge_mask, random_connected_graph
+from conftest import (
+    build_parameter_grid,
+    graph_from_edge_mask,
+    random_connected_graph,
+    relabelled,
+)
 
 
 def star(leaves):
@@ -145,9 +151,10 @@ class TestCriticality:
         assert g.odd_components_after_removal(v.witness) == 4 > 1 * (3 - 1)
 
     def test_verdict_type(self):
+        # kappa = 3 > k with n - k even settles |S| = 2, and n - s settles |S| = 3
         v = is_k_critical(make_complete(4), 1, 2)
         assert isinstance(v, CriticalityVerdict)
-        assert v.subsets_examined > 0
+        assert v.subsets_examined == 0
 
     def test_order_precondition(self):
         with pytest.raises(ParameterError, match="k\\+2"):
@@ -172,8 +179,9 @@ class TestCriticality:
             has_odd_factor(make_complete(3), FactorSpec(1, 1))
 
     def test_max_size_never_certifies(self):
+        # kappa = 3 settles |S| = 1 (n - k even) and |S| = 2 without a subset
         g = extremal_gprime(ExtremalParams(19, 1, 1, 3))
-        assert is_k_critical(g, 1, 1, max_size=2) == CriticalityVerdict(None, None, 19 + 171)
+        assert is_k_critical(g, 1, 1, max_size=2) == CriticalityVerdict(None, None, 0)
         found = is_k_critical(g, 1, 1, max_size=3)
         assert found.critical is False and found.witness == frozenset({0, 1, 2})
         assert found == is_k_critical(g, 1, 1)
@@ -185,7 +193,7 @@ class TestCriticality:
         for too_small in (0, -1):
             with pytest.raises(ParameterError, match="below k=1"):
                 is_k_critical(g, 1, 1, max_size=too_small)
-        assert is_k_critical(g, 1, 1, max_size=1).subsets_examined == 19
+        assert is_k_critical(g, 1, 1, max_size=1).subsets_examined == 0
 
     def test_full_scan_matches_pruned_scan(self):
         rng = random.Random(41)
@@ -199,16 +207,32 @@ class TestCriticality:
                     slow = is_k_critical(g, f, k, skip_settled_sizes=False)
                     assert (fast.critical, fast.witness) == (slow.critical, slow.witness)
                     assert fast.subsets_examined <= slow.subsets_examined
+        # relabelled extremal members, where kappa > k settles whole sizes and
+        # the witness is no longer the numerically first set of its size
+        for n, b, k, delta, s in build_parameter_grid():
+            if n > 13:
+                continue
+            params = ExtremalParams(n, b, k, delta, s)
+            for base in (extremal_gprime(params), proof_graph_g2(params)):
+                assert base.vertex_connectivity() > k and (n - k) % 2 == 0
+                g = relabelled(base, rng)
+                per_vertex = FactorSpec(tuple(rng.choice([1, 3, 5]) for _ in range(n)), k)
+                for f in (b, per_vertex):
+                    fast = is_k_critical(g, f, k)
+                    slow = is_k_critical(g, f, k, skip_settled_sizes=False)
+                    assert (fast.critical, fast.witness) == (slow.critical, slow.witness)
+                    assert fast.subsets_examined < slow.subsets_examined
 
     def test_clique_cover_settles_sizes_that_n_minus_s_does_not(self):
         # G'(17,1,1,2) with singleton 15 joined to the big clique: the greedy
         # cover has 3 cliques, so o(G-S) <= 3 <= |S| - 1 settles every size from
-        # 4 on, where n - s alone settles nothing below 9
+        # 4 on, where n - s alone settles nothing below 9; kappa = 2 with n - k
+        # even settles |S| = 1
         g = extremal_gprime(ExtremalParams(17, 1, 1, 2)).with_edge(2, 15)
         fast = is_k_critical(g, 1, 1)
         full = is_k_critical(g, 1, 1, skip_settled_sizes=False)
         assert fast.critical and full.critical
-        assert fast.subsets_examined == sum(math.comb(17, s) for s in (1, 2, 3))
+        assert fast.subsets_examined == sum(math.comb(17, s) for s in (2, 3))
         assert fast.subsets_examined < sum(math.comb(17, s) for s in range(1, 9))
         assert full.subsets_examined == 2 ** 17 - 2
 

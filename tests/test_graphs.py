@@ -23,7 +23,7 @@ from oddcrit import (
     proof_graph_g3,
     write_graph6,
 )
-from oddcrit.graphs import is_join_family
+from oddcrit.graphs import _fan_reaches, is_join_family
 from oddcrit.theorems import exceptional_layouts_for
 from conftest import random_connected_graph
 
@@ -217,6 +217,25 @@ class TestQueries:
         assert g.is_k_connected(3)
         assert not g.is_k_connected(4)
         assert not path(3).is_k_connected(2)
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_fan_reroutes_through_a_released_vertex(self, extra):
+        # the sources reach t = 0 by at most two disjoint paths.  The first
+        # path is 1-3-4-5-0; the second must push it off 4 and 5
+        # (1-3-9-10-11-0 and 2-6-7-8-5-0), which leaves 4 unused.  With the
+        # extra chains, source 12 can reach 4 only, and the third search must
+        # not treat 4 as still carrying 3's path
+        chains = [(1, 3, 4, 5, 0), (2, 6, 7, 8, 5), (3, 9, 10, 11, 0)]
+        sources = [1, 2]
+        if extra:
+            chains += [(12, 13, 14, 15, 16, 17, 4), (3, 18, 19, 20, 21, 22, 0)]
+            sources.append(12)
+        g = Graph(23 if extra else 12, [e for c in chains for e in zip(c, c[1:])])
+        mask = sum(1 << v for v in sources)
+        assert [_fan_reaches(g.adjacency_rows, mask, 0, k) for k in (1, 2, 3)] == [
+            True, True, False]
+        h = nx.Graph(list(g.edges()) + [("s", v) for v in sources])
+        assert nx.node_connectivity(h, "s", 0) == 2
 
     def test_components_and_odd_components(self):
         assert Graph(3).odd_components_after_removal(()) == 3

@@ -31,7 +31,7 @@ from oddcrit import (
     wiener_gprime_closed_form,
     wiener_index,
 )
-from conftest import random_connected_graph
+from conftest import random_connected_graph, relabelled
 
 
 def path(n):
@@ -44,12 +44,6 @@ def cycle(n):
 
 def star(leaves):
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def relabelled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def assert_distances_match_scipy(g):

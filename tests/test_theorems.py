@@ -18,7 +18,7 @@ from oddcrit import (
     evaluate_theorem,
     exceptional_layouts_for,
     extremal_gprime,
-    extremal_graph_for,
+    extremal_layout_for,
     family,
     gstar_ordering_check,
     interlacing_bound_check,
@@ -69,11 +69,11 @@ class TestOrderBounds:
 
 class TestExtremalGraphFor:
     def test_distance_variant_uses_own_family(self):
-        g = extremal_graph_for("1.4", 19, 1, 1, None)
+        g = family(*extremal_layout_for("1.4", 19, 1, 1, None))
         assert g == family(2, [15, 1, 1])
 
     def test_others_use_gprime(self):
-        g = extremal_graph_for("1.5", 19, 1, 1, 3)
+        g = family(*extremal_layout_for("1.5", 19, 1, 1, 3))
         assert g == extremal_gprime(ExtremalParams(19, 1, 1, 3))
 
     @pytest.mark.parametrize("b, k, d", [(1, 1, 3), (3, 1, 2), (1, 2, 4), (5, 1, 2), (3, 2, 3)])
@@ -162,14 +162,14 @@ class TestEvaluateTheorem:
             return build(h, kind)
 
         monkeypatch.setattr(spectral, "graph_matrix", counting)
-        g = extremal_graph_for(tid, n, b, k, d)
+        g = family(*extremal_layout_for(tid, n, b, k, d))
         for h in (g, g.with_edge(*next(g.non_edges()))):
             built.clear()
             assert evaluate_theorem(h, tid, b, k, d).hypotheses_met
             assert len(built) == 1 and built[0] is h
 
     def test_distance_variant_exception(self):
-        g = extremal_graph_for("1.4", 19, 1, 1, None)
+        g = family(*extremal_layout_for("1.4", 19, 1, 1, None))
         verdict = evaluate_theorem(g, "1.4", 1, 1)
         assert verdict.conclusion == EXTREMAL_EXCEPTION
 
