@@ -8,10 +8,9 @@ odd-component inequality: the factor exists after deleting any k vertices iff
     o(G - S)  <=  sum_{v in S} f(v)  -  max{ sum_{v in X} f(v) : X <= S, |X| = k }
 
 holds for every S with |S| >= k (for constant f == b the right side is
-b(|S| - k)).  The checkers below enumerate S exhaustively in increasing size
-with early exit, which is exact and fast enough up to ~22 vertices; a
-backtracking search over edge subsets provides an independent constructive
-oracle at very small scale.
+b(|S| - k)).  The checkers below enumerate S in increasing size with early
+exit, which is exact; a backtracking search over edge subsets provides an
+independent constructive oracle at very small scale.
 
 Most sizes need no enumeration.  Every odd component of G - S holds a vertex
 and those vertices are pairwise non-adjacent, so o(G - S) <= n - |S| and
@@ -22,10 +21,20 @@ cover per scan.  Below the vertex connectivity kappa, G - S stays connected,
 so o(G - S) <= 1 <= min(f) * (s - k) for k < s < kappa, and o(G - S) = 0 at
 s = k when n - k is even: those sizes are skipped.  Whether s < kappa is
 decided by one polynomial Menger test (G is (s+1)-connected) for each size
-the scan reaches, until one fails.
+the scan reaches that the test could skip, until one fails.
+
+Twins shrink the sizes that are left.  Vertices with one closed or one open
+neighbourhood (and one bound f) can be swapped by an automorphism, which
+keeps o(G - S) and the bound of S, so a size is scanned one S per orbit: the
+S taking the lowest-labelled members of every twin class.  The cost is then
+set by the number of orbits, not by n: the one-edge supergraphs of the
+paper's extremal graphs have a handful of twin classes and are decided from
+at most a few dozen subsets, at 47 vertices as at 271.  Graphs without twins
+still cost sum C(n, s) over the open sizes, hence the default order cap.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence, Union
@@ -35,6 +44,11 @@ from .graphs import ExtremalParams, Graph, _bits, _component_mask, _k_connected
 
 #: default cap on the order of graphs accepted for exhaustive subset enumeration
 ENUMERATION_CAP = 22
+
+#: a size is scanned over twin orbits only when it holds more than this many
+#: subsets per vertex: finding the classes costs about as much as testing a
+#: few subsets, and the ordered orbit walk a little more per subset
+_TWIN_SCAN_RATIO = 4
 
 #: size limits of the constructive odd-factor search
 ORACLE_MAX_VERTICES = 12
@@ -79,8 +93,10 @@ class CriticalityVerdict:
     """Outcome of the odd-component criterion.
 
     ``witness`` is a violating vertex set S (present iff not critical);
-    ``subsets_examined`` counts the subsets actually tested.  ``critical`` is
-    None when a search bounded by ``max_size`` found no witness.
+    ``subsets_examined`` counts the subsets actually tested: none on sizes
+    settled without a scan, and one per twin orbit on the sizes scanned over
+    orbits (see ``_find_violation``).  ``critical`` is None when a search
+    bounded by ``max_size`` found no witness.
     """
 
     critical: Optional[bool]
@@ -127,21 +143,97 @@ def _clique_cover_size(adj, n: int) -> int:
 
     Each clique starts at an uncovered vertex of minimum degree and grows
     inside its uncovered neighbourhood, taking the candidate adjacent to the
-    most other candidates.  Any cover bounds the independence number.
+    most other candidates.  Candidates that already form a clique would all
+    be taken one by one, so they are taken at once.  Any cover bounds the
+    independence number.
     """
     uncovered = (1 << n) - 1
+    degree = [row.bit_count() for row in adj]
     cliques = 0
     while uncovered:
-        v = min(_bits(uncovered), key=lambda u: adj[u].bit_count())
+        v = min(_bits(uncovered), key=degree.__getitem__)
         clique = 1 << v
         candidates = adj[v] & uncovered
         while candidates:
-            u = max(_bits(candidates), key=lambda w: (adj[w] & candidates).bit_count())
+            ws = list(_bits(candidates))
+            counts = [(adj[w] & candidates).bit_count() for w in ws]
+            if min(counts) == len(ws) - 1:
+                clique |= candidates
+                break
+            u = ws[counts.index(max(counts))]
             clique |= 1 << u
             candidates &= adj[u]
         uncovered &= ~clique
         cliques += 1
     return cliques
+
+
+def _twin_layout(adj, fvals: Sequence[int]):
+    """The twin classes as ``(prefix, cls, firsts)`` for ``_canonical_subsets``.
+
+    A class holds the vertices with one bound f and one closed neighbourhood
+    (true twins) or one open neighbourhood (false twins).  No vertex has twins
+    of both kinds: if u, v are true twins and u, w false twins, then w is
+    adjacent to v, so to u, yet u is not in N(w) = N(u).  Swapping two members
+    of a class is an automorphism that keeps f.  Returns () when every class
+    is a single vertex.
+    """
+    closed: dict = {}
+    open_: dict = {}
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        key = (row | bit, fvals[v])
+        closed[key] = closed.get(key, 0) | bit
+        key = (row, fvals[v])
+        open_[key] = open_.get(key, 0) | bit
+    classes = [c for c in (*closed.values(), *open_.values()) if c & (c - 1)]
+    if not classes:
+        return ()
+    n = len(adj)
+    prefix = [1 << v for v in range(n)]
+    cls = prefix[:]
+    firsts = (1 << n) - 1
+    for c in classes:
+        firsts ^= c ^ (c & -c)
+        for v in _bits(c):
+            prefix[v] = c & ((2 << v) - 1)
+            cls[v] = c
+    return prefix, cls, firsts
+
+
+def _canonical_subsets(avail: int, size: int, prefix, cls, firsts: int):
+    """Size-subsets of ``avail`` holding a prefix of every twin class, in increasing order.
+
+    ``prefix[v]`` is v with the members of its class below it, ``cls[v]`` the
+    class and ``firsts`` the lowest member of every class; ``avail`` holds a
+    prefix of every class.  Subsets are ordered by their largest member h
+    first; h brings the rest of prefix[h] along, and the remainder is a
+    smaller such subset below h and outside h's class.
+    """
+    if not size:
+        yield 0
+        return
+    rem = avail
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        h = low.bit_length() - 1
+        top = prefix[h]
+        need = size - top.bit_count()
+        if need == 0:
+            yield top
+        elif need == 1:
+            # one more vertex, the lowest of its class
+            ones = avail & (low - 1) & ~cls[h] & firsts
+            while ones:
+                one = ones & -ones
+                yield top | one
+                ones ^= one
+        elif need > 0:
+            rest = avail & (low - 1) & ~cls[h]
+            if rest.bit_count() >= need:
+                for below in _canonical_subsets(rest, need, prefix, cls, firsts):
+                    yield below | top
 
 
 def _find_violation(
@@ -162,7 +254,13 @@ def _find_violation(
     theta the greedy clique cover size: o(G-S) is at most both, and each S of
     size s has a bound of at least min(f) * (s - k), which only grows with s.
     It also skips the sizes k < s < kappa, and s = k when kappa > k and n - k
-    is even: G - S is connected there, with even order at s = k.
+    is even: G - S is connected there, with even order at s = k.  On sizes
+    with more than 4n subsets it then tests one S per orbit of the twin swaps
+    (see ``_twin_layout``), the one taking the lowest members of every class.
+    o(G - S) and the bound are the same on an orbit, and that S is the
+    numerically first of its orbit, so the first violating S is among those
+    tested.  ``examined`` counts the subsets tested.  Theta, the kappa tests
+    and the classes are computed only when a size needs them.
     """
     n = g.n
     if n > cap:
@@ -175,18 +273,31 @@ def _find_violation(
     constant = len(set(fvals)) <= 1
     fmin = min(fvals) if fvals else 1
     top = n - 1 if max_size is None else min(max_size, n - 1)
-    theta = _clique_cover_size(adj, n) if skip_settled_sizes else n
-    # whether size < kappa, tested only for the sizes the scan reaches
+    theta = 0
+    # whether size < kappa, tested only for the sizes it could skip
     below_kappa = skip_settled_sizes
+    # twin classes, found at the first size that is worth it
+    twins = None if skip_settled_sizes else ()
     examined = 0
     for size in range(k, top + 1):
-        if skip_settled_sizes and min(n - size, theta) <= fmin * (size - k):
-            break
-        below_kappa = below_kappa and size + 1 < n and _k_connected(adj, size + 1)
-        if below_kappa and (size > k or (n - size) % 2 == 0):
-            continue
+        if skip_settled_sizes:
+            floor = fmin * (size - k)
+            if n - size <= floor:
+                break
+            # at size k the floor is 0, which theta >= 1 never meets
+            if size > k:
+                theta = theta or _clique_cover_size(adj, n)
+                if theta <= floor:
+                    break
+            if size > k or (n - size) % 2 == 0:
+                below_kappa = below_kappa and size + 1 < n and _k_connected(adj, size + 1)
+                if below_kappa:
+                    continue
+            if twins is None and math.comb(n, size) > _TWIN_SCAN_RATIO * n:
+                twins = _twin_layout(adj, fvals)
         bound = fvals[0] * (size - k) if constant else None
-        for mask in _subsets_of_size(n, size):
+        masks = _canonical_subsets(full, size, *twins) if twins else _subsets_of_size(n, size)
+        for mask in masks:
             examined += 1
             if not constant:
                 chosen = sorted((fvals[i] for i in _bits(mask)), reverse=True)
@@ -241,8 +352,11 @@ def is_k_critical(
     agree with an explicit ``k``).  Exhaustive check of the odd-component
     criterion over all S with |S| >= k, in increasing size with early exit on
     the first violation; the witness of a negative verdict is the first
-    violating set in (size, numeric) order.  ``skip_settled_sizes=False``
-    forces the literal full scan.  ``max_size`` limits the search to
+    violating set in (size, numeric) order.  By default, sizes that cannot
+    hold a violation are skipped and the others scanned one S per orbit of
+    the twin swaps, which leaves verdict and witness as they are;
+    ``skip_settled_sizes=False`` forces the literal full scan over every
+    subset.  ``max_size`` limits the search to
     k <= |S| <= max_size: the verdict is then non-critical with a witness, or
     ``critical=None`` when none was found; it never certifies criticality.
     """

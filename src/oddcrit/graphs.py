@@ -149,6 +149,10 @@ def _k_connected(adj, k: int) -> bool:
     sources.  A pair with k common neighbours and a v_j with k earlier
     neighbours need no search.
     """
+    if k == 1:
+        # connected: one search in place of a fan per vertex
+        full = (1 << len(adj)) - 1
+        return _component_mask(adj, 1, full) == full
     if min(row.bit_count() for row in adj) < k:
         return False
     order = sorted(range(len(adj)), key=lambda v: -adj[v].bit_count())

@@ -242,6 +242,21 @@ class TestVerifyAndSweep:
             report = json.loads(out.read_text())
             assert report["unconfirmed_count"] == 127 and report["falsification_count"] == 0
 
+    def test_sweep_above_the_default_cap_confirms_every_assertion(self, tmp_path, capsys):
+        # twin orbits leave a few dozen subsets per graph, so --cap 47
+        # decides all 127 graphs of the sweep above
+        out = tmp_path / "s.json"
+        code = main([
+            "sweep", "--theorem", "1.5", "--n", "47", "--b", "1", "--k", "1", "--delta", "3",
+            "--include-base", "--cap", "47", "--out", str(out),
+        ])
+        assert code == 0
+        assert "127 graphs, 0 falsifications, 0 unconfirmed" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert (report["graphs"], report["falsification_count"], report["unconfirmed_count"]) == (
+            127, 0, 0
+        )
+
     def test_falsification_beats_unconfirmed(self, tmp_path, capsys):
         # a tolerance of 10 lets G'(13,1,1,2) minus a big-clique edge meet the
         # radius condition, so it is asserted critical and brute-forced as a

@@ -131,6 +131,99 @@ def test_connectivity_of_relabelled_gprime_supergraphs(n, b, k, delta):
     assert_connectivity_matches(g, kappa)
 
 
+def exhaustive_odd_factor(nbrs: dict, b: int):
+    """Edges giving every vertex of ``nbrs`` an odd degree <= b, or None.
+
+    Depth-first: the even-degree vertex with the fewest usable edges takes
+    one more, until no degree is even.
+    """
+    degree = dict.fromkeys(nbrs, 0)
+    chosen: list = []
+
+    def usable(v):
+        return [w for w in nbrs[v] if degree[w] < b and (v, w) not in chosen and (w, v) not in chosen]
+
+    def search() -> bool:
+        even = [v for v in nbrs if degree[v] % 2 == 0]
+        if not even:
+            return True
+        options = {v: usable(v) for v in even}
+        v = min(even, key=lambda u: len(options[u]))
+        for w in options[v]:
+            chosen.append((v, w))
+            degree[v] += 1
+            degree[w] += 1
+            if search():
+                return True
+            chosen.pop()
+            degree[v] -= 1
+            degree[w] -= 1
+        return False
+
+    return chosen if search() else None
+
+
+def odd_factor_without(h: nx.Graph, classes, x, b: int):
+    """Edges of a spanning subgraph of h - x with every degree odd and <= b.
+
+    ``classes`` are the classes of true twins of h (equal closed
+    neighbourhoods), which stay twins in h - x.  Their members other than x
+    are paired off by their own edges while a class keeps more than three;
+    the few vertices left are searched exhaustively.  None means only that
+    this search found nothing.
+    """
+    factor = []
+    rest = set()
+    for c in classes:
+        members = [v for v in c if v != x]
+        while len(members) > 3:
+            factor.append((members.pop(), members.pop()))
+        rest.update(members)
+    found = exhaustive_odd_factor({v: [w for w in h[v] if w in rest] for v in rest}, b)
+    return None if found is None else factor + found
+
+
+def is_odd_factor(h: nx.Graph, edges, b: int) -> bool:
+    degree = dict.fromkeys(h, 0)
+    for u, v in edges:
+        assert h.has_edge(u, v)
+        degree[u] += 1
+        degree[v] += 1
+    return len({frozenset(e) for e in edges}) == len(edges) and all(
+        d % 2 == 1 and d <= b for d in degree.values()
+    )
+
+
+@pytest.mark.parametrize("n, b, k, delta", [(47, 1, 1, 3), (63, 1, 1, 3), (271, 3, 1, 3)])
+def test_exact_verdicts_above_the_cap(n, b, k, delta):
+    # G' at the minimal orders of Theorems 1.5 and 1.6, relabelled: the base
+    # is not k-critical, and networkx finds more odd components after
+    # deleting the witness than the criterion allows
+    base = extremal_gprime(ExtremalParams(n, b, k, delta))
+    rng = random.Random(n)
+    g = relabelled(base, rng)
+    verdict = is_k_critical(g, b, k, cap=n)
+    assert verdict.critical is False
+    size = len(verdict.witness)
+    assert nx_odd_components(to_nx(g), verdict.witness) > b * (size - k) >= 0
+    # a singleton joined to the big clique (vertex delta) or to another
+    # singleton: critical, and for k = 1 every h - x has an odd factor
+    # (a perfect matching when b = 1)
+    for u in (delta, n - 2):
+        g = relabelled(base.with_edge(u, n - 1), rng)
+        assert is_k_critical(g, b, k, cap=n).critical
+        h = to_nx(g)
+        closed: dict = {}
+        for v in h:
+            closed.setdefault(frozenset(h[v]) | {v}, []).append(v)
+        for x in h:
+            factor = odd_factor_without(h, list(closed.values()), x, b)
+            rest = nx.restricted_view(h, [x], [])
+            assert factor is not None and is_odd_factor(rest, factor, b)
+            if b == 1:
+                assert nx.is_perfect_matching(rest, set(factor))
+
+
 @given(graphs_and_sets())
 def test_distance_matrix(case):
     g, _ = case

@@ -1,7 +1,9 @@
 import math
 import random
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oddcrit import (
     CriticalityVerdict,
@@ -26,6 +28,7 @@ from conftest import (
     random_connected_graph,
     relabelled,
 )
+from oddcrit.factors import _canonical_subsets, _subsets_of_size, _twin_layout
 
 
 def star(leaves):
@@ -232,7 +235,17 @@ class TestCriticality:
         fast = is_k_critical(g, 1, 1)
         full = is_k_critical(g, 1, 1, skip_settled_sizes=False)
         assert fast.critical and full.critical
-        assert fast.subsets_examined == sum(math.comb(17, s) for s in (2, 3))
+        # sizes 2 and 3 are scanned over twin orbits, one set per choice of
+        # how many vertices to take from each class: the join pair {0, 1},
+        # the big clique without its vertex 2 ({3..14}), and 2, 15 and 16
+        class_sizes = (2, 12, 1, 1, 1)
+        orbits = sum(
+            1
+            for counts in product(*(range(m + 1) for m in class_sizes))
+            if sum(counts) in (2, 3)
+        )
+        assert orbits == 31
+        assert fast.subsets_examined == orbits
         assert fast.subsets_examined < sum(math.comb(17, s) for s in range(1, 9))
         assert full.subsets_examined == 2 ** 17 - 2
 
@@ -275,6 +288,135 @@ class TestCriticality:
             for u, v in g.non_edges():
                 assert is_k_critical(g.with_edge(u, v), 1, 2).critical
         assert found >= 3
+
+
+@st.composite
+def twin_blowups(draw, max_n=12):
+    """A random base graph with every vertex blown up into a class of twins.
+
+    Each class is a clique (true twins) or an independent set (false twins)
+    of 1-4 vertices, joined to the classes of its base neighbours.  The
+    labels are then permuted, and up to two noise edges toggled.
+    """
+    base_n = draw(st.integers(3, 5))
+    base = [pair for pair in combinations(range(base_n), 2) if draw(st.booleans())]
+    sizes = [draw(st.integers(1, 4)) for _ in range(base_n)]
+    starts = [sum(sizes[:i]) for i in range(base_n + 1)]
+    n = min(starts[-1], max_n)
+    blocks = [range(starts[i], min(starts[i + 1], n)) for i in range(base_n)]
+    edges = set()
+    for block in blocks:
+        if draw(st.booleans()):
+            edges.update(combinations(block, 2))
+    for i, j in base:
+        edges.update((u, v) for u in blocks[i] for v in blocks[j])
+    perm = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+    for _ in range(draw(st.integers(0, 2))):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        edges ^= {(min(u, v), max(u, v))}
+    return Graph(n, edges)
+
+
+def twin_classes_by_hand(g, fvals):
+    """Vertex classes with one bound and one closed or one open neighbourhood."""
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    classes = []
+    for v in range(g.n):
+        for c in classes:
+            u = c[0]
+            if fvals[u] == fvals[v] and (nbrs[u] | {u} == nbrs[v] | {v} or nbrs[u] == nbrs[v]):
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def orbit_count(class_sizes, size):
+    """Subsets of one size up to swaps inside classes: a count from each class."""
+    return sum(
+        1 for counts in product(*(range(m + 1) for m in class_sizes)) if sum(counts) == size
+    )
+
+
+class TestTwinOrbits:
+    @settings(max_examples=40)
+    @given(twin_blowups(), st.data())
+    def test_orbits_come_in_increasing_order(self, g, data):
+        # exactly the sets taking the lowest members of every class, in
+        # numeric order, against classes found by hand
+        if data.draw(st.booleans()):
+            fvals = (1,) * g.n
+        else:
+            fvals = tuple(data.draw(st.sampled_from([1, 3])) for _ in range(g.n))
+        classes = twin_classes_by_hand(g, fvals)
+        layout = _twin_layout(g.adjacency_rows, fvals)
+        assert bool(layout) == any(len(c) > 1 for c in classes)
+        if not layout:
+            return
+        full = (1 << g.n) - 1
+        for size in range(g.n + 1):
+            expected = [
+                mask for mask in _subsets_of_size(g.n, size)
+                if all(
+                    [mask >> v & 1 for v in c] == sorted((mask >> v & 1 for v in c), reverse=True)
+                    for c in classes
+                )
+            ]
+            assert list(_canonical_subsets(full, size, *layout)) == expected
+            assert len(expected) == orbit_count([len(c) for c in classes], size)
+
+    @settings(max_examples=120)
+    @given(twin_blowups(), st.integers(0, 2), st.sampled_from(["1", "3", "class", "vertex"]),
+           st.booleans(), st.data())
+    def test_orbit_scan_matches_full_scan(self, g, k, bounds, bounded, data):
+        if g.n < k + 2:
+            return
+        n = g.n
+        if bounds in ("1", "3"):
+            f = int(bounds)
+        elif bounds == "class":
+            # one bound per class of twins, so that whole classes stay
+            fvals = [0] * n
+            for c in twin_classes_by_hand(g, (1,) * n):
+                bound = data.draw(st.sampled_from([1, 3, 5]))
+                for v in c:
+                    fvals[v] = bound
+            f = FactorSpec(tuple(fvals), k)
+        else:
+            f = FactorSpec(tuple(data.draw(st.sampled_from([1, 3, 5])) for _ in range(n)), k)
+        max_size = data.draw(st.integers(k, n - 1)) if bounded else None
+        fast = is_k_critical(g, f, k, max_size=max_size)
+        slow = is_k_critical(g, f, k, max_size=max_size, skip_settled_sizes=False)
+        assert (fast.critical, fast.witness) == (slow.critical, slow.witness)
+        assert fast.subsets_examined <= slow.subsets_examined
+
+    def test_classes_are_split_by_bound(self):
+        # relabelled G'(13,1,1,2) plus the edge from big-clique vertex 2 to
+        # singleton 11, with bound 3 on hub 1 and big-clique vertices 3 and 4:
+        # the twin classes {0, 1} and {3..10} split by bound.  Sizes 2 and 3
+        # are scanned (kappa = 2 settles 1, theta = 3 settles 4 on).  Twins
+        # with different bounds are not swapped; doing so could not change a
+        # verdict or witness, as the first violating S above size k never
+        # splits a class of twins and the bound at size k is 0, but it would
+        # change the count
+        rng = random.Random(13)
+        perm = list(range(13))
+        rng.shuffle(perm)
+        base = extremal_gprime(ExtremalParams(13, 1, 1, 2)).with_edge(2, 11)
+        g = Graph(13, [(perm[u], perm[v]) for u, v in base.edges()])
+        fvals = [1] * 13
+        for v in (1, 3, 4):
+            fvals[perm[v]] = 3
+        f = FactorSpec(tuple(fvals), 1)
+        fast = is_k_critical(g, f)
+        slow = is_k_critical(g, f, skip_settled_sizes=False)
+        assert fast.critical and slow.critical and slow.subsets_examined == 2 ** 13 - 2
+        split = (1, 1, 2, 6, 1, 1, 1)  # {0} {1} {3, 4} {5..10} {2} {11} {12}
+        merged = (2, 8, 1, 1, 1)
+        assert fast.subsets_examined == sum(orbit_count(split, s) for s in (2, 3)) == 71
+        assert sum(orbit_count(merged, s) for s in (2, 3)) == 31
 
 
 class TestExtremalWitness:
