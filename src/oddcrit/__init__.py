@@ -12,10 +12,8 @@ from .factors import (
     CriticalityVerdict,
     FactorSpec,
     criticality_witness_extremal,
-    find_odd_factor,
     has_odd_factor,
     is_k_critical,
-    is_k_critical_definitional,
 )
 from .graphs import (
     ExtremalParams,

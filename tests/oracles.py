@@ -1,0 +1,114 @@
+"""Independent oracles for the odd-factor and criticality checks of ``oddcrit.factors``.
+
+None of them uses the engine's pruning:
+
+- ``find_odd_factor`` builds a factor edge by edge, so it does not use the
+  odd-component criterion at all;
+- ``is_k_critical_definitional`` applies the definition of k-criticality:
+  every k-vertex deletion leaves a graph with a constructive factor;
+- ``full_scan`` tests the criterion literally on every subset S in (size,
+  numeric) order, with no settled sizes, twin classes or early exit inside a
+  count; it shares only the graph's component search with the engine.
+"""
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Optional
+
+from oddcrit import CriticalityVerdict, FactorSpec, Graph, ParameterError, ScaleLimitError
+
+#: size limits of the constructive odd-factor search
+ORACLE_MAX_VERTICES = 12
+ORACLE_MAX_EDGES = 24
+
+
+def find_odd_factor(g: Graph, b: int) -> Optional[tuple[tuple[int, int], ...]]:
+    """Constructive oracle: an edge set whose spanning subgraph has all degrees
+    odd and <= b, or None if no such subgraph exists.
+
+    Depth-first search over edges with degree-parity pruning; capped at
+    12 vertices / 24 edges, which is all the oracle is meant for.
+    """
+    if b < 1 or b % 2 == 0:
+        raise ParameterError(f"bound b={b} must be a positive odd integer")
+    n = g.n
+    edges = sorted(g.edges())
+    if n > ORACLE_MAX_VERTICES or len(edges) > ORACLE_MAX_EDGES:
+        raise ScaleLimitError(
+            f"oracle scale: limited to n <= {ORACLE_MAX_VERTICES} and "
+            f"e <= {ORACLE_MAX_EDGES}, got n={n}, e={len(edges)}"
+        )
+    if n == 0:
+        return ()
+    if any(d == 0 for d in g.degrees()):
+        return None
+    remaining = g.degrees()
+    deg = [0] * n
+    chosen: list[tuple[int, int]] = []
+
+    def feasible(v: int) -> bool:
+        # v still needs an odd final degree: an even current degree requires
+        # at least one undecided incident edge (the jump to b+1 cannot occur
+        # because b is odd).
+        return deg[v] % 2 == 1 or remaining[v] >= 1
+
+    def search(i: int) -> bool:
+        if i == len(edges):
+            return all(d % 2 == 1 for d in deg)
+        u, v = edges[i]
+        remaining[u] -= 1
+        remaining[v] -= 1
+        if deg[u] < b and deg[v] < b:
+            deg[u] += 1
+            deg[v] += 1
+            if feasible(u) and feasible(v):
+                chosen.append((u, v))
+                if search(i + 1):
+                    return True
+                chosen.pop()
+            deg[u] -= 1
+            deg[v] -= 1
+        if feasible(u) and feasible(v) and search(i + 1):
+            return True
+        remaining[u] += 1
+        remaining[v] += 1
+        return False
+
+    return tuple(chosen) if search(0) else None
+
+
+def is_k_critical_definitional(g: Graph, b: int, k: int) -> bool:
+    """Whether every deletion of k vertices leaves a graph with a constructive odd factor."""
+    return all(
+        find_odd_factor(g.without_vertices(removal), b) is not None
+        for removal in combinations(range(g.n), k)
+    )
+
+
+def full_scan(g: Graph, f, k: int = 0, *, max_size: Optional[int] = None) -> CriticalityVerdict:
+    """The odd-component criterion tested on every S with k <= |S| <= min(max_size, n - 1).
+
+    ``f`` is an odd bound or a FactorSpec, which brings its own k.  Sets are
+    tested in (size, numeric bitmask) order, each against
+    sum_S f - max{sum_X f : X <= S, |X| = k} with o(G - S) counted in full by
+    ``Graph.odd_components_after_removal``.  The verdict reads like
+    ``oddcrit.is_k_critical``: the first violating S as witness, every
+    tested S counted, and ``critical=None`` when a search bounded by
+    ``max_size`` found nothing.
+    """
+    spec = f if isinstance(f, FactorSpec) else FactorSpec(f, k)
+    n, k = g.n, spec.k
+    fvals = spec.values_for(n)
+    top = n - 1 if max_size is None else min(max_size, n - 1)
+    examined = 0
+    for size in range(k, top + 1):
+        for mask in range(1 << n):
+            if mask.bit_count() != size:
+                continue
+            examined += 1
+            chosen = [v for v in range(n) if mask >> v & 1]
+            weights = [fvals[v] for v in chosen]
+            bound = sum(weights) - max(sum(x) for x in combinations(weights, k))
+            if g.odd_components_after_removal(chosen) > bound:
+                return CriticalityVerdict(False, frozenset(chosen), examined)
+    return CriticalityVerdict(None if max_size is not None else True, None, examined)

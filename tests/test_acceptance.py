@@ -21,7 +21,6 @@ from oddcrit import (
     eigenvalues,
     evaluate_theorem,
     extremal_gprime,
-    find_odd_factor,
     g_star,
     gstar_ordering_check,
     has_odd_factor,
@@ -40,6 +39,7 @@ from oddcrit import (
 )
 from oddcrit.theorems import ASSERTS_CRITICAL, EXTREMAL_EXCEPTION
 from conftest import graph_from_edge_mask, random_connected_graph
+from oracles import find_odd_factor, full_scan
 
 
 class Criterion:
@@ -241,7 +241,7 @@ def test_criterion_8_extremal_noncriticality(parameter_grid):
 def test_criterion_9_gstar_positive_check():
     with Criterion(9, "the one-extra-edge graph is 1-critical (full scan) and ordered", budget=60.0):
         star = g_star(19, 1, 1)
-        verdict = is_k_critical(star, 1, 1, skip_settled_sizes=False)
+        verdict = full_scan(star, 1, 1)
         assert verdict.critical
         assert verdict.subsets_examined == 2 ** 19 - 2
         assert gstar_ordering_check(19, 1, 1)

@@ -14,11 +14,9 @@ from oddcrit import (
     ScaleLimitError,
     criticality_witness_extremal,
     extremal_gprime,
-    find_odd_factor,
     g_star,
     has_odd_factor,
     is_k_critical,
-    is_k_critical_definitional,
     make_complete,
     proof_graph_g2,
 )
@@ -29,6 +27,7 @@ from conftest import (
     relabelled,
 )
 from oddcrit.factors import _canonical_subsets, _subsets_of_size, _twin_layout
+from oracles import find_odd_factor, full_scan, is_k_critical_definitional
 
 
 def star(leaves):
@@ -79,6 +78,11 @@ class TestHasOddFactor:
 
     def test_empty_graph_vacuous(self):
         assert has_odd_factor(Graph(0), 1)
+
+    def test_empty_graph_checks_per_vertex_bounds(self):
+        # bounds for two vertices do not fit a graph with none
+        with pytest.raises(ParameterError, match="cover 2 vertices, graph has 0"):
+            has_odd_factor(Graph(0), (1, 3))
 
     def test_per_vertex_bounds(self):
         # center may take degree 3, leaves stay at 1
@@ -207,7 +211,7 @@ class TestCriticality:
                 per_vertex = FactorSpec(tuple(rng.choice([1, 3, 5]) for _ in range(n)), k)
                 for f in (1, 3, per_vertex):
                     fast = is_k_critical(g, f, k)
-                    slow = is_k_critical(g, f, k, skip_settled_sizes=False)
+                    slow = full_scan(g, f, k)
                     assert (fast.critical, fast.witness) == (slow.critical, slow.witness)
                     assert fast.subsets_examined <= slow.subsets_examined
         # relabelled extremal members, where kappa > k settles whole sizes and
@@ -222,7 +226,7 @@ class TestCriticality:
                 per_vertex = FactorSpec(tuple(rng.choice([1, 3, 5]) for _ in range(n)), k)
                 for f in (b, per_vertex):
                     fast = is_k_critical(g, f, k)
-                    slow = is_k_critical(g, f, k, skip_settled_sizes=False)
+                    slow = full_scan(g, f, k)
                     assert (fast.critical, fast.witness) == (slow.critical, slow.witness)
                     assert fast.subsets_examined < slow.subsets_examined
 
@@ -233,19 +237,15 @@ class TestCriticality:
         # even settles |S| = 1
         g = extremal_gprime(ExtremalParams(17, 1, 1, 2)).with_edge(2, 15)
         fast = is_k_critical(g, 1, 1)
-        full = is_k_critical(g, 1, 1, skip_settled_sizes=False)
+        full = full_scan(g, 1, 1)
         assert fast.critical and full.critical
-        # sizes 2 and 3 are scanned over twin orbits, one set per choice of
-        # how many vertices to take from each class: the join pair {0, 1},
-        # the big clique without its vertex 2 ({3..14}), and 2, 15 and 16
+        # sizes 2 and 3 are above k, so they are scanned over unions of whole
+        # twin classes: the join pair {0, 1}, the big clique without its
+        # vertex 2 ({3..14}), and 2, 15 and 16
         class_sizes = (2, 12, 1, 1, 1)
-        orbits = sum(
-            1
-            for counts in product(*(range(m + 1) for m in class_sizes))
-            if sum(counts) in (2, 3)
-        )
-        assert orbits == 31
-        assert fast.subsets_examined == orbits
+        unions = sum(union_count(class_sizes, s) for s in (2, 3))
+        assert unions == 8
+        assert fast.subsets_examined == unions
         assert fast.subsets_examined < sum(math.comb(17, s) for s in range(1, 9))
         assert full.subsets_examined == 2 ** 17 - 2
 
@@ -318,14 +318,14 @@ def twin_blowups(draw, max_n=12):
     return Graph(n, edges)
 
 
-def twin_classes_by_hand(g, fvals):
-    """Vertex classes with one bound and one closed or one open neighbourhood."""
+def twin_classes_by_hand(g):
+    """Vertex classes with one closed or one open neighbourhood."""
     nbrs = [set(g.neighbors(v)) for v in range(g.n)]
     classes = []
     for v in range(g.n):
         for c in classes:
             u = c[0]
-            if fvals[u] == fvals[v] and (nbrs[u] | {u} == nbrs[v] | {v} or nbrs[u] == nbrs[v]):
+            if nbrs[u] | {u} == nbrs[v] | {v} or nbrs[u] == nbrs[v]:
                 c.append(v)
                 break
         else:
@@ -340,21 +340,28 @@ def orbit_count(class_sizes, size):
     )
 
 
+def union_count(class_sizes, size):
+    """Unions of whole classes of one size."""
+    return sum(
+        1
+        for r in range(len(class_sizes) + 1)
+        for chosen in combinations(class_sizes, r)
+        if sum(chosen) == size
+    )
+
+
 class TestTwinOrbits:
     @settings(max_examples=40)
-    @given(twin_blowups(), st.data())
-    def test_orbits_come_in_increasing_order(self, g, data):
-        # exactly the sets taking the lowest members of every class, in
-        # numeric order, against classes found by hand
-        if data.draw(st.booleans()):
-            fvals = (1,) * g.n
-        else:
-            fvals = tuple(data.draw(st.sampled_from([1, 3])) for _ in range(g.n))
-        classes = twin_classes_by_hand(g, fvals)
-        layout = _twin_layout(g.adjacency_rows, fvals)
+    @given(twin_blowups())
+    def test_orbits_come_in_increasing_order(self, g):
+        # prefix blocks (size k): exactly the sets taking the lowest members
+        # of every class, in numeric order, against classes found by hand
+        classes = twin_classes_by_hand(g)
+        layout = _twin_layout(g.adjacency_rows)
         assert bool(layout) == any(len(c) > 1 for c in classes)
         if not layout:
             return
+        cls, prefixes, _ = layout
         full = (1 << g.n) - 1
         for size in range(g.n + 1):
             expected = [
@@ -364,8 +371,41 @@ class TestTwinOrbits:
                     for c in classes
                 )
             ]
-            assert list(_canonical_subsets(full, size, *layout)) == expected
+            assert list(_canonical_subsets(full, size, cls, *prefixes)) == expected
             assert len(expected) == orbit_count([len(c) for c in classes], size)
+
+    @settings(max_examples=40)
+    @given(twin_blowups())
+    def test_whole_classes_come_in_increasing_order(self, g):
+        # whole-class blocks (sizes above k): exactly the unions of classes
+        # found by hand, in numeric order
+        classes = [sum(1 << v for v in c) for c in twin_classes_by_hand(g)]
+        layout = _twin_layout(g.adjacency_rows)
+        if not layout:
+            return
+        cls, _, wholes = layout
+        full = (1 << g.n) - 1
+        for size in range(g.n + 1):
+            expected = sorted(
+                sum(chosen)
+                for r in range(len(classes) + 1)
+                for chosen in combinations(classes, r)
+                if sum(c.bit_count() for c in chosen) == size
+            )
+            assert list(_canonical_subsets(full, size, cls, *wholes)) == expected
+
+    @settings(max_examples=100)
+    @given(twin_blowups(), st.data())
+    def test_first_violation_above_k_never_splits_a_class(self, g, data):
+        # on the oracle alone, with per-vertex bounds that ignore the classes;
+        # n - k is even, so that size k does not fail on parity alone
+        k = data.draw(st.sampled_from([k for k in (0, 1, 2) if (g.n - k) % 2 == 0]))
+        fvals = tuple(data.draw(st.sampled_from([1, 3])) for _ in range(g.n))
+        witness = full_scan(g, FactorSpec(fvals, k)).witness
+        if witness is None or len(witness) == k:
+            return
+        for c in twin_classes_by_hand(g):
+            assert set(c) <= witness or not set(c) & witness
 
     @settings(max_examples=120)
     @given(twin_blowups(), st.integers(0, 2), st.sampled_from(["1", "3", "class", "vertex"]),
@@ -377,9 +417,9 @@ class TestTwinOrbits:
         if bounds in ("1", "3"):
             f = int(bounds)
         elif bounds == "class":
-            # one bound per class of twins, so that whole classes stay
+            # one bound per class of twins
             fvals = [0] * n
-            for c in twin_classes_by_hand(g, (1,) * n):
+            for c in twin_classes_by_hand(g):
                 bound = data.draw(st.sampled_from([1, 3, 5]))
                 for v in c:
                     fvals[v] = bound
@@ -388,19 +428,18 @@ class TestTwinOrbits:
             f = FactorSpec(tuple(data.draw(st.sampled_from([1, 3, 5])) for _ in range(n)), k)
         max_size = data.draw(st.integers(k, n - 1)) if bounded else None
         fast = is_k_critical(g, f, k, max_size=max_size)
-        slow = is_k_critical(g, f, k, max_size=max_size, skip_settled_sizes=False)
+        slow = full_scan(g, f, k, max_size=max_size)
         assert (fast.critical, fast.witness) == (slow.critical, slow.witness)
         assert fast.subsets_examined <= slow.subsets_examined
 
-    def test_classes_are_split_by_bound(self):
+    def test_twins_with_different_bounds_share_a_class(self):
         # relabelled G'(13,1,1,2) plus the edge from big-clique vertex 2 to
         # singleton 11, with bound 3 on hub 1 and big-clique vertices 3 and 4:
-        # the twin classes {0, 1} and {3..10} split by bound.  Sizes 2 and 3
-        # are scanned (kappa = 2 settles 1, theta = 3 settles 4 on).  Twins
-        # with different bounds are not swapped; doing so could not change a
-        # verdict or witness, as the first violating S above size k never
-        # splits a class of twins and the bound at size k is 0, but it would
-        # change the count
+        # the twin classes {0, 1} and {3..10} hold vertices of both bounds
+        # and stay whole.  Sizes 2 and 3 are scanned (kappa = 2 settles 1,
+        # theta = 3 settles 4 on), both above k, so over unions of whole
+        # classes: the first violating S above size k never splits a class,
+        # whatever the bounds
         rng = random.Random(13)
         perm = list(range(13))
         rng.shuffle(perm)
@@ -411,12 +450,11 @@ class TestTwinOrbits:
             fvals[perm[v]] = 3
         f = FactorSpec(tuple(fvals), 1)
         fast = is_k_critical(g, f)
-        slow = is_k_critical(g, f, skip_settled_sizes=False)
+        slow = full_scan(g, f)
         assert fast.critical and slow.critical and slow.subsets_examined == 2 ** 13 - 2
-        split = (1, 1, 2, 6, 1, 1, 1)  # {0} {1} {3, 4} {5..10} {2} {11} {12}
-        merged = (2, 8, 1, 1, 1)
-        assert fast.subsets_examined == sum(orbit_count(split, s) for s in (2, 3)) == 71
-        assert sum(orbit_count(merged, s) for s in (2, 3)) == 31
+        classes = (2, 8, 1, 1, 1)  # {0, 1} {3..10} {2} {11} {12}
+        assert sorted(map(len, twin_classes_by_hand(g))) == sorted(classes)
+        assert fast.subsets_examined == sum(union_count(classes, s) for s in (2, 3)) == 8
 
 
 class TestExtremalWitness:
@@ -449,5 +487,5 @@ def test_subset_enumeration_respects_size_order():
 
 def test_subsets_examined_counts_full_scan():
     g = g_star(13, 1, 1)
-    full = is_k_critical(g, 1, 1, skip_settled_sizes=False)
-    assert full.subsets_examined == 2 ** 13 - 2
+    full = full_scan(g, 1, 1)
+    assert full.critical and full.subsets_examined == 2 ** 13 - 2

@@ -26,6 +26,12 @@ GPRIME13 = "L~~~~~~~~~w?o?"  # G'(13, 1, 1, 2)
 # G'(31, 1, 1, 2)
 GPRIME31 = "^~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~????E?????"
 GPRIME19B3 = "R~~~~~~~~~~~~~~~~~}??o?B??E???"  # G'(19, 3, 1, 2)
+# G'(47, 1, 1, 3) plus the edge from big-clique vertex 3 to singleton 44
+GPRIME47E = (
+    "n~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~"
+    "~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~o"
+    "??????w??????F????????"
+)
 
 INPUTS = {
     "gstar13.g6": GSTAR13 + "\n",
@@ -36,6 +42,7 @@ INPUTS = {
     "gprime13.g6": GPRIME13 + "\n",
     "gprime31.g6": GPRIME31 + "\n",
     "gprime19b3.g6": GPRIME19B3 + "\n",
+    "gprime47e.g6": GPRIME47E + "\n",
     "corpus.g6": GPRIME13 + "\n" + "L~~~~~~~~~~~~~\n",
     "bad.g6": "D?\n",
 }
@@ -62,6 +69,8 @@ CASES = {
     "check-exact-critical": ["check-critical", "--input", "k3.g6", "--b", "1", "--k", "1"],
     "check-exact-not-critical": ["check-critical", "--input", "gprime13.g6", "--b", "1",
                                  "--k", "1", "--out", "verdict.json"],
+    "check-exact-gprime47-edge": ["check-critical", "--input", "gprime47e.g6", "--b", "1",
+                                  "--k", "1", "--cap", "47"],
     "check-witness-found": ["check-critical", "--input", "gprime31.g6", "--b", "1", "--k", "1",
                             "--mode", "witness-only", "--max-size", "4"],
     "check-witness-found-b3": ["check-critical", "--input", "gprime19b3.g6", "--b", "3",
