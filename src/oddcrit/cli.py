@@ -10,6 +10,7 @@ sweep whose assertions were not all confirmed by brute force.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,8 +36,8 @@ from .graphs import (
 )
 from .spectral import (
     SPECTRAL_KINDS,
+    distance_matrix,
     spectral_radius,
-    transmissions,
     wiener_gprime_closed_form,
     wiener_index,
 )
@@ -108,8 +109,9 @@ def cmd_analyze(args) -> int:
         "matrix": kind,
     }
     if g.is_connected():
-        tr = transmissions(g)
-        report["wiener_index"] = wiener_index(g)
+        d = distance_matrix(g)
+        tr = d.sum(axis=1)
+        report["wiener_index"] = int(tr.sum()) // 2
         report["transmission_min"] = int(tr.min())
         report["transmission_max"] = int(tr.max())
     elif kind in ("distance", "distance_signless_laplacian"):
@@ -286,7 +288,13 @@ def _add_params(p, *, need_delta=True):
         p.add_argument("--s", type=int, help="separator size (g2/g3 variants)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared.
+
+    Each parse returns a fresh namespace, so nothing carries over between
+    calls of ``main``.
+    """
     top = argparse.ArgumentParser(prog="oddcrit", description=__doc__)
     top.add_argument("--config", help="JSON file of default flag values (flags win)")
     sub = top.add_subparsers(dest="command", required=True)
@@ -354,7 +362,8 @@ def _with_config(parser, argv: list[str]) -> list[str]:
     at = 0
     while at < len(argv) and argv[at] not in commands:
         at += 2 if argv[at] == "--config" else 1
-    if at >= len(argv):
+    if at == 0 or at >= len(argv):
+        # no subcommand, or no flag ahead of it to name a config
         return argv
     top = argparse.ArgumentParser(add_help=False)
     top.add_argument("--config")

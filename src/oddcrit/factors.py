@@ -43,7 +43,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import ParameterError, ScaleLimitError
-from .graphs import ExtremalParams, Graph, _bits, _component_mask, _k_connected
+from .graphs import (
+    ExtremalParams,
+    Graph,
+    _bits,
+    _component_mask,
+    _k_connected,
+    _twin_classes,
+)
 
 #: default cap on the order of graphs accepted for exhaustive subset enumeration
 ENUMERATION_CAP = 22
@@ -169,24 +176,15 @@ def _clique_cover_size(adj, n: int) -> int:
 
 
 def _twin_layout(adj):
-    """The twin classes as ``(cls, prefixes, wholes)`` for ``_canonical_subsets``.
+    """The twin classes (``graphs._twin_classes``) as ``(cls, prefixes, wholes)``.
 
-    A class holds the vertices with one closed neighbourhood (true twins) or
-    one open neighbourhood (false twins).  No vertex has twins of both kinds:
-    if u, v are true twins and u, w false twins, then w is adjacent to v, so
-    to u, yet u is not in N(w) = N(u).  ``cls[v]`` is v's class, and
-    ``prefixes`` and ``wholes`` are the ``(block, heads, ones)`` of the two
-    kinds of subsets: every v heads the prefix of its class up to v, and the
-    top member of every class heads the whole class.  Returns () when every
-    class is a single vertex.
+    ``cls[v]`` is v's class, and ``prefixes`` and ``wholes`` are the
+    ``(block, heads, ones)`` of the two kinds of subsets that
+    ``_canonical_subsets`` walks: every v heads the prefix of its class up
+    to v, and the top member of every class heads the whole class.  Returns
+    () when every class is a single vertex.
     """
-    closed: dict = {}
-    open_: dict = {}
-    for v, row in enumerate(adj):
-        bit = 1 << v
-        closed[row | bit] = closed.get(row | bit, 0) | bit
-        open_[row] = open_.get(row, 0) | bit
-    classes = [c for c in (*closed.values(), *open_.values()) if c & (c - 1)]
+    classes = _twin_classes(adj)
     if not classes:
         return ()
     n = len(adj)

@@ -52,6 +52,24 @@ def _component_mask(adj, seed: int, alive: int) -> int:
     return comp
 
 
+def _twin_classes(adj) -> list[int]:
+    """The twin classes of more than one vertex in the graph with rows ``adj``.
+
+    A class holds the vertices with one closed neighbourhood (true twins) or
+    one open neighbourhood (false twins); every vertex outside them has no
+    twin.  No vertex has twins of both kinds: if u, v are true twins and u, w
+    false twins, then w is adjacent to v, so to u, yet u is not in
+    N(w) = N(u).
+    """
+    closed: dict = {}
+    open_: dict = {}
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        closed[row | bit] = closed.get(row | bit, 0) | bit
+        open_[row] = open_.get(row, 0) | bit
+    return [c for c in (*closed.values(), *open_.values()) if c & (c - 1)]
+
+
 def _fan_reaches(adj, sources: int, t: int, k: int) -> bool:
     """Whether k paths lead from ``sources`` to t, pairwise disjoint except at t.
 

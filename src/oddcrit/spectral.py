@@ -4,6 +4,11 @@ Builds the adjacency, signless Laplacian, distance and distance signless
 Laplacian matrices.  Every spectrum and spectral radius comes from one
 LAPACK call, ``np.linalg.eigvalsh``.  Matrices with integer entries stay
 integer until they enter the eigensolver.
+
+A spectral radius comes from the c x c quotient of the matrix over the
+graph's c twin classes, which needs one breadth-first search per class for
+the distance kinds, not from the n x n matrix (``spectral_radius``); a
+twin-free graph has c = n.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from .errors import (
     DisconnectedGraphError,
     ParameterError,
 )
-from .graphs import ExtremalParams, Graph, _unpack_masks
+from .graphs import ExtremalParams, Graph, _bits, _twin_classes, _unpack_masks
 
 SPECTRAL_KINDS = (
     "adjacency",
@@ -85,17 +90,17 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
     return a + np.diag(np.array(g.degrees(), dtype=np.int64))
 
 
-def distance_matrix(g: Graph) -> np.ndarray:
-    """Shortest-path distances by breadth-first search from every vertex.
+def _distance_rows(g: Graph, sources) -> np.ndarray:
+    """Rows of the distance matrix for ``sources``, by breadth-first search.
 
-    The n searches run on bitsets and advance one level at a time together.
-    A level stops expanding as soon as the neighbours of the vertices walked
-    so far cover every vertex still unseen, which on dense graphs is after a
-    few of them.  d(v, u) is the number of levels at which u is still unseen
-    from v, so after each level the unseen sets of all sources are unpacked
-    into one n x n 0/1 array and added to the result.  The sum runs in
-    ``uint16`` (every distance is below n) up to order 65535 and is returned
-    as ``int64``, so transmissions and the Wiener index stay exact.
+    The searches from all sources run on bitsets and advance one level at a
+    time together.  A level stops expanding as soon as the neighbours of the
+    vertices walked so far cover every vertex still unseen, which on dense
+    graphs is after a few of them.  d(v, u) is the number of levels at which
+    u is still unseen from v, so after each level the unseen sets of all
+    sources are unpacked into one 0/1 array and added to the result.  The sum
+    runs in ``uint16`` (every distance is below n) up to order 65535 and is
+    returned as ``int64``, so transmissions and the Wiener index stay exact.
     """
     if g.n == 0:
         raise ParameterError("distance matrix undefined for the empty graph")
@@ -104,26 +109,30 @@ def distance_matrix(g: Graph) -> np.ndarray:
     n = g.n
     full = (1 << n) - 1
     non_neighbours = [full ^ row for row in g.adjacency_rows]
-    unseen = [full ^ (1 << v) for v in range(n)]
-    frontier = [1 << v for v in range(n)]
-    dist = np.zeros((n, n), dtype=np.uint16 if n <= 0xFFFF else np.int64)
+    unseen = [full ^ (1 << v) for v in sources]
+    frontier = [1 << v for v in sources]
+    dist = np.zeros((len(unseen), n), dtype=np.uint16 if n <= 0xFFFF else np.int64)
     while any(unseen):
         dist += _unpack_masks(unseen, n)
-        for v in range(n):
-            rest = unseen[v]
+        for i, rest in enumerate(unseen):
             if not rest:
                 continue
             # _bits inlined, as in _component_mask: this walk is the hot loop
-            f = frontier[v]
+            f = frontier[i]
             while f:
                 low = f & -f
                 rest &= non_neighbours[low.bit_length() - 1]
                 if not rest:
                     break
                 f ^= low
-            frontier[v] = unseen[v] ^ rest
-            unseen[v] = rest
+            frontier[i] = unseen[i] ^ rest
+            unseen[i] = rest
     return dist.astype(np.int64)
+
+
+def distance_matrix(g: Graph) -> np.ndarray:
+    """Shortest-path distances, one breadth-first search per vertex (``_distance_rows``)."""
+    return _distance_rows(g, range(g.n))
 
 
 def transmissions(g: Graph) -> np.ndarray:
@@ -160,11 +169,46 @@ def graph_matrix(g: Graph, kind: str) -> np.ndarray:
     return builder(g)
 
 
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def spectral_radius(g: Graph, kind: str = "distance") -> float:
-    """Largest eigenvalue of the requested graph matrix."""
+    """Largest eigenvalue of the requested graph matrix, from its twin quotient.
+
+    With classes C_i and representatives r_i, the quotient B of a matrix M
+    has B_ij = |C_j| M(r_i, r_j) off the diagonal and B_ii = (|C_i| - 1)
+    M(r_i, m_i) for a second member m_i of C_i, read from the graph; the
+    signless kinds add the row sum of M at r_i, the degree or transmission.
+    The partition is equitable, so MP = PB for its characteristic matrix P,
+    and a nonnegative Perron vector x of M gives B^T P^T x = rho P^T x with
+    P^T x nonzero: B and M share their largest eigenvalue, whether or not the
+    graph is connected.  B is similar to a symmetric matrix through
+    diag(sqrt |C_i|), which is what goes to the eigensolver.
+    """
     if g.n == 0:
         raise ParameterError("spectral radius undefined for the empty graph")
-    return float(symmetric_eigenvalues(graph_matrix(g, kind))[0])
+    if kind not in SPECTRAL_KINDS:
+        raise ParameterError(f"unknown matrix kind {kind!r}, expected one of {SPECTRAL_KINDS}")
+    classes = _twin_classes(g.adjacency_rows)
+    # a vertex without twins is a class of its own
+    alone = ((1 << g.n) - 1) ^ sum(classes)
+    classes += [1 << v for v in _bits(alone)]
+    reps = [_lowest(c) for c in classes]
+    # the second member, or the representative itself in a class of one
+    mates = [_lowest(c & (c - 1) or c) for c in classes]
+    if kind in ("adjacency", "signless_laplacian"):
+        rows = _unpack_masks([g.adjacency_rows[r] for r in reps], g.n).astype(np.int64)
+    else:
+        rows = _distance_rows(g, reps)
+    sizes = np.array([c.bit_count() for c in classes], dtype=float)
+    root = np.sqrt(sizes)
+    b = rows[:, reps] * np.outer(root, root)
+    diagonal = (sizes - 1) * rows[np.arange(len(reps)), mates]
+    if kind in ("signless_laplacian", "distance_signless_laplacian"):
+        diagonal += rows.sum(axis=1)
+    np.fill_diagonal(b, diagonal)
+    return float(symmetric_eigenvalues(b)[0])
 
 
 def wiener_gprime_closed_form(p: ExtremalParams) -> int:

@@ -12,8 +12,11 @@ Every comparison family is a join K_s v (K_{n_1} u ... u K_{n_t}), known by
 its layout ``(s, parts)`` (``extremal_layout_for``).  The size condition uses
 the layout's exact edge count, and every comparison radius is the largest
 eigenvalue of the family's equitable quotient (``partitions.family_quotient``),
-which equals the radius of the n x n matrix.  Only the input graph gets a
-matrix; the extremal graph itself is built only for the exception test below.
+which equals the radius of the n x n matrix.  The input's radius comes from
+its own twin quotient (``spectral.spectral_radius``), of order the number of
+twin classes: a handful on the extremal families' one-edge supergraphs, n
+only on twin-free inputs.  The extremal graph itself is built only for the
+exception test below.
 
 "Unless isomorphic to the extremal graph" is decided by label identity only:
 graphs produced by this package's constructors carry a canonical labeling.

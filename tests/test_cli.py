@@ -11,7 +11,7 @@ import pytest
 
 import oddcrit
 from oddcrit import ExtremalParams, Graph, extremal_gprime, make_complete, write_graph6
-from oddcrit.cli import main
+from oddcrit.cli import build_parser, main
 
 
 def write_graph(tmp_path, name, g):
@@ -352,6 +352,16 @@ class TestVerifyAndSweep:
             "--out", str(out),
         ])
         assert code == 0
+
+    def test_config_does_not_carry_over_to_the_next_call(self, tmp_path, capsys):
+        # the parser is built once per process; each call parses afresh
+        assert build_parser() is build_parser()
+        code, got = self.run_with_config(tmp_path, capsys, {"cap": 5, "format": "csv"}, [
+            "verify", "--theorem", "1.2", "--n", "13", "--b", "1", "--k", "1", "--delta", "2",
+        ])
+        assert code == 2 and got.out.startswith("graph_id,")
+        code = main(["verify", "--theorem", "1.2", "--n", "13", "--b", "1", "--k", "1", "--delta", "2"])
+        assert code == 0 and json.loads(capsys.readouterr().out)["unconfirmed_count"] == 0
 
     def run_with_config(self, tmp_path, capsys, config, argv):
         cfg = tmp_path / "cfg.json"

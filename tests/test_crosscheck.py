@@ -7,6 +7,7 @@ import random
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.connectivity import (
@@ -14,14 +15,17 @@ from networkx.algorithms.connectivity import (
     local_node_connectivity,
 )
 from networkx.algorithms.flow import build_residual_network
+from scipy.sparse.csgraph import shortest_path
 
 from oddcrit import (
     DisconnectedGraphError,
     ExtremalParams,
     Graph,
+    adjacency_matrix,
     distance_matrix,
     extremal_gprime,
     is_k_critical,
+    spectral_radius,
 )
 from oddcrit.factors import _clique_cover_size
 from conftest import relabelled
@@ -236,6 +240,19 @@ def test_distance_matrix(case):
     for u, lengths in nx.shortest_path_length(h):
         for v, length in lengths.items():
             assert d[u, v] == length
+
+
+@pytest.mark.parametrize("n, b, k, delta", [(47, 1, 1, 3), (63, 1, 1, 3), (271, 3, 1, 3)])
+def test_twin_quotient_radii_of_relabelled_gprime_supergraphs(n, b, k, delta):
+    # mu1 and eta1 against scipy distances and a full eigvalsh; the added edge
+    # joins a singleton to the big clique or to another singleton
+    base = extremal_gprime(ExtremalParams(n, b, k, delta))
+    rng = random.Random(n)
+    for u in (delta, n - 2):
+        g = relabelled(base.with_edge(u, n - 1), rng)
+        d = shortest_path(adjacency_matrix(g), directed=False, unweighted=True)
+        for kind, matrix in (("distance", d), ("distance_signless_laplacian", d + np.diag(d.sum(axis=1)))):
+            assert abs(spectral_radius(g, kind) - np.linalg.eigvalsh(matrix)[-1]) < 1e-9
 
 
 @settings(max_examples=200)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -23,7 +24,7 @@ from oddcrit import (
     proof_graph_g3,
     write_graph6,
 )
-from oddcrit.graphs import _fan_reaches, is_join_family
+from oddcrit.graphs import _fan_reaches, _twin_classes, is_join_family
 from oddcrit.theorems import exceptional_layouts_for
 from conftest import random_connected_graph
 
@@ -252,6 +253,25 @@ class TestQueries:
     def test_edges_and_non_edges_partition_pairs(self):
         g = cycle(5)
         assert len(list(g.edges())) + len(list(g.non_edges())) == 10
+
+    @given(st.integers(1, 10), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+    def test_twin_classes_partition_by_neighbourhood(self, n, density, rnd):
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density])
+        nbrs = [set(g.neighbors(v)) for v in range(n)]
+
+        def twins(u, v):
+            return nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v}
+
+        classes = [[v for v in range(n) if c >> v & 1] for c in _twin_classes(g.adjacency_rows)]
+        assert all(len(c) > 1 for c in classes)
+        members = [v for c in classes for v in c]
+        assert len(members) == len(set(members))
+        # the vertices outside the classes are classes of their own
+        classes += [[v] for v in range(n) if v not in members]
+        for c in classes:
+            assert all(twins(u, v) for u in c for v in c)
+        for c, other in combinations(classes, 2):
+            assert not twins(c[0], other[0])
 
 
 class TestGraphIO:

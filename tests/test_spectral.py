@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from oddcrit import (
     wiener_gprime_closed_form,
     wiener_index,
 )
+from oddcrit.graphs import _twin_classes
+from oddcrit.spectral import SPECTRAL_KINDS
 from conftest import random_connected_graph, relabelled
 
 
@@ -251,6 +254,44 @@ class TestEigensolver:
             assert all(spec.radius >= abs(v) - 1e-10 for v in spec.values)
 
 
+@st.composite
+def twin_blowups(draw):
+    """A random base graph with every vertex blown up into a class of twins.
+
+    Each class is a clique (true twins) or an independent set (false twins)
+    of 1-6 vertices, joined to the classes of its base neighbours; the labels
+    are permuted and up to three noise edges toggled.  The result may be
+    disconnected.
+    """
+    base_n = draw(st.integers(1, 6))
+    base = [pair for pair in combinations(range(base_n), 2) if draw(st.booleans())]
+    sizes = [draw(st.integers(1, 6)) for _ in range(base_n)]
+    starts = [sum(sizes[:i]) for i in range(base_n + 1)]
+    blocks = [range(starts[i], starts[i + 1]) for i in range(base_n)]
+    edges = set()
+    for block in blocks:
+        if draw(st.booleans()):
+            edges.update(combinations(block, 2))
+    for i, j in base:
+        edges.update((u, v) for u in blocks[i] for v in blocks[j])
+    n = starts[-1]
+    perm = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 3))):
+            u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            edges ^= {(min(u, v), max(u, v))}
+    return Graph(n, edges)
+
+
+@st.composite
+def twin_free_graphs(draw):
+    """A random graph with every twin class a single vertex (paths if need be)."""
+    n = draw(st.integers(4, 24))
+    g = random_connected_graph(draw(st.randoms(use_true_random=False)), n, draw(st.floats(0.0, 0.6)))
+    return path(n) if _twin_classes(g.adjacency_rows) else g
+
+
 class TestSpectralRadii:
     @pytest.mark.parametrize("m", [2, 5, 9, 17])
     def test_distance_radius_complete(self, m):
@@ -287,6 +328,27 @@ class TestSpectralRadii:
 
     def test_single_vertex(self):
         assert spectral_radius(make_complete(1), "distance") == 0.0
+
+    @given(st.one_of(twin_blowups(), twin_free_graphs()), st.randoms(use_true_random=False))
+    def test_twin_quotient_radius_is_the_full_radius(self, g, rnd):
+        # against eigvalsh of the whole matrix, and under relabelling
+        h = relabelled(g, rnd)
+        for kind in SPECTRAL_KINDS:
+            if kind.startswith("distance") and not g.is_connected():
+                for graph in (g, h):
+                    with pytest.raises(DisconnectedGraphError):
+                        spectral_radius(graph, kind)
+                continue
+            full = np.linalg.eigvalsh(graph_matrix(g, kind).astype(float))[-1]
+            assert abs(spectral_radius(g, kind) - full) < 1e-9
+            assert abs(spectral_radius(h, kind) - full) < 1e-9
+
+    def test_twin_free_graph_gets_the_full_matrix(self):
+        # c = n: the quotient is the matrix itself, and so is the answer
+        g = path(9)
+        assert _twin_classes(g.adjacency_rows) == []
+        for kind in SPECTRAL_KINDS:
+            assert spectral_radius(g, kind) == symmetric_eigenvalues(graph_matrix(g, kind))[0]
 
 
 class TestTransmissionsAndWiener:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oddcrit import spectral
+from oddcrit import partitions, spectral
 from oddcrit import (
     ASSERTS_CRITICAL,
     CONDITION_FAILS,
@@ -28,6 +28,7 @@ from oddcrit import (
     ordering_lemma_check,
     spectral_radius,
 )
+from oddcrit.graphs import _twin_classes
 
 
 def cycle(n):
@@ -153,20 +154,49 @@ class TestEvaluateTheorem:
         ("1.6", 63, 1, 1, 3),
     ])
     def test_only_the_input_graph_gets_a_matrix(self, monkeypatch, tid, n, b, k, d):
-        # the comparison radius comes from the family's quotient, never a built matrix
-        built = []
-        build = spectral.graph_matrix
+        # the comparison family gets no graph and no matrix, only its equitable
+        # quotient; the input's matrix is its twin quotient, built from one
+        # search per twin class, so no n x n matrix is built on either side
+        def refuse(*args):
+            raise AssertionError("an n x n graph matrix was built")
 
-        def counting(h, kind):
-            built.append(h)
-            return build(h, kind)
+        for name in ("graph_matrix", "adjacency_matrix", "signless_laplacian_matrix",
+                     "distance_matrix", "distance_signless_laplacian_matrix"):
+            monkeypatch.setattr(spectral, name, refuse)
+        orders = []
+        for module in (spectral, partitions):
+            solve = module.symmetric_eigenvalues
 
-        monkeypatch.setattr(spectral, "graph_matrix", counting)
+            def counting(matrix, solve=solve):
+                orders.append(len(matrix))
+                return solve(matrix)
+
+            monkeypatch.setattr(module, "symmetric_eigenvalues", counting)
+        sources = []
+        rows = spectral._distance_rows
+
+        def searched(h, starts):
+            sources.append(list(starts))
+            return rows(h, starts)
+
+        monkeypatch.setattr(spectral, "_distance_rows", searched)
         g = family(*extremal_layout_for(tid, n, b, k, d))
         for h in (g, g.with_edge(*next(g.non_edges()))):
-            built.clear()
+            orders.clear()
+            sources.clear()
             assert evaluate_theorem(h, tid, b, k, d).hypotheses_met
-            assert len(built) == 1 and built[0] is h
+            assert len(orders) == 2 and max(orders) < n
+            if tid in ("1.2", "1.3"):
+                assert sources == []
+            else:
+                # one source per twin class, and one per vertex without twins
+                classes = _twin_classes(h.adjacency_rows)
+                alone = [v for v in range(h.n) if not sum(classes) >> v & 1]
+                lowest = [(c & -c).bit_length() - 1 for c in classes]
+                assert len(sources) == 1 and sorted(sources[0]) == sorted(lowest + alone)
+        # G'(47,1,1,3) plus an edge from the big clique to a singleton: 5 classes
+        if (tid, n) == ("1.5", 47):
+            assert len(sources[0]) == 5
 
     def test_distance_variant_exception(self):
         g = family(*extremal_layout_for("1.4", 19, 1, 1, None))
