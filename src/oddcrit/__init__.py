@@ -35,10 +35,7 @@ from .graphs import (
 from .partitions import (
     Partition,
     QuotientMatrix,
-    discrete_partition,
     family_quotient,
-    is_equitable,
-    join_partition,
     partition_of,
     perron_vector,
     quotient,

@@ -59,30 +59,6 @@ def partition_of(cells) -> Partition:
     return Partition(frozen)
 
 
-def discrete_partition(n: int) -> Partition:
-    return partition_of([(v,) for v in range(n)])
-
-
-def join_partition(s: int, parts: list[int]) -> Partition:
-    """Three-cell partition of a join family: join cell, first part, the rest.
-
-    Matches the canonical labeling of the family constructor.  Empty groups
-    (s=0, or a single part) are dropped, so the result may have fewer cells.
-    """
-    if s < 0 or not parts or any(p < 1 for p in parts):
-        raise ParameterError("join partition needs s >= 0 and nonempty positive parts")
-    first = parts[0]
-    rest = sum(parts[1:])
-    n = s + first + rest
-    cells = []
-    if s:
-        cells.append(tuple(range(s)))
-    cells.append(tuple(range(s, s + first)))
-    if rest:
-        cells.append(tuple(range(s + first, n)))
-    return partition_of(cells)
-
-
 @dataclass
 class QuotientMatrix:
     """Average-row-sum quotient of a symmetric matrix under a partition."""
@@ -190,7 +166,12 @@ def _cubic_largest_real_root(c2: float, c1: float, c0: float) -> float:
     return m * math.cos(theta) + shift
 
 
-def _cells_against_matrix(matrix, partition: Partition) -> np.ndarray:
+def quotient(matrix, partition: Partition) -> QuotientMatrix:
+    """Entry (i, j) is the mean over rows in cell i of the row sums over cell j.
+
+    With P the n x m cell indicator matrix, that is (P^T A P) / |cell i|; on
+    integer matrices every sum is exact.
+    """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {a.shape}")
@@ -198,37 +179,12 @@ def _cells_against_matrix(matrix, partition: Partition) -> np.ndarray:
         raise ParameterError(
             f"partition covers {partition.n} indices but the matrix has order {a.shape[0]}"
         )
-    return a
-
-
-def quotient(matrix, partition: Partition) -> QuotientMatrix:
-    """Entry (i, j) is the mean over rows in cell i of the row sums over cell j."""
-    a = _cells_against_matrix(matrix, partition)
-    _as_symmetric_float(a)
-    m = len(partition.cells)
-    out = np.zeros((m, m), dtype=float)
-    for i, ci in enumerate(partition.cells):
-        block_rows = a[np.ix_(ci, range(a.shape[0]))]
-        for j, cj in enumerate(partition.cells):
-            out[i, j] = float(block_rows[:, cj].sum()) / len(ci)
-    return QuotientMatrix(out, tuple(len(c) for c in partition.cells))
-
-
-def is_equitable(matrix, partition: Partition, *, tol: float = 1e-9) -> bool:
-    """Whether every block has constant row sums (exact for integer matrices)."""
-    a = _cells_against_matrix(matrix, partition)
-    exact = np.issubdtype(a.dtype, np.integer)
-    for ci in partition.cells:
-        rows = a[np.ix_(ci, range(a.shape[0]))]
-        for cj in partition.cells:
-            sums = rows[:, cj].sum(axis=1)
-            if exact:
-                if not (sums == sums[0]).all():
-                    return False
-            else:
-                if np.abs(sums - sums[0]).max() > tol:
-                    return False
-    return True
+    a = _as_symmetric_float(a)
+    p = np.zeros((a.shape[0], len(partition.cells)))
+    for j, cell in enumerate(partition.cells):
+        p[list(cell), j] = 1.0
+    sizes = tuple(len(c) for c in partition.cells)
+    return QuotientMatrix((p.T @ a @ p) / np.array(sizes, dtype=float)[:, None], sizes)
 
 
 def perron_vector(matrix) -> np.ndarray:

@@ -51,11 +51,13 @@ def _as_symmetric_float(matrix) -> np.ndarray:
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and not np.isfinite(a).all():
-        raise ParameterError("matrix entries must be finite")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(scale, 1.0)):
-        raise ParameterError("matrix is not symmetric")
+    if a.size:
+        # the largest magnitude is finite exactly when every entry is
+        scale = float(np.abs(a).max())
+        if not np.isfinite(scale):
+            raise ParameterError("matrix entries must be finite")
+        if float(np.abs(a - a.T).max()) > 1e-12 * max(scale, 1.0):
+            raise ParameterError("matrix is not symmetric")
     return a
 
 
@@ -101,11 +103,11 @@ def _distance_rows(g: Graph, sources) -> np.ndarray:
     sources are unpacked into one 0/1 array and added to the result.  The sum
     runs in ``uint16`` (every distance is below n) up to order 65535 and is
     returned as ``int64``, so transmissions and the Wiener index stay exact.
+    A level that reaches no new vertex while some stay unseen means the
+    graph is disconnected.
     """
     if g.n == 0:
         raise ParameterError("distance matrix undefined for the empty graph")
-    if not g.is_connected():
-        raise DisconnectedGraphError("distance undefined: graph is disconnected")
     n = g.n
     full = (1 << n) - 1
     non_neighbours = [full ^ row for row in g.adjacency_rows]
@@ -125,6 +127,8 @@ def _distance_rows(g: Graph, sources) -> np.ndarray:
                 if not rest:
                     break
                 f ^= low
+            if rest == unseen[i]:
+                raise DisconnectedGraphError("distance undefined: graph is disconnected")
             frontier[i] = unseen[i] ^ rest
             unseen[i] = rest
     return dist.astype(np.int64)
@@ -240,9 +244,4 @@ def check_interlacing(outer, inner, *, tol: float = 1e-8) -> bool:
     n, m = len(outer), len(inner)
     if m > n:
         raise ParameterError("inner spectrum longer than outer spectrum")
-    for i in range(m):
-        if outer[i] < inner[i] - tol:
-            return False
-        if inner[i] < outer[n - m + i] - tol:
-            return False
-    return True
+    return not ((outer[:m] < inner - tol).any() or (inner < outer[n - m:] - tol).any())

@@ -15,8 +15,14 @@ eigenvalue of the family's equitable quotient (``partitions.family_quotient``),
 which equals the radius of the n x n matrix.  The input's radius comes from
 its own twin quotient (``spectral.spectral_radius``), of order the number of
 twin classes: a handful on the extremal families' one-edge supergraphs, n
-only on twin-free inputs.  The extremal graph itself is built only for the
-exception test below.
+only on twin-free inputs.
+
+The comparison side of a condition -- the family's edge count or radius and
+the exceptional graphs -- depends on the parameters (theorem, n, b, k, delta)
+alone, and so does the order bound n0.  Both are computed once per parameter
+set and kept in small least-recently-used caches (``_comparison``,
+``order_bound``), so a sweep or ``verify`` over many graphs of one order pays
+for them once; the cached graphs are immutable and shared.
 
 "Unless isomorphic to the extremal graph" is decided by label identity only:
 graphs produced by this package's constructors carry a canonical labeling.
@@ -26,6 +32,7 @@ its own tests assert it, so the switch waits for the next benchmark change.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,6 +62,9 @@ _CONDITION = {
     "1.6": ("distance_signless_laplacian", "le"),
 }
 
+#: parameter sets whose order bound and comparison side are kept
+_CACHE_SIZE = 64
+
 
 def _validate_bk(b: int, k: int) -> None:
     if b < 1 or b % 2 == 0:
@@ -63,8 +73,12 @@ def _validate_bk(b: int, k: int) -> None:
         raise ParameterError(f"k must be a positive integer, got {k}")
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def order_bound(theorem_id: str, b: int, k: int, delta: Optional[int] = None) -> Fraction:
-    """Order lower bound n0(b, k, delta) of a theorem, as an exact rational."""
+    """Order lower bound n0(b, k, delta) of a theorem, as an exact rational.
+
+    Cached per arguments; invalid parameters raise on every call.
+    """
     _validate_bk(b, k)
     if theorem_id not in THEOREM_IDS:
         raise ParameterError(f"unknown theorem id {theorem_id!r}")
@@ -149,6 +163,25 @@ def exceptional_layouts_for(
     return out
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _comparison(
+    theorem_id: str, n: int, b: int, k: int, delta: Optional[int]
+) -> tuple[float, tuple[Graph, ...]]:
+    """Right-hand side of a theorem's condition at order n, and its exceptional graphs.
+
+    The size condition compares with the family's exact edge count, the
+    spectral ones with its radius from the equitable quotient.
+    """
+    quantity, _ = _CONDITION[theorem_id]
+    s, parts = extremal_layout_for(theorem_id, n, b, k, delta)
+    if quantity == "size":
+        rhs = float(_family_edge_count(s, parts))
+    else:
+        rhs = _family_radius(s, parts, quantity)
+    exceptions = tuple(family(*ex) for ex in exceptional_layouts_for(theorem_id, n, b, k, delta))
+    return rhs, exceptions
+
+
 @dataclass(frozen=True)
 class TheoremVerdict:
     """Outcome of one hypothesis-plus-condition evaluation."""
@@ -208,23 +241,22 @@ def evaluate_theorem(
         bound = order_bound(theorem_id, b, k, delta)
         if theorem_id == "1.6":
             hyp["factor_bound_dominates"] = b >= k
-    hyp["order"] = Fraction(n) >= bound
+    hyp["order"] = n >= bound
 
     if not all(hyp.values()):
         return TheoremVerdict(theorem_id, hyp, False, float("nan"), float("nan"), INAPPLICABLE)
 
     quantity, orientation = _CONDITION[theorem_id]
-    s, parts = extremal_layout_for(theorem_id, n, b, k, delta)
+    rhs, exceptions = _comparison(theorem_id, n, b, k, delta)
     if quantity == "size":
-        lhs, rhs = float(g.edge_count()), float(_family_edge_count(s, parts))
+        lhs = float(g.edge_count())
         met = lhs >= rhs
     else:
         lhs = spectral_radius(g, quantity)
-        rhs = _family_radius(s, parts, quantity)
         met = lhs >= rhs - tol.equality if orientation == "ge" else lhs <= rhs + tol.equality
     if not met:
         return TheoremVerdict(theorem_id, hyp, False, lhs, rhs, CONDITION_FAILS)
-    if any(g == family(*ex) for ex in exceptional_layouts_for(theorem_id, n, b, k, delta)):
+    if any(g == h for h in exceptions):
         return TheoremVerdict(theorem_id, hyp, True, lhs, rhs, EXTREMAL_EXCEPTION)
     return TheoremVerdict(theorem_id, hyp, True, lhs, rhs, ASSERTS_CRITICAL)
 

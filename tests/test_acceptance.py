@@ -25,7 +25,6 @@ from oddcrit import (
     gstar_ordering_check,
     has_odd_factor,
     is_k_critical,
-    join_partition,
     make_complete,
     one_edge_supergraphs,
     ordering_lemma_check,
@@ -40,6 +39,7 @@ from oddcrit import (
 from oddcrit.theorems import ASSERTS_CRITICAL, EXTREMAL_EXCEPTION
 from conftest import graph_from_edge_mask, random_connected_graph
 from oracles import find_odd_factor, full_scan
+from partition_helpers import join_partition
 
 
 class Criterion:

@@ -10,15 +10,12 @@ from oddcrit import (
     ExtremalParams,
     Graph,
     ParameterError,
-    discrete_partition,
     distance_matrix,
     distance_signless_laplacian_matrix,
     extremal_gprime,
     family,
     family_quotient,
     graph_matrix,
-    is_equitable,
-    join_partition,
     make_complete,
     partition_of,
     perron_vector,
@@ -28,6 +25,7 @@ from oddcrit import (
     spectral_radius,
     symmetric_eigenvalues,
 )
+from partition_helpers import discrete_partition, is_equitable, join_partition
 
 
 def path(n):
@@ -144,6 +142,23 @@ class TestQuotient:
         for matrix, part, expected in checks:
             assert is_equitable(matrix, part)
             assert np.array_equal(quotient(matrix, part).entries, np.array(expected, float))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_entries_equal_the_blockwise_sums(self, seed):
+        # one matrix product gives the blockwise means bit for bit on integers
+        rng = random.Random(seed)
+        n = rng.randrange(1, 26)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        order = list(range(n))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(0, min(n - 1, 5) + 1))) if n > 1 else []
+        part = partition_of([order[i:j] for i, j in zip([0] + cuts, cuts + [n])])
+        for kind in ("adjacency", "signless_laplacian"):
+            a = graph_matrix(g, kind)
+            expected = [
+                [float(a[np.ix_(ci, cj)].sum()) / len(ci) for cj in part.cells] for ci in part.cells
+            ]
+            assert quotient(a, part).entries.tolist() == expected
 
     def test_cell_index_mismatch(self):
         with pytest.raises(ParameterError, match="order"):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh as scipy_eigh
 from scipy.sparse.csgraph import shortest_path
 
@@ -33,7 +33,7 @@ from oddcrit import (
     wiener_index,
 )
 from oddcrit.graphs import _twin_classes
-from oddcrit.spectral import SPECTRAL_KINDS
+from oddcrit.spectral import SPECTRAL_KINDS, _as_symmetric_float
 from conftest import random_connected_graph, relabelled
 
 
@@ -87,6 +87,20 @@ class TestDistanceMatrix:
             with pytest.raises(DisconnectedGraphError, match="distance undefined"):
                 distance_matrix(g)
 
+    @pytest.mark.parametrize("g", [
+        disjoint_union(make_complete(3), make_complete(3)),
+        disjoint_union(make_complete(4), make_complete(1)),
+        relabelled(disjoint_union(path(6), cycle(5)), random.Random(7)),
+    ], ids=["2K3", "K4+K1", "relabelled"])
+    def test_disconnection_found_by_the_search(self, g):
+        # 2K_3 has twin representatives in both components, and K_4 + K_1 an
+        # isolated vertex; no connectivity pass runs before the searches
+        with pytest.raises(DisconnectedGraphError, match="distance undefined"):
+            distance_matrix(g)
+        for kind in ("distance", "distance_signless_laplacian"):
+            with pytest.raises(DisconnectedGraphError, match="distance undefined"):
+                spectral_radius(g, kind)
+
     @given(st.integers(1, 80), st.sampled_from([0.0, 0.03, 0.2, 0.7]), st.randoms(use_true_random=False))
     def test_matches_scipy_on_random_connected_graphs(self, n, extra, rnd):
         assert_distances_match_scipy(random_connected_graph(rnd, n, extra))
@@ -131,6 +145,82 @@ class TestDistanceMatrix:
                 for j in range(n):
                     for k in range(n):
                         assert d[i, j] <= d[i, k] + d[k, j]
+
+
+def allclose_symmetry_rule(matrix):
+    """The symmetry rule as two passes: isfinite, then allclose with rtol 0."""
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ParameterError(f"expected a square matrix, got shape {a.shape}")
+    if a.size and not np.isfinite(a).all():
+        raise ParameterError("matrix entries must be finite")
+    scale = float(np.abs(a).max()) if a.size else 0.0
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(scale, 1.0)):
+        raise ParameterError("matrix is not symmetric")
+    return a
+
+
+def rule_outcome(rule, matrix):
+    try:
+        rule(matrix)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+#: multiples of the tolerance by which one entry leaves its mirror image
+TOLERANCE_STEPS = (0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0, 1e6)
+
+
+@st.composite
+def near_symmetric_matrices(draw):
+    """Symmetric matrices, some entries moved near the tolerance, some not finite or square."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.one_of(st.just(n), st.integers(0, 5)))
+    value = st.one_of(
+        st.integers(-5, 5).map(float),
+        st.floats(-1e6, 1e6),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    a = np.array(draw(st.lists(value, min_size=n * m, max_size=n * m)), dtype=float).reshape(n, m)
+    if n == m:
+        a = np.triu(a) + np.triu(a, 1).T
+        for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            tol = 1e-12 * max(float(np.abs(a).max()), 1.0)
+            step = draw(st.sampled_from(TOLERANCE_STEPS)) * draw(st.sampled_from((1, -1)))
+            a[i, j] = a[j, i] + step * tol
+    if a.size and draw(st.booleans()):
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    return a
+
+
+class TestSymmetryCheck:
+    @settings(max_examples=400)
+    @given(near_symmetric_matrices())
+    @example(np.zeros((0, 0)))
+    @example(np.zeros((0, 3)))
+    @example(np.zeros(3))
+    @example(np.array([[0.0, 1e-12], [0.0, 0.0]]))
+    @example(np.array([[0.0, 1.0000001e-12], [0.0, 0.0]]))
+    @example(np.array([[1e308, 1e308], [-1e308, 0.0]]))
+    @example(np.array([[np.nan, 0.0], [1.0, 0.0]]))
+    def test_one_pass_matches_the_allclose_rule(self, a):
+        # both rules overflow to inf on entries near the largest float
+        with np.errstate(over="ignore"):
+            assert rule_outcome(_as_symmetric_float, a) == rule_outcome(allclose_symmetry_rule, a)
+
+    def test_reaches_every_outcome(self):
+        outcomes = {
+            rule_outcome(_as_symmetric_float, a)
+            for a in (np.eye(2), np.zeros(2), [[np.inf]], [[0.0, 1.0], [0.0, 0.0]])
+        }
+        assert outcomes == {
+            None,
+            "expected a square matrix, got shape (2,)",
+            "matrix entries must be finite",
+            "matrix is not symmetric",
+        }
 
 
 class TestEigensolver:
@@ -429,6 +519,25 @@ class TestInterlacing:
     def test_inner_longer_rejected(self):
         with pytest.raises(ParameterError):
             check_interlacing([1.0], [1.0, 0.0])
+
+    @given(
+        st.lists(st.floats(-3, 3) | st.just(np.nan), min_size=0, max_size=6),
+        st.lists(st.floats(-3, 3) | st.just(np.nan), min_size=0, max_size=6),
+        st.sampled_from([0.0, 1e-8, 0.5]),
+    )
+    def test_matches_the_pairwise_loop(self, outer, inner, tol):
+        outer = sorted(outer, reverse=True)
+        inner = sorted(inner, reverse=True)
+        n, m = len(outer), len(inner)
+        if m > n:
+            with pytest.raises(ParameterError):
+                check_interlacing(outer, inner, tol=tol)
+            return
+        expected = all(
+            not (outer[i] < inner[i] - tol) and not (inner[i] < outer[n - m + i] - tol)
+            for i in range(m)
+        )
+        assert check_interlacing(outer, inner, tol=tol) is expected
 
 
 class TestFourWOverN:

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from oddcrit import partitions, spectral
+from oddcrit import partitions, spectral, theorems
 from oddcrit import (
     ASSERTS_CRITICAL,
     CONDITION_FAILS,
     EXTREMAL_EXCEPTION,
     INAPPLICABLE,
+    THEOREM_IDS,
     ExtremalParams,
     Graph,
     ParameterError,
@@ -154,9 +155,10 @@ class TestEvaluateTheorem:
         ("1.6", 63, 1, 1, 3),
     ])
     def test_only_the_input_graph_gets_a_matrix(self, monkeypatch, tid, n, b, k, d):
-        # the comparison family gets no graph and no matrix, only its equitable
-        # quotient; the input's matrix is its twin quotient, built from one
-        # search per twin class, so no n x n matrix is built on either side
+        # the comparison family gets no graph matrix, only its equitable
+        # quotient, solved once per parameter set; the input's matrix is its
+        # twin quotient, built from one search per twin class, so no n x n
+        # matrix is built on either side
         def refuse(*args):
             raise AssertionError("an n x n graph matrix was built")
 
@@ -180,12 +182,15 @@ class TestEvaluateTheorem:
             return rows(h, starts)
 
         monkeypatch.setattr(spectral, "_distance_rows", searched)
+        theorems._comparison.cache_clear()
+        theorems.order_bound.cache_clear()
         g = family(*extremal_layout_for(tid, n, b, k, d))
-        for h in (g, g.with_edge(*next(g.non_edges()))):
+        # the family is solved on the first evaluation only
+        for h, solves in ((g, 2), (g.with_edge(*next(g.non_edges())), 1)):
             orders.clear()
             sources.clear()
             assert evaluate_theorem(h, tid, b, k, d).hypotheses_met
-            assert len(orders) == 2 and max(orders) < n
+            assert len(orders) == solves and max(orders) < n
             if tid in ("1.2", "1.3"):
                 assert sources == []
             else:
@@ -198,10 +203,53 @@ class TestEvaluateTheorem:
         if (tid, n) == ("1.5", 47):
             assert len(sources[0]) == 5
 
+    def test_cached_verdicts_equal_cold_verdicts(self):
+        # per parameter set: the extremal family, a supergraph and a subgraph
+        # of it at the smallest admissible order and above, and a cycle below
+        # the order bound, where the family's layout may not exist
+        cases = []
+        for tid in THEOREM_IDS:
+            for b, k, d in ((1, 1, 2), (1, 1, 3), (3, 1, 2), (1, 2, 4)):
+                delta = None if tid == "1.4" else d
+                low = math.ceil(order_bound(tid, b, k, delta))
+                low += (low - k) % 2
+                for n in (low, low + 2):
+                    g = family(*extremal_layout_for(tid, n, b, k, delta))
+                    u, v = next(g.non_edges())
+                    x, y = next(iter(g.edges()))
+                    for h in (g, g.with_edge(u, v), g.without_edge(x, y)):
+                        cases.append((h, tid, b, k, delta))
+                cases.append((cycle(k + 4), tid, b, k, d))
+        assert any(tid == "1.4" and h.n - b - k - 2 < 1 for h, tid, b, k, _ in cases)
+
+        def verdicts(cold):
+            out = []
+            for h, tid, b, k, delta in cases:
+                if cold:
+                    theorems._comparison.cache_clear()
+                    theorems.order_bound.cache_clear()
+                out.append(evaluate_theorem(h, tid, b, k, delta))
+            return out
+
+        cold = verdicts(cold=True)
+        # repr spells every float in full, and nan equals nan there
+        for warm in (verdicts(cold=False), verdicts(cold=False)):
+            assert list(map(repr, warm)) == list(map(repr, cold))
+        assert theorems._comparison.cache_info().hits > 0
+        assert {v.conclusion for v in cold} == {
+            ASSERTS_CRITICAL, CONDITION_FAILS, EXTREMAL_EXCEPTION, INAPPLICABLE}
+
+    def test_invalid_parameters_raise_on_every_call(self):
+        for _ in range(2):
+            for args in (("1.1", 2, 1, 3), ("1.5", 1, 1, 0)):
+                with pytest.raises(ParameterError):
+                    order_bound(*args)
+
     def test_distance_variant_exception(self):
-        g = family(*extremal_layout_for("1.4", 19, 1, 1, None))
-        verdict = evaluate_theorem(g, "1.4", 1, 1)
-        assert verdict.conclusion == EXTREMAL_EXCEPTION
+        # both excluded families, K_2 v (K_15 u 2K_1) and K_1 v (K_17 u K_1)
+        for layout in exceptional_layouts_for("1.4", 19, 1, 1, None):
+            verdict = evaluate_theorem(family(*layout), "1.4", 1, 1)
+            assert verdict.conclusion == EXTREMAL_EXCEPTION, layout
 
     def test_b_ge_k_gate(self):
         g = extremal_gprime(ExtremalParams(62, 1, 2, 4))
