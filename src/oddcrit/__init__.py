@@ -11,7 +11,6 @@ from .factors import (
     ENUMERATION_CAP,
     CriticalityVerdict,
     FactorSpec,
-    criticality_witness_extremal,
     has_odd_factor,
     is_k_critical,
 )

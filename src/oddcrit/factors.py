@@ -44,7 +44,6 @@ from typing import Optional, Sequence, Union
 
 from .errors import ParameterError, ScaleLimitError
 from .graphs import (
-    ExtremalParams,
     Graph,
     _bits,
     _component_mask,
@@ -371,14 +370,3 @@ def is_k_critical(
     if mask is not None:
         return CriticalityVerdict(False, frozenset(_bits(mask)), examined)
     return CriticalityVerdict(None if max_size is not None else True, None, examined)
-
-
-def criticality_witness_extremal(p: ExtremalParams) -> frozenset[int]:
-    """The join cell of the main extremal family as a criticality violation.
-
-    Deleting those delta vertices leaves the big clique (odd order, forced by
-    the parity constraints) plus b*delta - b*k + 1 isolated vertices, so
-    o(G'-S) = b*delta - b*k + 2 > b*(delta - k): the family is never k-critical.
-    """
-    p.gprime_parts()  # validates
-    return frozenset(range(p.delta))

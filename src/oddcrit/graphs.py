@@ -272,18 +272,6 @@ class Graph:
         rows[v] &= ~(1 << u)
         return Graph._from_rows(self.n, rows)
 
-    def without_vertices(self, drop: Iterable[int]) -> "Graph":
-        """Induced subgraph on the kept vertices, relabeled order-preservingly."""
-        dropset = set(drop)
-        keep = [v for v in range(self.n) if v not in dropset]
-        index = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges()
-            if u not in dropset and v not in dropset
-        ]
-        return Graph(len(keep), edges)
-
     # -- connectivity and components ----------------------------------------
 
     def component_masks(self, removed: int = 0) -> list[int]:
@@ -549,30 +537,25 @@ def g_star(n: int, b: int, k: int) -> Graph:
 # -- graph6 / edge-list I/O ----------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+#: largest order the 1- and 4-byte graph6 size headers encode
+_G6_MAX_ORDER = 258047
 
 
 def write_graph6(g: Graph) -> str:
     """Canonical graph6 encoding (single-byte order up to 62, 3-byte beyond)."""
     n = g.n
     if n <= 62:
-        head = [n + 63]
-    elif n <= 258047:
-        head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+        head = chr(n + 63)
+    elif n <= _G6_MAX_ORDER:
+        head = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
     else:
         raise GraphFormatError(f"order {n} exceeds the supported graph6 range")
-    out = list(head)
-    acc = 0
-    nbits = 0
-    for v in range(1, n):
-        for u in range(v):
-            acc = (acc << 1) | (g._adj[u] >> v & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc, nbits = 0, 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return "".join(chr(c) for c in out)
+    # pair (u, v), u < v, is bit v(v-1)/2 + u: the strictly lower triangle in
+    # row-major order, six bits per byte, high bit first, zero-padded
+    bits = _unpack_masks(g._adj, n)[np.tri(n, k=-1, dtype=bool)]
+    bits = np.concatenate([bits, np.zeros(-len(bits) % 6, dtype=np.uint8)])
+    body = (np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2) + 63
+    return head + body.tobytes().decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -590,7 +573,7 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(f"invalid graph6 byte {int(data[i])!r}", offset=i)
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
-            raise GraphFormatError("graph6 orders beyond 258047 unsupported", offset=1)
+            raise GraphFormatError(f"graph6 orders beyond {_G6_MAX_ORDER} unsupported", offset=1)
         if len(data) < 4:
             raise GraphFormatError("truncated graph6 size header", offset=len(data))
         n = (int(data[1] - 63) << 12) | (int(data[2] - 63) << 6) | int(data[3] - 63)
@@ -620,7 +603,8 @@ def parse_graph6(text: str) -> Graph:
 def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated 0-indexed 'u v' pairs, one per line.
 
-    Lines starting with '#' are comments.  The order is max index + 1.
+    Lines starting with '#' are comments.  The order is max index + 1, at
+    most the graph6 limit of 258047.
     """
     edges = []
     top = -1
@@ -639,6 +623,10 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: negative vertex index in {raw!r}")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop {u} {v} not allowed")
+        if max(u, v) >= _G6_MAX_ORDER:
+            raise GraphFormatError(
+                f"line {lineno}: vertex {max(u, v)} gives an order above {_G6_MAX_ORDER}"
+            )
         edges.append((u, v))
         top = max(top, u, v)
     if not edges:

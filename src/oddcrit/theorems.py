@@ -24,6 +24,13 @@ set and kept in small least-recently-used caches (``_comparison``,
 ``order_bound``), so a sweep or ``verify`` over many graphs of one order pays
 for them once; the cached graphs are immutable and shared.
 
+Every report the package writes, CLI output and ``SweepReport.to_json``
+alike, comes from ``report_json``: the bytes ``json.dumps`` writes with
+``indent=2`` and ``sort_keys=True``, each float rounded to 12 significant
+digits, written by one recursive pass into one list.  With an indent set,
+``json`` runs its pure-Python encoder, and rounding first would copy the
+payload.
+
 "Unless isomorphic to the extremal graph" is decided by label identity only:
 graphs produced by this package's constructors carry a canonical labeling.
 ``graphs.is_join_family`` decides it under any labeling, but the benchmark
@@ -33,9 +40,10 @@ its own tests assert it, so the switch waits for the next benchmark change.
 from __future__ import annotations
 
 import functools
-import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .errors import ParameterError, ScaleLimitError
@@ -393,20 +401,86 @@ def report_json(payload: dict) -> str:
     """A report as JSON: keys sorted and floats at 12 significant digits.
 
     Equal payloads give byte-identical text; every report the package writes
-    goes through here.
+    goes through here.  The text is what ``json.dumps`` writes with
+    ``indent=2`` and ``sort_keys=True`` once each float is rounded, and every
+    value ``json`` rejects raises ``TypeError``.
     """
-    return json.dumps(_format_floats(payload), indent=2, sort_keys=True) + "\n"
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _format_floats(obj):
-    """Round floats to 12 significant digits for byte-stable reports."""
-    if isinstance(obj, float):
-        return float(format(obj, ".12g"))
-    if isinstance(obj, dict):
-        return {key: _format_floats(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_format_floats(val) for val in obj]
-    return obj
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``obj``; ``newline`` is a line break plus its indent."""
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar is not None:
+        out.append(scalar(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, val in sorted(obj.items()):
+            if type(key) is not str:
+                key = _key_text(key)
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(val, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_subclass_text(obj))
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+#: text of each exact scalar type; floats are rounded to 12 significant digits
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    bool: lambda flag: "true" if flag else "false",
+    type(None): lambda _: "null",
+    int: int.__repr__,
+    float: lambda x: _float_text(float(format(x, ".12g"))),
+}
+
+
+def _subclass_text(obj) -> str:
+    """Text of an instance of a str, int or float subclass, as of its base."""
+    for base in (str, int, float):
+        if isinstance(obj, base):
+            return _SCALAR_TEXT[base](obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` writes it: as its value would be, floats unrounded."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is None or isinstance(key, int):
+        return _SCALAR_TEXT.get(type(key), int.__repr__)(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def counterexample_sweep(

@@ -1,6 +1,7 @@
-"""Independent oracles for the odd-factor and criticality checks of ``oddcrit.factors``.
+"""Independent oracles for the odd-factor and criticality checks of ``oddcrit.factors``,
+and reference versions of code the package now does another way.
 
-None of them uses the engine's pruning:
+None of the criticality oracles uses the engine's pruning:
 
 - ``find_odd_factor`` builds a factor edge by edge, so it does not use the
   odd-component criterion at all;
@@ -9,13 +10,27 @@ None of them uses the engine's pruning:
 - ``full_scan`` tests the criterion literally on every subset S in (size,
   numeric) order, with no settled sizes, twin classes or early exit inside a
   count; it shares only the graph's component search with the engine.
+
+``without_vertices`` and ``criticality_witness_extremal`` serve only these
+tests.  ``write_graph6_per_bit`` and ``report_json_via_dumps`` are the earlier
+graph6 writer and report writer, kept as references for the ones in the
+package.
 """
 from __future__ import annotations
 
+import json
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
-from oddcrit import CriticalityVerdict, FactorSpec, Graph, ParameterError, ScaleLimitError
+from oddcrit import (
+    CriticalityVerdict,
+    ExtremalParams,
+    FactorSpec,
+    Graph,
+    GraphFormatError,
+    ParameterError,
+    ScaleLimitError,
+)
 
 #: size limits of the constructive odd-factor search
 ORACLE_MAX_VERTICES = 12
@@ -80,7 +95,7 @@ def find_odd_factor(g: Graph, b: int) -> Optional[tuple[tuple[int, int], ...]]:
 def is_k_critical_definitional(g: Graph, b: int, k: int) -> bool:
     """Whether every deletion of k vertices leaves a graph with a constructive odd factor."""
     return all(
-        find_odd_factor(g.without_vertices(removal), b) is not None
+        find_odd_factor(without_vertices(g, removal), b) is not None
         for removal in combinations(range(g.n), k)
     )
 
@@ -112,3 +127,66 @@ def full_scan(g: Graph, f, k: int = 0, *, max_size: Optional[int] = None) -> Cri
             if g.odd_components_after_removal(chosen) > bound:
                 return CriticalityVerdict(False, frozenset(chosen), examined)
     return CriticalityVerdict(None if max_size is not None else True, None, examined)
+
+
+def without_vertices(g: Graph, drop: Iterable[int]) -> Graph:
+    """Induced subgraph on the kept vertices, relabeled order-preservingly."""
+    dropset = set(drop)
+    keep = [v for v in range(g.n) if v not in dropset]
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [
+        (index[u], index[v])
+        for u, v in g.edges()
+        if u not in dropset and v not in dropset
+    ]
+    return Graph(len(keep), edges)
+
+
+def criticality_witness_extremal(p: ExtremalParams) -> frozenset[int]:
+    """The join cell of the main extremal family as a criticality violation.
+
+    Deleting those delta vertices leaves the big clique (odd order, forced by
+    the parity constraints) plus b*delta - b*k + 1 isolated vertices, so
+    o(G'-S) = b*delta - b*k + 2 > b*(delta - k): the family is never k-critical.
+    """
+    p.gprime_parts()  # validates
+    return frozenset(range(p.delta))
+
+
+def write_graph6_per_bit(g: Graph) -> str:
+    """graph6 text built one vertex pair at a time."""
+    n = g.n
+    if n <= 62:
+        head = [n + 63]
+    elif n <= 258047:
+        head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    else:
+        raise GraphFormatError(f"order {n} exceeds the supported graph6 range")
+    out = list(head)
+    acc = 0
+    nbits = 0
+    for v in range(1, n):
+        for u in range(v):
+            acc = (acc << 1) | int(g.has_edge(u, v))
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc, nbits = 0, 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return "".join(chr(c) for c in out)
+
+
+def report_json_via_dumps(payload) -> str:
+    """Floats rounded to 12 significant digits in a copy, then ``json.dumps``."""
+    return json.dumps(_format_floats(payload), indent=2, sort_keys=True) + "\n"
+
+
+def _format_floats(obj):
+    if isinstance(obj, float):
+        return float(format(obj, ".12g"))
+    if isinstance(obj, dict):
+        return {key: _format_floats(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_format_floats(val) for val in obj]
+    return obj

@@ -14,7 +14,6 @@ from oddcrit import (
     ExtremalParams,
     Graph,
     check_interlacing,
-    criticality_witness_extremal,
     counterexample_sweep,
     distance_matrix,
     distance_signless_laplacian_matrix,
@@ -38,7 +37,7 @@ from oddcrit import (
 )
 from oddcrit.theorems import ASSERTS_CRITICAL, EXTREMAL_EXCEPTION
 from conftest import graph_from_edge_mask, random_connected_graph
-from oracles import find_odd_factor, full_scan
+from oracles import criticality_witness_extremal, find_odd_factor, full_scan
 from partition_helpers import join_partition
 
 

@@ -85,6 +85,17 @@ class TestAnalyze:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["analyze", "--matrix", "adjacency"], ["check-critical", "--b", "1", "--k", "1"]]
+)
+def test_edge_list_order_beyond_graph6_limit_exit_two(tmp_path, capsys, command):
+    # the order would be 2e9 + 1: rejected while parsing, before any allocation
+    path = tmp_path / "huge.txt"
+    path.write_text("0 1\n1 2000000000\n")
+    assert main([command[0], "--input", str(path), *command[1:]]) == 2
+    assert "error: line 2: vertex 2000000000 gives an order above 258047" in capsys.readouterr().err
+
+
 class TestExtremal:
     def test_gprime_summary(self, tmp_path):
         out = tmp_path / "summary.json"

@@ -12,7 +12,6 @@ from oddcrit import (
     Graph,
     ParameterError,
     ScaleLimitError,
-    criticality_witness_extremal,
     extremal_gprime,
     g_star,
     has_odd_factor,
@@ -27,7 +26,12 @@ from conftest import (
     relabelled,
 )
 from oddcrit.factors import _canonical_subsets, _subsets_of_size, _twin_layout
-from oracles import find_odd_factor, full_scan, is_k_critical_definitional
+from oracles import (
+    criticality_witness_extremal,
+    find_odd_factor,
+    full_scan,
+    is_k_critical_definitional,
+)
 
 
 def star(leaves):

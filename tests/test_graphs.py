@@ -27,6 +27,7 @@ from oddcrit import (
 from oddcrit.graphs import _fan_reaches, _twin_classes, is_join_family
 from oddcrit.theorems import exceptional_layouts_for
 from conftest import random_connected_graph
+from oracles import without_vertices, write_graph6_per_bit
 
 
 def path(n):
@@ -246,7 +247,7 @@ class TestQueries:
         assert g.components() == 1
 
     def test_without_vertices_relabels(self):
-        g = path(4).without_vertices([1])
+        g = without_vertices(path(4), [1])
         assert g.n == 3
         assert sorted(g.edges()) == [(1, 2)]
 
@@ -347,6 +348,28 @@ class TestGraphIO:
             parse_graph6(broken)
         assert info.value.offset == at
         assert f"byte {ord(bad)!r} " in str(info.value)
+
+    @given(
+        st.one_of(st.sampled_from([0, 1, 2, 62, 63, 64]), st.integers(0, 80)),
+        st.floats(0, 1),
+        st.randoms(use_true_random=False),
+    )
+    def test_writer_matches_per_bit_writer_and_networkx(self, n, density, rnd):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        g = Graph(n, [pair for pair in pairs if rnd.random() < density])
+        text = write_graph6(g)
+        assert text == write_graph6_per_bit(g)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        assert nx.to_graph6_bytes(h, header=False).decode().strip() == text
+        assert parse_graph6(text) == g
+
+    def test_edge_list_order_limit(self):
+        assert parse_edge_list("0 1\n1 258046").n == 258047
+        for text, line in (("0 258047", 1), ("0 1\n1 2000000000", 2), ("# big\n4000000000 0", 2)):
+            with pytest.raises(GraphFormatError, match=f"line {line}: .* order above 258047"):
+                parse_edge_list(text)
 
     def test_roundtrip_canonical_bytes(self):
         rng = random.Random(11)

@@ -1,8 +1,11 @@
+import enum
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oddcrit import partitions, spectral, theorems
 from oddcrit import (
@@ -30,6 +33,52 @@ from oddcrit import (
     spectral_radius,
 )
 from oddcrit.graphs import _twin_classes
+from oracles import report_json_via_dumps
+
+
+#: floats the writer must round and spell as json does: NaN, infinities,
+#: signed zeros, subnormals, the extremes, and 13-digit decimals ending in 5,
+#: which sit on the 12-digit rounding boundary
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                     1.7976931348623157e308, 0.1, 100.0, 1e16, 123456789012.5]),
+    st.builds(lambda sign, m, e: float(f"{sign}{m}5e{e}"), st.sampled_from("+-"),
+              st.integers(10**11, 10**12 - 1), st.integers(-330, 300)),
+)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**60), 10**60),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.text(st.characters(exclude_categories=())),
+    st.text("\x00\x1f\x7f\"\\/\n\té€😀", max_size=5),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | st.sampled_from([[], (), {}]),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+
+class TextSubclass(str):
+    def __repr__(self):
+        return "not json"
+
+
+class FloatSubclass(float):
+    def __repr__(self):
+        return "not json"
+
+
+INT_MEMBER = enum.IntEnum("Small", "ONE TWO").TWO
 
 
 def cycle(n):
@@ -378,6 +427,30 @@ class TestSweep:
         assert conclusions["base"] == EXTREMAL_EXCEPTION
         asserted = [r for r in report.records if r["conclusion"] == ASSERTS_CRITICAL]
         assert asserted and all(r["brute_force_verdict"] for r in asserted)
+
+    @settings(max_examples=400)
+    @given(st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=5))
+    def test_report_json_matches_json_dumps(self, payload):
+        assert theorems.report_json(payload) == report_json_via_dumps(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {1: "a", 20: "b", -3: None}, {1 / 3: 1, 1e300: [], -math.inf: 2, -0.0: 3},
+        {True: 1, False: 2}, {None: 0}, 7, "top", [1.0, (2.5,)],
+        {"enum": INT_MEMBER, "text": TextSubclass("é"), TextSubclass("k"): FloatSubclass(0.1 + 0.2)},
+        {INT_MEMBER: 1, 5: FloatSubclass(-0.0)},
+    ])
+    def test_report_json_keys_and_top_level_values_as_json(self, payload):
+        assert theorems.report_json(payload) == report_json_via_dumps(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {"a": np.int64(3)}, {"a": [1, {"b": {1, 2}}]}, {"a": frozenset()}, {"a": np.bool_(True)},
+        {(1, 2): 0}, {1: 0, "a": 1}, {"a": object()},
+    ])
+    def test_report_json_rejects_what_json_rejects(self, payload):
+        with pytest.raises(TypeError):
+            report_json_via_dumps(payload)
+        with pytest.raises(TypeError):
+            theorems.report_json(payload)
 
     def test_report_json_stable(self):
         p = ExtremalParams(13, 1, 1, 2)
