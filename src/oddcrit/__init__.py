@@ -64,12 +64,9 @@ from .theorems import (
     SweepReport,
     TheoremVerdict,
     counterexample_sweep,
-    eta_lower_bound_check,
     evaluate_theorem,
     exceptional_layouts_for,
     extremal_layout_for,
-    gstar_ordering_check,
-    interlacing_bound_check,
     one_edge_supergraphs,
     order_bound,
     ordering_lemma_check,

@@ -408,6 +408,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -151,13 +151,17 @@ def _clique_cover_size(adj, n: int) -> int:
     inside its uncovered neighbourhood, taking the candidate adjacent to the
     most other candidates.  Candidates that already form a clique would all
     be taken one by one, so they are taken at once.  Any cover bounds the
-    independence number.
+    independence number.  Degrees are those of the whole graph and never
+    change, so the starts come from one stable sort by degree: the first
+    uncovered vertex in it has minimum degree and the lowest label among
+    those.
     """
     uncovered = (1 << n) - 1
-    degree = [row.bit_count() for row in adj]
+    degree = list(map(int.bit_count, adj))
     cliques = 0
-    while uncovered:
-        v = min(_bits(uncovered), key=degree.__getitem__)
+    for v in sorted(range(n), key=degree.__getitem__):
+        if not uncovered >> v & 1:
+            continue
         clique = 1 << v
         candidates = adj[v] & uncovered
         while candidates:

@@ -11,7 +11,9 @@ under any labeling.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -59,13 +61,15 @@ def _twin_classes(adj) -> list[int]:
     one open neighbourhood (false twins); every vertex outside them has no
     twin.  No vertex has twins of both kinds: if u, v are true twins and u, w
     false twins, then w is adjacent to v, so to u, yet u is not in
-    N(w) = N(u).
+    N(w) = N(u).  An isolated vertex has no true twin, so it stays out of the
+    closed map, which would otherwise hold two n-bit ints for each one.
     """
     closed: dict = {}
     open_: dict = {}
     for v, row in enumerate(adj):
         bit = 1 << v
-        closed[row | bit] = closed.get(row | bit, 0) | bit
+        if row:
+            closed[row | bit] = closed.get(row | bit, 0) | bit
         open_[row] = open_.get(row, 0) | bit
     return [c for c in (*closed.values(), *open_.values()) if c & (c - 1)]
 
@@ -165,15 +169,18 @@ def _k_connected(adj, k: int) -> bool:
     vertex on another side has too few paths.  The s-t paths of a pair are
     paths from N(s) to t, and s cannot lie on one, as all its neighbours are
     sources.  A pair with k common neighbours and a v_j with k earlier
-    neighbours need no search.
+    neighbours need no search; the latter is tested here, before the call.
+    The degrees are counted once, and the stable sort on them in reverse
+    keeps equal degrees in label order.
     """
     if k == 1:
         # connected: one search in place of a fan per vertex
         full = (1 << len(adj)) - 1
         return _component_mask(adj, 1, full) == full
-    if min(row.bit_count() for row in adj) < k:
+    degree = list(map(int.bit_count, adj))
+    if min(degree) < k:
         return False
-    order = sorted(range(len(adj)), key=lambda v: -adj[v].bit_count())
+    order = sorted(range(len(adj)), key=degree.__getitem__, reverse=True)
     for i in range(1, k):
         t = order[i]
         for s in order[:i]:
@@ -181,7 +188,7 @@ def _k_connected(adj, k: int) -> bool:
                 return False
     earlier = sum(1 << v for v in order[:k])
     for t in order[k:]:
-        if not _fan_reaches(adj, earlier, t, k):
+        if (adj[t] & earlier).bit_count() < k and not _fan_reaches(adj, earlier, t, k):
             return False
         earlier |= 1 << t
     return True
@@ -227,7 +234,7 @@ class Graph:
         return self._adj[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [row.bit_count() for row in self._adj]
+        return list(map(int.bit_count, self._adj))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self._adj[v]))
@@ -238,7 +245,7 @@ class Graph:
     def min_degree(self) -> int:
         if self.n == 0:
             raise ParameterError("minimum degree undefined for the empty graph")
-        return min(self.degrees())
+        return min(map(int.bit_count, self._adj))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as ordered pairs (u, v) with u < v, lexicographically."""
@@ -539,6 +546,16 @@ def g_star(n: int, b: int, k: int) -> Graph:
 _G6_HEADER = ">>graph6<<"
 #: largest order the 1- and 4-byte graph6 size headers encode
 _G6_MAX_ORDER = 258047
+#: row x holds the six bits of the graph6 byte x + 63, high bit first
+_G6_BITS = np.unpackbits(np.arange(64, dtype=np.uint8)[:, None], axis=1)[:, 2:].astype(bool)
+
+
+@functools.lru_cache(maxsize=4)
+def _lower_triangle(n: int) -> np.ndarray:
+    """Read-only n x n mask of the strictly lower triangle, shared between calls."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def write_graph6(g: Graph) -> str:
@@ -552,14 +569,20 @@ def write_graph6(g: Graph) -> str:
         raise GraphFormatError(f"order {n} exceeds the supported graph6 range")
     # pair (u, v), u < v, is bit v(v-1)/2 + u: the strictly lower triangle in
     # row-major order, six bits per byte, high bit first, zero-padded
-    bits = _unpack_masks(g._adj, n)[np.tri(n, k=-1, dtype=bool)]
+    bits = _unpack_masks(g._adj, n)[_lower_triangle(n)]
     bits = np.concatenate([bits, np.zeros(-len(bits) % 6, dtype=np.uint8)])
     body = (np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2) + 63
     return head + body.tobytes().decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
-    """Parse a graph6 string (optionally prefixed with '>>graph6<<')."""
+    """Parse a graph6 string (optionally prefixed with '>>graph6<<').
+
+    The body's bits come from ``_G6_BITS`` by one ``np.take``, fill the
+    strictly lower triangle through the cached mask ``_lower_triangle(n)``,
+    and the packed rows become ints in one ``map`` over bytes objects: no
+    Python statement runs per vertex.
+    """
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
@@ -590,14 +613,15 @@ def parse_graph6(text: str) -> Graph:
         )
     # six bits per byte, high bit first; pair (u, v), u < v, is bit v(v-1)/2 + u,
     # which is the row-major order of the strictly lower triangle at (v, u)
-    bits = np.unpackbits((body - 63).astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    bits = np.take(_G6_BITS, body - 63, axis=0).ravel()
     adj = np.zeros((n, n), dtype=bool)
-    adj[np.tri(n, k=-1, dtype=bool)] = bits[: n * (n - 1) // 2]
+    adj[_lower_triangle(n)] = bits[: n * (n - 1) // 2]
     adj |= adj.T
+    # each row's packed bytes as one bytes object, then one int per row
     width = (n + 7) // 8
-    packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
-    rows = [int.from_bytes(packed[v * width:(v + 1) * width], "little") for v in range(n)]
-    return Graph._from_rows(n, rows)
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    chunks = packed.view(np.dtype((np.void, width))).ravel().tolist()
+    return Graph._from_rows(n, map(int.from_bytes, chunks, repeat("little")))
 
 
 def parse_edge_list(text: str) -> Graph:

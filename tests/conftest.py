@@ -1,7 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from oddcrit import ExtremalParams, Graph, extremal_gprime, proof_graph_g2, proof_graph_g3
 
@@ -74,3 +75,40 @@ def relabelled(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@st.composite
+def random_graphs(draw, orders):
+    """G(n, p) with n drawn from ``orders`` and p uniform in [0, 1]."""
+    n = draw(orders)
+    density = draw(st.floats(0, 1))
+    rnd = draw(st.randoms(use_true_random=False))
+    return Graph(n, [(u, v) for v in range(n) for u in range(v) if rnd.random() < density])
+
+
+@st.composite
+def twin_blowups(draw, max_n=12):
+    """A random base graph with every vertex blown up into a class of twins.
+
+    Each class is a clique (true twins) or an independent set (false twins)
+    of 1-4 vertices, joined to the classes of its base neighbours.  The
+    labels are then permuted, and up to two noise edges toggled.
+    """
+    base_n = draw(st.integers(3, 5))
+    base = [pair for pair in combinations(range(base_n), 2) if draw(st.booleans())]
+    sizes = [draw(st.integers(1, 4)) for _ in range(base_n)]
+    starts = [sum(sizes[:i]) for i in range(base_n + 1)]
+    n = min(starts[-1], max_n)
+    blocks = [range(starts[i], min(starts[i + 1], n)) for i in range(base_n)]
+    edges = set()
+    for block in blocks:
+        if draw(st.booleans()):
+            edges.update(combinations(block, 2))
+    for i, j in base:
+        edges.update((u, v) for u in blocks[i] for v in blocks[j])
+    perm = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+    for _ in range(draw(st.integers(0, 2))):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        edges ^= {(min(u, v), max(u, v))}
+    return Graph(n, edges)

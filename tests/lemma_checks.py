@@ -1,0 +1,55 @@
+"""Lemma checks on the extremal families that only the tests use.
+
+Each compares spectral radii of join families, read from their equitable
+quotients as the package's theorem evaluators do.
+"""
+from __future__ import annotations
+
+from typing import Optional
+
+from oddcrit import DEFAULT_TOLERANCES, ExtremalParams, Tolerances, extremal_layout_for, g_star
+from oddcrit.spectral import spectral_radius
+from oddcrit.theorems import _family_radius, _gprime_layout
+
+
+def gstar_ordering_check(
+    n: int, b: int, k: int, *, tol: Tolerances = DEFAULT_TOLERANCES
+) -> bool:
+    """Strict radius ordering of the one-extra-edge graph between two families.
+
+    Checks mu1(K_{k+1} v (K_{n-b-k-2} u (b+1)K_1)) < mu1(G*) <
+    mu1(K_{k+2} v (K_{n-2b-k-3} u (2b+1)K_1)) with the strictness margin.
+    """
+    star = g_star(n, b, k)
+    mu_wide = _family_radius(*extremal_layout_for("1.4", n, b, k, None), "distance")
+    mu_star = spectral_radius(star, "distance")
+    mu_narrow = _family_radius(k + 2, [n - 2 * b - k - 3] + [1] * (2 * b + 1), "distance")
+    return mu_wide < mu_star - tol.strict and mu_star < mu_narrow - tol.strict
+
+
+def interlacing_bound_check(
+    p: ExtremalParams, *, tol: Tolerances = DEFAULT_TOLERANCES
+) -> bool:
+    """mu1 of the extremal family is at least n - b*delta + b*k - 2.
+
+    The join cell and the big clique together induce a complete subgraph of
+    order n - b*delta + b*k - 1, and distance spectra interlace.
+    """
+    mu = _family_radius(*_gprime_layout(p), "distance")
+    return mu >= p.n - p.b * p.delta + p.b * p.k - 2 - tol.equality
+
+
+def eta_lower_bound_check(
+    p: ExtremalParams, *, tol: Tolerances = DEFAULT_TOLERANCES
+) -> Optional[bool]:
+    """Whether eta1 of the extremal family exceeds 2n + 4b*delta - 4b*k + 1.
+
+    Applies only when n >= 2(b^2+2b)delta^2 + 2delta + 2b^2k^2 (the regime in
+    which the 4W/n lower bound gives this); returns None when inapplicable.
+    """
+    s, parts = _gprime_layout(p)  # validates
+    n, b, k, d = p.n, p.b, p.k, p.delta
+    if n < 2 * (b * b + 2 * b) * d * d + 2 * d + 2 * b * b * k * k:
+        return None
+    eta = _family_radius(s, parts, "distance_signless_laplacian")
+    return eta > 2 * n + 4 * b * d - 4 * b * k + 1 + tol.strict

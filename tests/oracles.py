@@ -14,13 +14,18 @@ None of the criticality oracles uses the engine's pruning:
 ``without_vertices`` and ``criticality_witness_extremal`` serve only these
 tests.  ``write_graph6_per_bit`` and ``report_json_via_dumps`` are the earlier
 graph6 writer and report writer, kept as references for the ones in the
-package.
+package.  So are ``parse_graph6_per_row``, ``clique_cover_size_min_scan``,
+``k_connected_fan_per_vertex`` and ``twin_classes_every_vertex``: the graph6
+decoder, greedy clique cover, Even's test and twin detector as they were
+before their per-vertex steps moved into builtins and numpy.
 """
 from __future__ import annotations
 
 import json
 from itertools import combinations
 from typing import Iterable, Optional
+
+import numpy as np
 
 from oddcrit import (
     CriticalityVerdict,
@@ -31,6 +36,7 @@ from oddcrit import (
     ParameterError,
     ScaleLimitError,
 )
+from oddcrit.graphs import _bits, _component_mask, _fan_reaches
 
 #: size limits of the constructive odd-factor search
 ORACLE_MAX_VERTICES = 12
@@ -190,3 +196,97 @@ def _format_floats(obj):
     if isinstance(obj, (list, tuple)):
         return [_format_floats(val) for val in obj]
     return obj
+
+
+def parse_graph6_per_row(text: str) -> Graph:
+    """graph6 decoding through a strided bit copy, a fresh triangle mask and one slice per row."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphFormatError("empty graph6 input", offset=0)
+    data = np.frombuffer(s.encode("utf-32-le"), dtype="<u4")
+    bad = np.flatnonzero((data < 63) | (data > 126))
+    if bad.size:
+        i = int(bad[0])
+        raise GraphFormatError(f"invalid graph6 byte {int(data[i])!r}", offset=i)
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise GraphFormatError("graph6 orders beyond 258047 unsupported", offset=1)
+        if len(data) < 4:
+            raise GraphFormatError("truncated graph6 size header", offset=len(data))
+        n = (int(data[1] - 63) << 12) | (int(data[2] - 63) << 6) | int(data[3] - 63)
+        body_offset = 4
+    else:
+        n = int(data[0]) - 63
+        body_offset = 1
+    body = data[body_offset:]
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise GraphFormatError(
+            f"graph6 body holds {len(body)} bytes, order {n} needs {need}",
+            offset=body_offset + min(len(body), need),
+        )
+    bits = np.unpackbits((body - 63).astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.tri(n, k=-1, dtype=bool)] = bits[: n * (n - 1) // 2]
+    adj |= adj.T
+    width = (n + 7) // 8
+    packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
+    rows = [int.from_bytes(packed[v * width:(v + 1) * width], "little") for v in range(n)]
+    return Graph._from_rows(n, rows)
+
+
+def clique_cover_size_min_scan(adj, n: int) -> int:
+    """Greedy clique cover size, each start found by a scan of every uncovered vertex."""
+    uncovered = (1 << n) - 1
+    degree = [row.bit_count() for row in adj]
+    cliques = 0
+    while uncovered:
+        v = min(_bits(uncovered), key=degree.__getitem__)
+        clique = 1 << v
+        candidates = adj[v] & uncovered
+        while candidates:
+            ws = list(_bits(candidates))
+            counts = [(adj[w] & candidates).bit_count() for w in ws]
+            if min(counts) == len(ws) - 1:
+                clique |= candidates
+                break
+            u = ws[counts.index(max(counts))]
+            clique |= 1 << u
+            candidates &= adj[u]
+        uncovered &= ~clique
+        cliques += 1
+    return cliques
+
+
+def k_connected_fan_per_vertex(adj, k: int) -> bool:
+    """Even's test with a fan search called for every later vertex, degrees counted per use."""
+    if k == 1:
+        full = (1 << len(adj)) - 1
+        return _component_mask(adj, 1, full) == full
+    if min(row.bit_count() for row in adj) < k:
+        return False
+    order = sorted(range(len(adj)), key=lambda v: -adj[v].bit_count())
+    for i in range(1, k):
+        t = order[i]
+        for s in order[:i]:
+            if not adj[s] >> t & 1 and not _fan_reaches(adj, adj[s], t, k):
+                return False
+    earlier = sum(1 << v for v in order[:k])
+    for t in order[k:]:
+        if not _fan_reaches(adj, earlier, t, k):
+            return False
+        earlier |= 1 << t
+    return True
+
+
+def twin_classes_every_vertex(adj) -> list[int]:
+    """Twin classes of more than one vertex, with every vertex in both neighbourhood maps."""
+    closed: dict = {}
+    open_: dict = {}
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        closed[row | bit] = closed.get(row | bit, 0) | bit
+        open_[row] = open_.get(row, 0) | bit
+    return [c for c in (*closed.values(), *open_.values()) if c & (c - 1)]

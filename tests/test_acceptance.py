@@ -21,7 +21,6 @@ from oddcrit import (
     evaluate_theorem,
     extremal_gprime,
     g_star,
-    gstar_ordering_check,
     has_odd_factor,
     is_k_critical,
     make_complete,
@@ -37,6 +36,7 @@ from oddcrit import (
 )
 from oddcrit.theorems import ASSERTS_CRITICAL, EXTREMAL_EXCEPTION
 from conftest import graph_from_edge_mask, random_connected_graph
+from lemma_checks import gstar_ordering_check
 from oracles import criticality_witness_extremal, find_odd_factor, full_scan
 from partition_helpers import join_partition
 

@@ -1,5 +1,6 @@
 import json
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import pytest
 
 import oddcrit
 from oddcrit import ExtremalParams, Graph, extremal_gprime, make_complete, write_graph6
+from oddcrit import cli
 from oddcrit.cli import build_parser, main
 
 
@@ -94,6 +96,38 @@ def test_edge_list_order_beyond_graph6_limit_exit_two(tmp_path, capsys, command)
     path.write_text("0 1\n1 2000000000\n")
     assert main([command[0], "--input", str(path), *command[1:]]) == 2
     assert "error: line 2: vertex 2000000000 gives an order above 258047" in capsys.readouterr().err
+
+
+def test_edge_list_at_the_order_limit_fits_in_4_gb(tmp_path):
+    # order 258047, nearly all of it isolated vertices; the child process
+    # alone gets a 4 GB address-space limit
+    path = tmp_path / "sparse.txt"
+    path.write_text("0 1\n1 2\n2 0\n3 258046\n")
+    src = str(Path(oddcrit.__file__).resolve().parents[1])
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); from oddcrit.cli import main; "
+         "sys.exit(main(sys.argv[2:]))", src, "analyze", "--matrix", "adjacency", "--input", str(path)],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["n"] == 258047
+    assert report["spectral_radius"] == 2.0
+
+
+def test_out_of_memory_exit_two(tmp_path, capsys, monkeypatch):
+    def exhausted(g, kind):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "spectral_radius", exhausted)
+    assert main(["analyze", "--input", path3_file(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+    assert captured.out == ""
 
 
 class TestExtremal:

@@ -17,16 +17,21 @@ from oddcrit import (
     has_odd_factor,
     is_k_critical,
     make_complete,
+    one_edge_supergraphs,
     proof_graph_g2,
+    proof_graph_g3,
 )
 from conftest import (
     build_parameter_grid,
     graph_from_edge_mask,
     random_connected_graph,
+    random_graphs,
     relabelled,
+    twin_blowups,
 )
-from oddcrit.factors import _canonical_subsets, _subsets_of_size, _twin_layout
+from oddcrit.factors import _canonical_subsets, _clique_cover_size, _subsets_of_size, _twin_layout
 from oracles import (
+    clique_cover_size_min_scan,
     criticality_witness_extremal,
     find_odd_factor,
     full_scan,
@@ -294,34 +299,6 @@ class TestCriticality:
         assert found >= 3
 
 
-@st.composite
-def twin_blowups(draw, max_n=12):
-    """A random base graph with every vertex blown up into a class of twins.
-
-    Each class is a clique (true twins) or an independent set (false twins)
-    of 1-4 vertices, joined to the classes of its base neighbours.  The
-    labels are then permuted, and up to two noise edges toggled.
-    """
-    base_n = draw(st.integers(3, 5))
-    base = [pair for pair in combinations(range(base_n), 2) if draw(st.booleans())]
-    sizes = [draw(st.integers(1, 4)) for _ in range(base_n)]
-    starts = [sum(sizes[:i]) for i in range(base_n + 1)]
-    n = min(starts[-1], max_n)
-    blocks = [range(starts[i], min(starts[i + 1], n)) for i in range(base_n)]
-    edges = set()
-    for block in blocks:
-        if draw(st.booleans()):
-            edges.update(combinations(block, 2))
-    for i, j in base:
-        edges.update((u, v) for u in blocks[i] for v in blocks[j])
-    perm = draw(st.permutations(range(n)))
-    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
-    for _ in range(draw(st.integers(0, 2))):
-        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        edges ^= {(min(u, v), max(u, v))}
-    return Graph(n, edges)
-
-
 def twin_classes_by_hand(g):
     """Vertex classes with one closed or one open neighbourhood."""
     nbrs = [set(g.neighbors(v)) for v in range(g.n)]
@@ -493,3 +470,30 @@ def test_subsets_examined_counts_full_scan():
     g = g_star(13, 1, 1)
     full = full_scan(g, 1, 1)
     assert full.critical and full.subsets_examined == 2 ** 13 - 2
+
+
+class TestCliqueCover:
+    """The greedy cover size theta against the loop that scans for each start."""
+
+    @settings(max_examples=150)
+    @given(random_graphs(st.integers(0, 30)))
+    def test_random_graphs(self, g):
+        adj = g.adjacency_rows
+        assert _clique_cover_size(adj, g.n) == clique_cover_size_min_scan(adj, g.n)
+
+    @given(twin_blowups(max_n=20))
+    def test_twin_blowups(self, g):
+        adj = g.adjacency_rows
+        assert _clique_cover_size(adj, g.n) == clique_cover_size_min_scan(adj, g.n)
+
+    def test_relabelled_family_supergraphs(self):
+        rng = random.Random(17)
+        for params in build_parameter_grid():
+            p = ExtremalParams(*params)
+            for build in (extremal_gprime, proof_graph_g2, proof_graph_g3):
+                base = build(p)
+                sups = [h for _, h in one_edge_supergraphs(base)]
+                for g in [base] + rng.sample(sups, min(4, len(sups))):
+                    h = relabelled(g, rng)
+                    adj = h.adjacency_rows
+                    assert _clique_cover_size(adj, h.n) == clique_cover_size_min_scan(adj, h.n)

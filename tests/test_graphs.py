@@ -3,7 +3,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oddcrit import (
     ExtremalParams,
@@ -26,8 +26,32 @@ from oddcrit import (
 )
 from oddcrit.graphs import _fan_reaches, _twin_classes, is_join_family
 from oddcrit.theorems import exceptional_layouts_for
-from conftest import random_connected_graph
-from oracles import without_vertices, write_graph6_per_bit
+from conftest import random_connected_graph, random_graphs, relabelled, twin_blowups
+from oracles import (
+    k_connected_fan_per_vertex,
+    parse_graph6_per_row,
+    twin_classes_every_vertex,
+    without_vertices,
+    write_graph6_per_bit,
+)
+
+
+@st.composite
+def graphs_with_a_small_cut(draw):
+    """Two dense sides joined only through 1-4 cut vertices, relabelled: kappa is at most the cut."""
+    sizes = [draw(st.integers(2, 7)), draw(st.integers(2, 7)), draw(st.integers(1, 4))]
+    rnd = draw(st.randoms(use_true_random=False))
+    side = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(side)
+    edges = [
+        (u, v) for v in range(n) for u in range(v)
+        if (side[u] == side[v] or 2 in (side[u], side[v])) and rnd.random() < 0.8
+    ]
+    return relabelled(Graph(n, edges), rnd)
+
+
+#: the orders around the one-byte graph6 header, and random ones up to 80
+GRAPH6_ORDERS = st.one_of(st.sampled_from([0, 1, 2, 62, 63, 64]), st.integers(0, 80))
 
 
 def path(n):
@@ -377,3 +401,45 @@ class TestGraphIO:
             g = random_connected_graph(rng, rng.randrange(2, 12), rng.random())
             text = write_graph6(g)
             assert write_graph6(parse_graph6(text)) == text
+
+
+class TestKernelsMatchReferences:
+    """The decoder, Even's test and the twin detector against their loop versions."""
+
+    @settings(max_examples=150)
+    @given(
+        st.one_of(random_graphs(GRAPH6_ORDERS), twin_blowups(max_n=20)),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_parser_rows_match_per_row_decoder(self, g, header, rnd):
+        written = write_graph6(g)
+        # a body of random bytes also sets the padding bits past the last pair
+        body = len(written) - (1 if g.n <= 62 else 4)
+        noise = written[: len(written) - body] + "".join(chr(63 + rnd.randrange(64)) for _ in range(body))
+        prefix = ">>graph6<<" if header else ""
+        for text in (written, noise):
+            rows = parse_graph6(prefix + text).adjacency_rows
+            assert rows == parse_graph6_per_row(prefix + text).adjacency_rows
+        assert parse_graph6(prefix + written) == g
+
+    @settings(max_examples=150)
+    @given(st.one_of(random_graphs(st.integers(2, 16)), twin_blowups(), graphs_with_a_small_cut()))
+    def test_k_connected_matches_networkx(self, g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        kappa = nx.node_connectivity(h)
+        for k in range(1, 6):
+            assert g.is_k_connected(k) == (kappa >= k)
+            if g.n > k:
+                assert k_connected_fan_per_vertex(g.adjacency_rows, k) == (kappa >= k)
+
+    @given(
+        st.one_of(random_graphs(st.integers(0, 12)), twin_blowups()),
+        st.integers(0, 4),
+        st.randoms(use_true_random=False),
+    )
+    def test_twin_classes_match_reference_with_isolated_vertices(self, g, isolated, rnd):
+        h = relabelled(disjoint_union(g, Graph(isolated)), rnd)
+        assert _twin_classes(h.adjacency_rows) == twin_classes_every_vertex(h.adjacency_rows)

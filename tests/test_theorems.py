@@ -18,14 +18,11 @@ from oddcrit import (
     Graph,
     ParameterError,
     counterexample_sweep,
-    eta_lower_bound_check,
     evaluate_theorem,
     exceptional_layouts_for,
     extremal_gprime,
     extremal_layout_for,
     family,
-    gstar_ordering_check,
-    interlacing_bound_check,
     make_complete,
     one_edge_supergraphs,
     order_bound,
@@ -33,6 +30,7 @@ from oddcrit import (
     spectral_radius,
 )
 from oddcrit.graphs import _twin_classes
+from lemma_checks import eta_lower_bound_check, gstar_ordering_check, interlacing_bound_check
 from oracles import report_json_via_dumps
 
 
