@@ -26,12 +26,10 @@ from .factors import ENUMERATION_CAP, FactorSpec, is_k_critical
 from .graphs import (
     ExtremalParams,
     Graph,
-    extremal_gprime,
+    family,
     g_star,
     parse_graph_auto,
     parse_graph6_corpus,
-    proof_graph_g2,
-    proof_graph_g3,
     write_graph6,
 )
 from .spectral import (
@@ -72,29 +70,15 @@ def _require(args, names) -> None:
 
 
 def _build_variant(args) -> tuple[Graph, dict]:
+    names = ("n", "b", "k")
+    if args.variant != "gstar":
+        names += ("delta",) if args.variant == "gprime" else ("delta", "s")
+    _require(args, names)
+    meta = {"variant": args.variant, **{name: getattr(args, name) for name in names}}
     if args.variant == "gstar":
-        _require(args, ("n", "b", "k"))
-        g = g_star(args.n, args.b, args.k)
-        meta = {"variant": "gstar", "n": args.n, "b": args.b, "k": args.k}
-        return g, meta
-    _require(args, ("n", "b", "k", "delta"))
-    if args.variant in ("g2", "g3"):
-        _require(args, ("s",))
+        return g_star(args.n, args.b, args.k), meta
     params = ExtremalParams(args.n, args.b, args.k, args.delta, args.s)
-    builder = {"gprime": extremal_gprime, "g2": proof_graph_g2, "g3": proof_graph_g3}[
-        args.variant
-    ]
-    g = builder(params)
-    meta = {
-        "variant": args.variant,
-        "n": args.n,
-        "b": args.b,
-        "k": args.k,
-        "delta": args.delta,
-    }
-    if args.variant != "gprime":
-        meta["s"] = args.s
-    return g, meta
+    return family(*params.layout(args.variant)), meta
 
 
 def cmd_analyze(args) -> int:

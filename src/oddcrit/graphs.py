@@ -427,6 +427,21 @@ def is_join_family(g: Graph, s: int, parts: Sequence[int]) -> bool:
 # -- the extremal families ----------------------------------------------------
 
 
+def check_parameters(b: int, k: int, n: Optional[int] = None, delta: Optional[int] = None) -> None:
+    """The paper's rules: b odd and positive, k and delta positive, n = k (mod 2).
+
+    n and delta are checked only when given.
+    """
+    if b < 1 or b % 2 == 0:
+        raise ParameterError(f"b must be a positive odd integer, got {b}")
+    if k < 1:
+        raise ParameterError(f"k must be a positive integer, got {k}")
+    if delta is not None and delta < 1:
+        raise ParameterError(f"delta must be a positive integer, got {delta}")
+    if n is not None and (n - k) % 2 != 0:
+        raise ParameterError(f"parity violation: n={n} and k={k} must agree mod 2")
+
+
 @dataclass(frozen=True)
 class ExtremalParams:
     """Parameters (n, b, k, delta[, s]) of the extremal join families.
@@ -443,56 +458,43 @@ class ExtremalParams:
     s: Optional[int] = None
 
     def validate_common(self) -> None:
-        if self.b < 1 or self.b % 2 == 0:
-            raise ParameterError(f"b must be a positive odd integer, got {self.b}")
-        if self.k < 1:
-            raise ParameterError(f"k must be a positive integer, got {self.k}")
-        if self.delta < 1:
-            raise ParameterError(f"delta must be a positive integer, got {self.delta}")
-        if (self.n - self.k) % 2 != 0:
-            raise ParameterError(
-                f"parity violation: n={self.n} and k={self.k} must agree mod 2"
-            )
+        check_parameters(self.b, self.k, self.n, self.delta)
+
+    def _separator(self) -> int:
+        if self.s is None:
+            raise ParameterError("separator size s is required")
+        if self.s < 1:
+            raise ParameterError(f"s must be a positive integer, got {self.s}")
+        return self.s
+
+    def _split(self, x: int, name: str) -> tuple[int, int]:
+        """(n-(b+1)x+bk-1, bx-bk+1): big clique order and singleton count at join cell x.
+
+        ``name`` spells x in the messages.
+        """
+        n, b, k = self.n, self.b, self.k
+        big = n - (b + 1) * x + b * k - 1
+        singles = b * x - b * k + 1
+        if big < 1:
+            raise ParameterError(f"big clique part n-(b+1)*{name}+b*k-1 = {big} must be >= 1")
+        if singles < 1:
+            raise ParameterError(f"singleton count b*{name}-b*k+1 = {singles} must be >= 1")
+        return big, singles
 
     def gprime_parts(self) -> tuple[int, int]:
         """(big clique order, number of singletons) for the main extremal graph."""
         self.validate_common()
-        n, b, k, d = self.n, self.b, self.k, self.delta
-        big = n - (b + 1) * d + b * k - 1
-        singles = b * d - b * k + 1
-        if big < 1:
-            raise ParameterError(
-                f"big clique part n-(b+1)*delta+b*k-1 = {big} must be >= 1"
-            )
-        if singles < 1:
-            raise ParameterError(
-                f"singleton count b*delta-b*k+1 = {singles} must be >= 1"
-            )
-        return big, singles
+        return self._split(self.delta, "delta")
 
     def g2_parts(self) -> tuple[int, int]:
         self.validate_common()
-        if self.s is None:
-            raise ParameterError("separator size s is required")
-        n, b, k, s = self.n, self.b, self.k, self.s
-        if s < 1:
-            raise ParameterError(f"s must be a positive integer, got {s}")
-        big = n - (b + 1) * s + b * k - 1
-        singles = b * s - b * k + 1
-        if big < 1:
-            raise ParameterError(f"big clique part n-(b+1)*s+b*k-1 = {big} must be >= 1")
-        if singles < 1:
-            raise ParameterError(f"singleton count b*s-b*k+1 = {singles} must be >= 1")
-        return big, singles
+        return self._split(self._separator(), "s")
 
     def g3_parts(self) -> tuple[int, int, int]:
         """(big clique order, number of copies, copy order)."""
         self.validate_common()
-        if self.s is None:
-            raise ParameterError("separator size s is required")
-        n, b, k, d, s = self.n, self.b, self.k, self.delta, self.s
-        if s < 1:
-            raise ParameterError(f"s must be a positive integer, got {s}")
+        s = self._separator()
+        n, b, k, d = self.n, self.b, self.k, self.delta
         if s > d - 1:
             raise ParameterError(f"s = {s} must be <= delta-1 = {d - 1}")
         copies = b * s - b * k + 1
@@ -506,33 +508,38 @@ class ExtremalParams:
             )
         return big, copies, copy_order
 
+    def layout(self, variant: str) -> tuple[int, list[int]]:
+        """``(s, parts)`` of the family 'gprime', 'g2' or 'g3', as ``family`` takes them."""
+        if variant == "gprime":
+            big, singles = self.gprime_parts()
+            return self.delta, [big] + [1] * singles
+        if variant == "g2":
+            big, singles = self.g2_parts()
+            return self.s, [big] + [1] * singles
+        if variant == "g3":
+            big, copies, copy_order = self.g3_parts()
+            return self.s, [big] + [copy_order] * copies
+        raise ParameterError(f"unknown extremal variant {variant!r}")
+
 
 def extremal_gprime(p: ExtremalParams) -> Graph:
     """K_delta v (K_{n-(b+1)delta+bk-1} u (b*delta-bk+1) K_1)."""
-    big, singles = p.gprime_parts()
-    return family(p.delta, [big] + [1] * singles)
+    return family(*p.layout("gprime"))
 
 
 def proof_graph_g2(p: ExtremalParams) -> Graph:
     """K_s v (K_{n-(b+1)s+bk-1} u (bs-bk+1) K_1); coincides with the main family at s=delta."""
-    big, singles = p.g2_parts()
-    return family(p.s, [big] + [1] * singles)
+    return family(*p.layout("g2"))
 
 
 def proof_graph_g3(p: ExtremalParams) -> Graph:
     """K_s v (K_{n-s-(delta+1-s)(bs-bk+1)} u (bs-bk+1) K_{delta+1-s}), s <= delta-1."""
-    big, copies, copy_order = p.g3_parts()
-    return family(p.s, [big] + [copy_order] * copies)
+    return family(*p.layout("g3"))
 
 
 def g_star(n: int, b: int, k: int) -> Graph:
     """K_{k+2} v (K_{n-2b-k-3} u (2b+1) K_1) plus one edge between two singletons."""
-    if b < 1 or b % 2 == 0:
-        raise ParameterError(f"b must be a positive odd integer, got {b}")
-    if k < 1:
-        raise ParameterError(f"k must be a positive integer, got {k}")
-    if (n - k) % 2 != 0:
-        raise ParameterError(f"parity violation: n={n} and k={k} must agree mod 2")
+    check_parameters(b, k, n)
     big = n - 2 * b - k - 3
     if big < 1:
         raise ParameterError(f"big clique part n-2b-k-3 = {big} must be >= 1")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DisconnectedGraphError, ParameterError
 from .graphs import Graph
-from .spectral import SPECTRAL_KINDS, _as_symmetric_float, symmetric_eigenvalues
+from .spectral import _as_symmetric_float, check_kind, symmetric_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,7 @@ def family_quotient(s: int, parts: Sequence[int], kind: str) -> QuotientMatrix:
     radius of the n x n matrix, which is never built.  The signless kinds add
     each cell's row sum (degree or transmission) to its diagonal entry.
     """
-    if kind not in SPECTRAL_KINDS:
-        raise ParameterError(f"unknown matrix kind {kind!r}, expected one of {SPECTRAL_KINDS}")
+    check_kind(kind)
     if s < 0 or not parts or any(p < 1 for p in parts):
         raise ParameterError("join family needs s >= 0 and nonempty positive parts")
     far = 2 if kind in ("distance", "distance_signless_laplacian") else 0

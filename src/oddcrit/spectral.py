@@ -163,14 +163,15 @@ _MATRIX_BUILDERS = {
 }
 
 
+def check_kind(kind: str) -> None:
+    """Raise unless ``kind`` names one of the ``SPECTRAL_KINDS``."""
+    if kind not in SPECTRAL_KINDS:
+        raise ParameterError(f"unknown matrix kind {kind!r}, expected one of {SPECTRAL_KINDS}")
+
+
 def graph_matrix(g: Graph, kind: str) -> np.ndarray:
-    try:
-        builder = _MATRIX_BUILDERS[kind]
-    except KeyError:
-        raise ParameterError(
-            f"unknown matrix kind {kind!r}, expected one of {SPECTRAL_KINDS}"
-        ) from None
-    return builder(g)
+    check_kind(kind)
+    return _MATRIX_BUILDERS[kind](g)
 
 
 def _lowest(mask: int) -> int:
@@ -192,8 +193,7 @@ def spectral_radius(g: Graph, kind: str = "distance") -> float:
     """
     if g.n == 0:
         raise ParameterError("spectral radius undefined for the empty graph")
-    if kind not in SPECTRAL_KINDS:
-        raise ParameterError(f"unknown matrix kind {kind!r}, expected one of {SPECTRAL_KINDS}")
+    check_kind(kind)
     classes = _twin_classes(g.adjacency_rows)
     # a vertex without twins is a class of its own
     alone = ((1 << g.n) - 1) ^ sum(classes)

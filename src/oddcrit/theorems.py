@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 
 from .errors import ParameterError, ScaleLimitError
 from .factors import ENUMERATION_CAP, is_k_critical
-from .graphs import ExtremalParams, Graph, family
+from .graphs import ExtremalParams, Graph, check_parameters, family
 from .partitions import family_quotient
 from .spectral import spectral_radius
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -74,22 +74,17 @@ _CONDITION = {
 _CACHE_SIZE = 64
 
 
-def _validate_bk(b: int, k: int) -> None:
-    if b < 1 or b % 2 == 0:
-        raise ParameterError(f"b must be a positive odd integer, got {b}")
-    if k < 1:
-        raise ParameterError(f"k must be a positive integer, got {k}")
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def order_bound(theorem_id: str, b: int, k: int, delta: Optional[int] = None) -> Fraction:
     """Order lower bound n0(b, k, delta) of a theorem, as an exact rational.
 
-    Cached per arguments; invalid parameters raise on every call.
+    Also the one check of these four arguments, so every entry point that
+    takes them calls it first.  Cached per arguments; invalid parameters
+    raise on every call.
     """
-    _validate_bk(b, k)
     if theorem_id not in THEOREM_IDS:
         raise ParameterError(f"unknown theorem id {theorem_id!r}")
+    check_parameters(b, k)
     if theorem_id == "1.4":
         return Fraction(b * b + 2 * b * k + 5 * b + 2 * k + 4, b)
     if delta is None or delta < 1:
@@ -135,20 +130,13 @@ def extremal_layout_for(
     theorem_id: str, n: int, b: int, k: int, delta: Optional[int]
 ) -> tuple[int, list[int]]:
     """``(s, parts)`` of a theorem's comparison family K_s v (K_{parts[0]} u ...)."""
+    order_bound(theorem_id, b, k, delta)
     if theorem_id == "1.4":
         big = n - b - k - 2
         if big < 1:
             raise ParameterError(f"part n-b-k-2 = {big} must be >= 1")
         return k + 1, [big] + [1] * (b + 1)
-    if delta is None:
-        raise ParameterError(f"theorem {theorem_id} needs delta")
-    return _gprime_layout(ExtremalParams(n, b, k, delta))
-
-
-def _gprime_layout(p: ExtremalParams) -> tuple[int, list[int]]:
-    """``(s, parts)`` of K_delta v (K_{n-(b+1)delta+bk-1} u (b*delta-bk+1) K_1)."""
-    big, singles = p.gprime_parts()
-    return p.delta, [big] + [1] * singles
+    return ExtremalParams(n, b, k, delta).layout("gprime")
 
 
 def _family_edge_count(s: int, parts: Sequence[int]) -> int:
@@ -232,21 +220,15 @@ def evaluate_theorem(
     Variant '1.4' only requires connectivity and ignores delta; the others
     require (k+1)-connectivity and minimum degree exactly delta.
     """
-    if theorem_id not in THEOREM_IDS:
-        raise ParameterError(f"unknown theorem id {theorem_id!r}")
-    _validate_bk(b, k)
+    bound = order_bound(theorem_id, b, k, delta)
     n = g.n
     hyp: dict[str, bool] = {}
     hyp["parity"] = (n - k) % 2 == 0
     if theorem_id == "1.4":
         hyp["connectivity"] = g.n > 0 and g.is_connected()
-        bound = order_bound(theorem_id, b, k)
     else:
-        if delta is None or delta < 1:
-            raise ParameterError(f"theorem {theorem_id} needs a positive delta")
         hyp["connectivity"] = g.is_k_connected(k + 1)
         hyp["min_degree"] = n > 0 and g.min_degree() == delta
-        bound = order_bound(theorem_id, b, k, delta)
         if theorem_id == "1.6":
             hyp["factor_bound_dominates"] = b >= k
     hyp["order"] = n >= bound

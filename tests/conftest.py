@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import settings, strategies as st
 
-from oddcrit import ExtremalParams, Graph, extremal_gprime, proof_graph_g2, proof_graph_g3
+from oddcrit.graphs import ExtremalParams, Graph, extremal_gprime, proof_graph_g2, proof_graph_g3
 
 settings.register_profile("deterministic", derandomize=True, max_examples=60)
 settings.load_profile("deterministic")

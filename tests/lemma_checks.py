@@ -7,9 +7,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from oddcrit import DEFAULT_TOLERANCES, ExtremalParams, Tolerances, extremal_layout_for, g_star
+from oddcrit.graphs import ExtremalParams, g_star
 from oddcrit.spectral import spectral_radius
-from oddcrit.theorems import _family_radius, _gprime_layout
+from oddcrit.theorems import _family_radius, extremal_layout_for
+from oddcrit.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 def gstar_ordering_check(
@@ -35,7 +36,7 @@ def interlacing_bound_check(
     The join cell and the big clique together induce a complete subgraph of
     order n - b*delta + b*k - 1, and distance spectra interlace.
     """
-    mu = _family_radius(*_gprime_layout(p), "distance")
+    mu = _family_radius(*p.layout("gprime"), "distance")
     return mu >= p.n - p.b * p.delta + p.b * p.k - 2 - tol.equality
 
 
@@ -47,7 +48,7 @@ def eta_lower_bound_check(
     Applies only when n >= 2(b^2+2b)delta^2 + 2delta + 2b^2k^2 (the regime in
     which the 4W/n lower bound gives this); returns None when inapplicable.
     """
-    s, parts = _gprime_layout(p)  # validates
+    s, parts = p.layout("gprime")  # validates
     n, b, k, d = p.n, p.b, p.k, p.delta
     if n < 2 * (b * b + 2 * b) * d * d + 2 * d + 2 * b * b * k * k:
         return None

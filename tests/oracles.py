@@ -27,16 +27,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from oddcrit import (
-    CriticalityVerdict,
-    ExtremalParams,
-    FactorSpec,
-    Graph,
-    GraphFormatError,
-    ParameterError,
-    ScaleLimitError,
-)
-from oddcrit.graphs import _bits, _component_mask, _fan_reaches
+from oddcrit.errors import GraphFormatError, ParameterError, ScaleLimitError
+from oddcrit.factors import CriticalityVerdict, FactorSpec
+from oddcrit.graphs import ExtremalParams, Graph, _bits, _component_mask, _fan_reaches
 
 #: size limits of the constructive odd-factor search
 ORACLE_MAX_VERTICES = 12
@@ -113,7 +106,7 @@ def full_scan(g: Graph, f, k: int = 0, *, max_size: Optional[int] = None) -> Cri
     tested in (size, numeric bitmask) order, each against
     sum_S f - max{sum_X f : X <= S, |X| = k} with o(G - S) counted in full by
     ``Graph.odd_components_after_removal``.  The verdict reads like
-    ``oddcrit.is_k_critical``: the first violating S as witness, every
+    ``oddcrit.factors.is_k_critical``: the first violating S as witness, every
     tested S counted, and ``critical=None`` when a search bounded by
     ``max_size`` found nothing.
     """

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from oddcrit import ParameterError, Partition, partition_of
+from oddcrit.errors import ParameterError
+from oddcrit.partitions import Partition, partition_of
 
 
 def discrete_partition(n: int) -> Partition:

@@ -10,31 +10,34 @@ from itertools import combinations
 
 import numpy as np
 
-from oddcrit import (
+from oddcrit.factors import has_odd_factor, is_k_critical
+from oddcrit.graphs import (
     ExtremalParams,
     Graph,
+    extremal_gprime,
+    g_star,
+    make_complete,
+    proof_graph_g2,
+    proof_graph_g3,
+)
+from oddcrit.partitions import perron_vector, quotient
+from oddcrit.spectral import (
     check_interlacing,
-    counterexample_sweep,
     distance_matrix,
     distance_signless_laplacian_matrix,
     eigenvalues,
-    evaluate_theorem,
-    extremal_gprime,
-    g_star,
-    has_odd_factor,
-    is_k_critical,
-    make_complete,
-    one_edge_supergraphs,
-    ordering_lemma_check,
-    perron_vector,
-    proof_graph_g2,
-    proof_graph_g3,
-    quotient,
     spectral_radius,
     wiener_gprime_closed_form,
     wiener_index,
 )
-from oddcrit.theorems import ASSERTS_CRITICAL, EXTREMAL_EXCEPTION
+from oddcrit.theorems import (
+    ASSERTS_CRITICAL,
+    EXTREMAL_EXCEPTION,
+    counterexample_sweep,
+    evaluate_theorem,
+    one_edge_supergraphs,
+    ordering_lemma_check,
+)
 from conftest import graph_from_edge_mask, random_connected_graph
 from lemma_checks import gstar_ordering_check
 from oracles import criticality_witness_extremal, find_odd_factor, full_scan

@@ -17,17 +17,10 @@ from networkx.algorithms.connectivity import (
 from networkx.algorithms.flow import build_residual_network
 from scipy.sparse.csgraph import shortest_path
 
-from oddcrit import (
-    DisconnectedGraphError,
-    ExtremalParams,
-    Graph,
-    adjacency_matrix,
-    distance_matrix,
-    extremal_gprime,
-    is_k_critical,
-    spectral_radius,
-)
-from oddcrit.factors import _clique_cover_size
+from oddcrit.errors import DisconnectedGraphError
+from oddcrit.factors import _clique_cover_size, is_k_critical
+from oddcrit.graphs import ExtremalParams, Graph, extremal_gprime
+from oddcrit.spectral import adjacency_matrix, distance_matrix, spectral_radius
 from conftest import relabelled
 
 

@@ -5,22 +5,27 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddcrit import (
+from oddcrit.errors import ParameterError, ScaleLimitError
+from oddcrit.factors import (
     CriticalityVerdict,
-    ExtremalParams,
     FactorSpec,
-    Graph,
-    ParameterError,
-    ScaleLimitError,
-    extremal_gprime,
-    g_star,
+    _canonical_subsets,
+    _clique_cover_size,
+    _subsets_of_size,
+    _twin_layout,
     has_odd_factor,
     is_k_critical,
+)
+from oddcrit.graphs import (
+    ExtremalParams,
+    Graph,
+    extremal_gprime,
+    g_star,
     make_complete,
-    one_edge_supergraphs,
     proof_graph_g2,
     proof_graph_g3,
 )
+from oddcrit.theorems import one_edge_supergraphs
 from conftest import (
     build_parameter_grid,
     graph_from_edge_mask,
@@ -29,7 +34,6 @@ from conftest import (
     relabelled,
     twin_blowups,
 )
-from oddcrit.factors import _canonical_subsets, _clique_cover_size, _subsets_of_size, _twin_layout
 from oracles import (
     clique_cover_size_min_scan,
     criticality_witness_extremal,

@@ -1,19 +1,22 @@
 import random
+import re
 from itertools import combinations
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddcrit import (
+from oddcrit.errors import GraphFormatError, ParameterError
+from oddcrit.graphs import (
     ExtremalParams,
     Graph,
-    GraphFormatError,
-    ParameterError,
+    _fan_reaches,
+    _twin_classes,
     disjoint_union,
     extremal_gprime,
     family,
     g_star,
+    is_join_family,
     join,
     make_complete,
     parse_edge_list,
@@ -24,7 +27,6 @@ from oddcrit import (
     proof_graph_g3,
     write_graph6,
 )
-from oddcrit.graphs import _fan_reaches, _twin_classes, is_join_family
 from oddcrit.theorems import exceptional_layouts_for
 from conftest import random_connected_graph, random_graphs, relabelled, twin_blowups
 from oracles import (
@@ -142,6 +144,12 @@ class TestExtremalFamilies:
             extremal_gprime(ExtremalParams(13, 1, 3, 2))
         with pytest.raises(ParameterError, match="odd"):
             extremal_gprime(ExtremalParams(19, 2, 1, 3))
+
+    def test_split_messages_name_the_join_cell(self):
+        with pytest.raises(ParameterError, match=re.escape("n-(b+1)*s+b*k-1")):
+            proof_graph_g2(ExtremalParams(5, 1, 1, 3, s=3))
+        with pytest.raises(ParameterError, match=re.escape("n-(b+1)*delta+b*k-1")):
+            extremal_gprime(ExtremalParams(5, 1, 1, 3))
 
     def test_g2_at_s_delta_equals_gprime(self):
         p = ExtremalParams(19, 1, 1, 3, s=3)

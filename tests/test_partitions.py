@@ -4,24 +4,22 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh as scipy_eigh
 
-from oddcrit import (
-    SPECTRAL_KINDS,
-    DisconnectedGraphError,
+from oddcrit.errors import DisconnectedGraphError, ParameterError
+from oddcrit.graphs import (
     ExtremalParams,
     Graph,
-    ParameterError,
-    distance_matrix,
-    distance_signless_laplacian_matrix,
     extremal_gprime,
     family,
-    family_quotient,
-    graph_matrix,
     make_complete,
-    partition_of,
-    perron_vector,
     proof_graph_g2,
     proof_graph_g3,
-    quotient,
+)
+from oddcrit.partitions import family_quotient, partition_of, perron_vector, quotient
+from oddcrit.spectral import (
+    SPECTRAL_KINDS,
+    distance_matrix,
+    distance_signless_laplacian_matrix,
+    graph_matrix,
     spectral_radius,
     symmetric_eigenvalues,
 )

@@ -8,32 +8,33 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh as scipy_eigh
 from scipy.sparse.csgraph import shortest_path
 
-from oddcrit import (
-    ConvergenceError,
-    DisconnectedGraphError,
+from oddcrit.errors import ConvergenceError, DisconnectedGraphError, ParameterError
+from oddcrit.graphs import (
     ExtremalParams,
     Graph,
-    ParameterError,
-    adjacency_matrix,
-    check_interlacing,
+    _twin_classes,
     disjoint_union,
-    distance_matrix,
-    eigenvalues,
     extremal_gprime,
     family,
-    graph_matrix,
     make_complete,
-    perron_vector,
     proof_graph_g2,
     proof_graph_g3,
+)
+from oddcrit.partitions import perron_vector
+from oddcrit.spectral import (
+    SPECTRAL_KINDS,
+    _as_symmetric_float,
+    adjacency_matrix,
+    check_interlacing,
+    distance_matrix,
+    eigenvalues,
+    graph_matrix,
     spectral_radius,
     symmetric_eigenvalues,
     transmissions,
     wiener_gprime_closed_form,
     wiener_index,
 )
-from oddcrit.graphs import _twin_classes
-from oddcrit.spectral import SPECTRAL_KINDS, _as_symmetric_float
 from conftest import random_connected_graph, relabelled
 
 

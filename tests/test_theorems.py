@@ -8,28 +8,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddcrit import partitions, spectral, theorems
-from oddcrit import (
+from oddcrit.errors import ParameterError
+from oddcrit.graphs import (
+    ExtremalParams,
+    Graph,
+    _twin_classes,
+    extremal_gprime,
+    family,
+    make_complete,
+)
+from oddcrit.spectral import spectral_radius
+from oddcrit.theorems import (
     ASSERTS_CRITICAL,
     CONDITION_FAILS,
     EXTREMAL_EXCEPTION,
     INAPPLICABLE,
     THEOREM_IDS,
-    ExtremalParams,
-    Graph,
-    ParameterError,
     counterexample_sweep,
     evaluate_theorem,
     exceptional_layouts_for,
-    extremal_gprime,
     extremal_layout_for,
-    family,
-    make_complete,
     one_edge_supergraphs,
     order_bound,
     ordering_lemma_check,
-    spectral_radius,
 )
-from oddcrit.graphs import _twin_classes
 from lemma_checks import eta_lower_bound_check, gstar_ordering_check, interlacing_bound_check
 from oracles import report_json_via_dumps
 
@@ -137,6 +139,25 @@ class TestExtremalGraphFor:
     def test_exceptional_set_for_distance_variant(self):
         ex = exceptional_layouts_for("1.4", 19, 1, 1, None)
         assert (1, [17, 1]) in ex and len(ex) == 2
+
+
+_PARAMETER_CHECKED = {
+    "order_bound": lambda tid, n, b, k, d: order_bound(tid, b, k, d),
+    "extremal_layout_for": extremal_layout_for,
+    "exceptional_layouts_for": exceptional_layouts_for,
+    "evaluate_theorem": lambda tid, n, b, k, d: evaluate_theorem(make_complete(n), tid, b, k, d),
+}
+
+
+@pytest.mark.parametrize("call", _PARAMETER_CHECKED.values(), ids=list(_PARAMETER_CHECKED))
+@pytest.mark.parametrize(
+    "args",
+    [("9.9", 19, 1, 1, 3), ("1.4", 10, 2, 1, None), ("1.4", 19, 1, 0, None)],
+    ids=["unknown_theorem", "even_b", "zero_k"],
+)
+def test_every_entry_point_rejects_invalid_parameters(call, args):
+    with pytest.raises(ParameterError):
+        call(*args)
 
 
 class TestEvaluateTheorem:
