@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import repeat
+from operator import index
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -61,17 +62,24 @@ def _twin_classes(adj) -> list[int]:
     one open neighbourhood (false twins); every vertex outside them has no
     twin.  No vertex has twins of both kinds: if u, v are true twins and u, w
     false twins, then w is adjacent to v, so to u, yet u is not in
-    N(w) = N(u).  An isolated vertex has no true twin, so it stays out of the
-    closed map, which would otherwise hold two n-bit ints for each one.
+    N(w) = N(u); so a vertex with a true twin skips the open map.  An
+    isolated vertex has no true twin and stays out of the closed map, which
+    would otherwise hold two n-bit ints for each one.  Each map hashes a
+    neighbourhood once, to its first vertex, whose class is kept under its
+    label; classes come in the order of their first vertices, closed first.
     """
-    closed: dict = {}
-    open_: dict = {}
+    first_closed, first_open, closed, open_ = {}, {}, {}, {}
     for v, row in enumerate(adj):
-        bit = 1 << v
         if row:
-            closed[row | bit] = closed.get(row | bit, 0) | bit
-        open_[row] = open_.get(row, 0) | bit
-    return [c for c in (*closed.values(), *open_.values()) if c & (c - 1)]
+            u = first_closed.setdefault(row | 1 << v, v)
+            if u != v:
+                closed[u] = closed.get(u, 1 << u) | 1 << v
+                continue
+        u = first_open.setdefault(row, v)
+        if u != v:
+            open_[u] = open_.get(u, 1 << u) | 1 << v
+    return ([closed[u] for u in first_closed.values() if u in closed]
+            + [open_[u] for u in first_open.values() if u in open_])
 
 
 def _fan_reaches(adj, sources: int, t: int, k: int) -> bool:
@@ -203,13 +211,20 @@ class Graph:
         if n < 0:
             raise ParameterError("vertex count must be nonnegative")
         adj = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParameterError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
-            if u == v:
-                raise ParameterError(f"self-loop at vertex {u} not allowed")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        try:
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ParameterError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
+                if u == v:
+                    raise ParameterError(f"self-loop at vertex {u} not allowed")
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            # a numpy integer label makes rows numpy integers, whose shifts lose
+            # bits or overflow; one check of the rows beats coercing each label
+            if any(type(row) is not int for row in adj):
+                raise OverflowError
+        except OverflowError:
+            raise ParameterError("vertex labels must be Python ints") from None
         self.n = n
         self._adj = tuple(adj)
 
@@ -228,7 +243,7 @@ class Graph:
         return self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u] >> v & 1)
+        return bool(self._adj[u] >> index(v) & 1)
 
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
@@ -266,6 +281,7 @@ class Graph:
     # -- edits (return new graphs) -----------------------------------------
 
     def with_edge(self, u: int, v: int) -> "Graph":
+        u, v = index(u), index(v)
         if u == v:
             raise ParameterError("self-loop not allowed")
         rows = list(self._adj)
@@ -274,6 +290,7 @@ class Graph:
         return Graph._from_rows(self.n, rows)
 
     def without_edge(self, u: int, v: int) -> "Graph":
+        u, v = index(u), index(v)
         rows = list(self._adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
@@ -297,7 +314,7 @@ class Graph:
     def odd_components_after_removal(self, removed: Iterable[int]) -> int:
         """o(G-S): number of odd-order components left after deleting S."""
         mask = 0
-        for v in removed:
+        for v in map(index, removed):
             if not 0 <= v < self.n:
                 raise ParameterError(f"vertex {v} outside range 0..{self.n - 1}")
             mask |= 1 << v

@@ -6,21 +6,18 @@ LAPACK call, ``np.linalg.eigvalsh``.  Matrices with integer entries stay
 integer until they enter the eigensolver.
 
 A spectral radius comes from the c x c quotient of the matrix over the
-graph's c twin classes, which needs one breadth-first search per class for
-the distance kinds, not from the n x n matrix (``spectral_radius``); a
-twin-free graph has c = n.
+graph's c twin classes, read from the graph induced on one representative
+per class, not from the n x n matrix (``spectral_radius``); a twin-free
+graph has c = n.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DisconnectedGraphError,
-    ParameterError,
-)
+from .errors import ConvergenceError, DisconnectedGraphError, ParameterError
 from .graphs import ExtremalParams, Graph, _bits, _twin_classes, _unpack_masks
 
 SPECTRAL_KINDS = (
@@ -61,17 +58,18 @@ def _as_symmetric_float(matrix) -> np.ndarray:
     return a
 
 
-def symmetric_eigenvalues(matrix) -> np.ndarray:
-    """Full spectrum of a symmetric matrix, descending, by LAPACK ``eigvalsh``.
-
-    A LAPACK failure to converge is raised as ConvergenceError.
-    """
-    a = _as_symmetric_float(matrix)
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Descending spectrum of a symmetric finite array; LAPACK failures raise ConvergenceError."""
     try:
         values = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigvalsh failed: {exc}") from exc
     return values[::-1]
+
+
+def symmetric_eigenvalues(matrix) -> np.ndarray:
+    """Full spectrum of a symmetric matrix, descending, after checking its entries."""
+    return _eigvalsh(_as_symmetric_float(matrix))
 
 
 def eigenvalues(matrix) -> Spectrum:
@@ -92,28 +90,26 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
     return a + np.diag(np.array(g.degrees(), dtype=np.int64))
 
 
-def _distance_rows(g: Graph, sources) -> np.ndarray:
-    """Rows of the distance matrix for ``sources``, by breadth-first search.
+def distance_matrix(g: Graph) -> np.ndarray:
+    """Shortest-path distances, by breadth-first search from every vertex.
 
-    The searches from all sources run on bitsets and advance one level at a
-    time together.  A level stops expanding as soon as the neighbours of the
-    vertices walked so far cover every vertex still unseen, which on dense
-    graphs is after a few of them.  d(v, u) is the number of levels at which
-    u is still unseen from v, so after each level the unseen sets of all
-    sources are unpacked into one 0/1 array and added to the result.  The sum
-    runs in ``uint16`` (every distance is below n) up to order 65535 and is
-    returned as ``int64``, so transmissions and the Wiener index stay exact.
-    A level that reaches no new vertex while some stay unseen means the
-    graph is disconnected.
+    The searches run on bitsets, one level at a time together; a level stops
+    expanding once the neighbours walked so far cover every vertex still
+    unseen.  d(v, u) is the number of levels at which u is still unseen from
+    v, so each level's unseen sets are unpacked into one 0/1 array and added
+    to the result, in ``uint16`` (every distance is below n) up to order
+    65535, then returned as ``int64`` so transmissions and the Wiener index
+    stay exact.  A level that reaches no new vertex while some stay unseen
+    means the graph is disconnected.
     """
     if g.n == 0:
         raise ParameterError("distance matrix undefined for the empty graph")
     n = g.n
     full = (1 << n) - 1
     non_neighbours = [full ^ row for row in g.adjacency_rows]
-    unseen = [full ^ (1 << v) for v in sources]
-    frontier = [1 << v for v in sources]
-    dist = np.zeros((len(unseen), n), dtype=np.uint16 if n <= 0xFFFF else np.int64)
+    unseen = [full ^ (1 << v) for v in range(n)]
+    frontier = [1 << v for v in range(n)]
+    dist = np.zeros((n, n), dtype=np.uint16 if n <= 0xFFFF else np.int64)
     while any(unseen):
         dist += _unpack_masks(unseen, n)
         for i, rest in enumerate(unseen):
@@ -132,11 +128,6 @@ def _distance_rows(g: Graph, sources) -> np.ndarray:
             frontier[i] = unseen[i] ^ rest
             unseen[i] = rest
     return dist.astype(np.int64)
-
-
-def distance_matrix(g: Graph) -> np.ndarray:
-    """Shortest-path distances, one breadth-first search per vertex (``_distance_rows``)."""
-    return _distance_rows(g, range(g.n))
 
 
 def transmissions(g: Graph) -> np.ndarray:
@@ -174,45 +165,56 @@ def graph_matrix(g: Graph, kind: str) -> np.ndarray:
     return _MATRIX_BUILDERS[kind](g)
 
 
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def spectral_radius(g: Graph, kind: str = "distance") -> float:
     """Largest eigenvalue of the requested graph matrix, from its twin quotient.
 
     With classes C_i and representatives r_i, the quotient B of a matrix M
-    has B_ij = |C_j| M(r_i, r_j) off the diagonal and B_ii = (|C_i| - 1)
-    M(r_i, m_i) for a second member m_i of C_i, read from the graph; the
-    signless kinds add the row sum of M at r_i, the degree or transmission.
-    The partition is equitable, so MP = PB for its characteristic matrix P,
-    and a nonnegative Perron vector x of M gives B^T P^T x = rho P^T x with
-    P^T x nonzero: B and M share their largest eigenvalue, whether or not the
-    graph is connected.  B is similar to a symmetric matrix through
-    diag(sqrt |C_i|), which is what goes to the eigensolver.
+    has B_ij = |C_j| M(r_i, r_j) off the diagonal and B_ii = (|C_i| - 1) w_i,
+    with w_i the entry between two members of C_i: 1 for true twins, 0
+    (adjacency) or 2 (distance) for false twins.  The signless kinds add the
+    row sum at r_i, sum_j |C_j| M(r_i, r_j) + (|C_i| - 1) w_i.  The partition
+    is equitable, so MP = PB for its characteristic matrix P, and a
+    nonnegative Perron vector x of M gives B^T P^T x = rho P^T x with P^T x
+    nonzero: B and M share their largest eigenvalue, connected or not.  The
+    eigensolver gets B symmetrised through diag(sqrt |C_i|).
+
+    M(r_i, r_j) is read from H, the graph induced on the representatives,
+    r_i as vertex i.  A shortest path of G never holds two members of one
+    class in a row (true twins could be skipped, false twins are not
+    adjacent), and replacing each vertex by its representative keeps every
+    edge: d_G(r_i, r_j) = d_H(i, j), and H is connected iff G is, but for
+    H = K_1 standing for n >= 2 isolated vertices.  Without twins, H = G.
     """
     if g.n == 0:
         raise ParameterError("spectral radius undefined for the empty graph")
     check_kind(kind)
-    classes = _twin_classes(g.adjacency_rows)
+    adj = g.adjacency_rows
+    classes = _twin_classes(adj)
     # a vertex without twins is a class of its own
-    alone = ((1 << g.n) - 1) ^ sum(classes)
-    classes += [1 << v for v in _bits(alone)]
-    reps = [_lowest(c) for c in classes]
-    # the second member, or the representative itself in a class of one
-    mates = [_lowest(c & (c - 1) or c) for c in classes]
-    if kind in ("adjacency", "signless_laplacian"):
-        rows = _unpack_masks([g.adjacency_rows[r] for r in reps], g.n).astype(np.int64)
-    else:
-        rows = _distance_rows(g, reps)
-    sizes = np.array([c.bit_count() for c in classes], dtype=float)
+    classes += [1 << v for v in _bits(((1 << g.n) - 1) ^ sum(classes))]
+    reps = [(cls & -cls).bit_length() - 1 for cls in classes]
+    c = len(reps)
+    # per class: its size, and w: 1 for true twins, 0 for false twins and classes of one
+    sizes, w = np.array([(cls.bit_count(), adj[r] & cls != 0) for r, cls in zip(reps, classes)]).T
+    # H's adjacency: bit r_j of row r_i, read from the packed bytes of the rows
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(adj[r].to_bytes(width, "little") for r in reps), dtype=np.uint8)
+    at = np.array(reps)
+    m = np.take(packed.reshape(c, width), at >> 3, axis=1) >> (at & 7).astype(np.uint8) & 1
+    if kind.startswith("distance"):
+        if c == 1 and g.n > 1 and not w[0]:
+            raise DisconnectedGraphError("distance undefined: graph is disconnected")
+        rows = np.packbits(m, axis=1, bitorder="little")
+        chunks = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+        m = distance_matrix(Graph._from_rows(c, map(int.from_bytes, chunks, repeat("little"))))
+        w = 2 - w
+    diagonal = (sizes - 1) * w
+    if kind.endswith("signless_laplacian"):
+        diagonal += diagonal + m @ sizes
     root = np.sqrt(sizes)
-    b = rows[:, reps] * np.outer(root, root)
-    diagonal = (sizes - 1) * rows[np.arange(len(reps)), mates]
-    if kind in ("signless_laplacian", "distance_signless_laplacian"):
-        diagonal += rows.sum(axis=1)
-    np.fill_diagonal(b, diagonal)
-    return float(symmetric_eigenvalues(b)[0])
+    b = m * (root[:, None] * root)
+    b.flat[:: c + 1] = diagonal
+    return float(_eigvalsh(b)[0])
 
 
 def wiener_gprime_closed_form(p: ExtremalParams) -> int:

@@ -13,9 +13,9 @@ its layout ``(s, parts)`` (``extremal_layout_for``).  The size condition uses
 the layout's exact edge count, and every comparison radius is the largest
 eigenvalue of the family's equitable quotient (``partitions.family_quotient``),
 which equals the radius of the n x n matrix.  The input's radius comes from
-its own twin quotient (``spectral.spectral_radius``), of order the number of
-twin classes: a handful on the extremal families' one-edge supergraphs, n
-only on twin-free inputs.
+its own twin quotient (``spectral.spectral_radius``), read from the graph on
+one vertex per twin class: a handful of vertices on the extremal families'
+one-edge supergraphs, n only on twin-free inputs.
 
 The comparison side of a condition -- the family's edge count or radius and
 the exceptional graphs -- depends on the parameters (theorem, n, b, k, delta)
@@ -220,6 +220,7 @@ def evaluate_theorem(
     Variant '1.4' only requires connectivity and ignores delta; the others
     require (k+1)-connectivity and minimum degree exactly delta.
     """
+    delta = None if theorem_id == "1.4" else delta  # 1.4 ignores it: one cache entry
     bound = order_bound(theorem_id, b, k, delta)
     n = g.n
     hyp: dict[str, bool] = {}

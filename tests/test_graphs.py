@@ -3,6 +3,7 @@ import re
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -277,6 +278,21 @@ class TestQueries:
         g = extremal_gprime(ExtremalParams(19, 1, 1, 3))
         assert g.odd_components_after_removal(range(3)) == 4
         assert g.components() == 1
+
+    @pytest.mark.parametrize("label", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_labels_never_build_a_wrong_graph(self, label):
+        # a numpy label's shifts overflow its width: the constructor rejects
+        # it, and the edits and queries take it as the int it stands for
+        for edges in ([(label(0), label(70))], [(label(0), label(1)), (0, 80)], [(0, label(5))]):
+            with pytest.raises(ParameterError, match="Python ints"):
+                Graph(100, edges)
+        g = Graph(100).with_edge(label(1), label(90))
+        assert g.has_edge(1, 90) and g.has_edge(label(90), label(1)) and g.edge_count() == 1
+        assert g.adjacency_rows == Graph(100, [(1, 90)]).adjacency_rows
+        assert all(type(row) is int for row in g.adjacency_rows)
+        assert g.without_edge(label(90), label(1)) == Graph(100)
+        assert make_complete(80).odd_components_after_removal([label(70)]) == 1
+        assert make_complete(80).odd_components_after_removal([label(7), 70]) == 0
 
     def test_without_vertices_relabels(self):
         g = without_vertices(path(4), [1])

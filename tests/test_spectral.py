@@ -270,6 +270,7 @@ class TestEigensolver:
         assert symmetric_eigenvalues(np.zeros((3, 3))).tolist() == [0.0, 0.0, 0.0]
         assert symmetric_eigenvalues(np.zeros((0, 0))).shape == (0,)
         assert spectral_radius(Graph(3), "adjacency") == 0.0
+        assert spectral_radius(Graph(4), "signless_laplacian") == 0.0
         assert eigenvalues(np.zeros((3, 3))).radius == 0.0
         # it has no Perron vector: the zero matrix is reducible
         with pytest.raises(ParameterError, match="reducible"):
@@ -421,6 +422,18 @@ class TestSpectralRadii:
         assert spectral_radius(make_complete(1), "distance") == 0.0
 
     @given(st.one_of(twin_blowups(), twin_free_graphs()), st.randoms(use_true_random=False))
+    # one vertex; one true-twin class; one false-twin class, n = 4 (the empty
+    # graph, disconnected); K_{3,4} and the star K_{1,5}; K_3 + 2K_1, whose
+    # graph on the representatives is disconnected; and a path blown up so
+    # that its shortest paths cross a false-twin class
+    @example(make_complete(1), random.Random(0))
+    @example(make_complete(7), random.Random(0))
+    @example(Graph(4), random.Random(0))
+    @example(Graph(7, [(u, v) for u in range(3) for v in range(3, 7)]), random.Random(1))
+    @example(star(5), random.Random(2))
+    @example(disjoint_union(make_complete(3), Graph(2)), random.Random(3))
+    @example(Graph(8, [(0, 1), (0, 2), (1, 2)] + [(u, v) for u in (1, 2) for v in (3, 4, 5)]
+                   + [(v, 6) for v in (3, 4, 5)] + [(6, 7)]), random.Random(4))
     def test_twin_quotient_radius_is_the_full_radius(self, g, rnd):
         # against eigvalsh of the whole matrix, and under relabelling
         h = relabelled(g, rnd)

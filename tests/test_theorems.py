@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddcrit import partitions, spectral, theorems
+from oddcrit import spectral, theorems
 from oddcrit.errors import ParameterError
 from oddcrit.graphs import (
     ExtremalParams,
@@ -225,51 +225,49 @@ class TestEvaluateTheorem:
     def test_only_the_input_graph_gets_a_matrix(self, monkeypatch, tid, n, b, k, d):
         # the comparison family gets no graph matrix, only its equitable
         # quotient, solved once per parameter set; the input's matrix is its
-        # twin quotient, built from one search per twin class, so no n x n
-        # matrix is built on either side
+        # twin quotient, whose distances come from one search on the graph
+        # induced on its c twin representatives, so no n x n matrix is built
+        # on either side
         def refuse(*args):
             raise AssertionError("an n x n graph matrix was built")
 
         for name in ("graph_matrix", "adjacency_matrix", "signless_laplacian_matrix",
-                     "distance_matrix", "distance_signless_laplacian_matrix"):
+                     "distance_signless_laplacian_matrix"):
             monkeypatch.setattr(spectral, name, refuse)
-        orders = []
-        for module in (spectral, partitions):
-            solve = module.symmetric_eigenvalues
+        shapes = []
+        solve = spectral._eigvalsh
 
-            def counting(matrix, solve=solve):
-                orders.append(len(matrix))
-                return solve(matrix)
+        def counting(matrix):
+            shapes.append(matrix.shape)
+            return solve(matrix)
 
-            monkeypatch.setattr(module, "symmetric_eigenvalues", counting)
-        sources = []
-        rows = spectral._distance_rows
+        monkeypatch.setattr(spectral, "_eigvalsh", counting)
+        searched = []
+        distances = spectral.distance_matrix
 
-        def searched(h, starts):
-            sources.append(list(starts))
-            return rows(h, starts)
+        def search(h):
+            searched.append(h.n)
+            return distances(h)
 
-        monkeypatch.setattr(spectral, "_distance_rows", searched)
+        monkeypatch.setattr(spectral, "distance_matrix", search)
         theorems._comparison.cache_clear()
         theorems.order_bound.cache_clear()
         g = family(*extremal_layout_for(tid, n, b, k, d))
+        orders = []
         # the family is solved on the first evaluation only
         for h, solves in ((g, 2), (g.with_edge(*next(g.non_edges())), 1)):
-            orders.clear()
-            sources.clear()
+            shapes.clear()
+            searched.clear()
             assert evaluate_theorem(h, tid, b, k, d).hypotheses_met
-            assert len(orders) == solves and max(orders) < n
-            if tid in ("1.2", "1.3"):
-                assert sources == []
-            else:
-                # one source per twin class, and one per vertex without twins
-                classes = _twin_classes(h.adjacency_rows)
-                alone = [v for v in range(h.n) if not sum(classes) >> v & 1]
-                lowest = [(c & -c).bit_length() - 1 for c in classes]
-                assert len(sources) == 1 and sorted(sources[0]) == sorted(lowest + alone)
-        # G'(47,1,1,3) plus an edge from the big clique to a singleton: 5 classes
+            # one class per twin class, and one per vertex without twins
+            classes = _twin_classes(h.adjacency_rows)
+            c = len(classes) + h.n - sum(map(int.bit_count, classes))
+            assert len(shapes) == solves and max(shapes) < (n, n) and shapes[-1] == (c, c)
+            assert searched == ([] if tid in ("1.2", "1.3") else [c])
+            orders.append(c)
+        # G'(47,1,1,3): 3 classes; plus an edge from the big clique to a singleton: 5
         if (tid, n) == ("1.5", 47):
-            assert len(sources[0]) == 5
+            assert orders == [3, 5]
 
     def test_cached_verdicts_equal_cold_verdicts(self):
         # per parameter set: the extremal family, a supergraph and a subgraph
@@ -318,6 +316,17 @@ class TestEvaluateTheorem:
         for layout in exceptional_layouts_for("1.4", 19, 1, 1, None):
             verdict = evaluate_theorem(family(*layout), "1.4", 1, 1)
             assert verdict.conclusion == EXTREMAL_EXCEPTION, layout
+
+    def test_distance_variant_caches_ignore_delta(self):
+        # theorem 1.4 ignores delta, so any delta shares one entry per cache
+        g = family(2, [15, 1, 1])
+        theorems._comparison.cache_clear()
+        theorems.order_bound.cache_clear()
+        verdicts = {repr(evaluate_theorem(g, "1.4", 1, 1, d)) for d in (None, 3, 4, 5)}
+        assert len(verdicts) == 1 and EXTREMAL_EXCEPTION in verdicts.pop()
+        for cache in (theorems.order_bound, theorems._comparison):
+            info = cache.cache_info()
+            assert (info.misses, info.currsize) == (1, 1)
 
     def test_b_ge_k_gate(self):
         g = extremal_gprime(ExtremalParams(62, 1, 2, 4))
