@@ -58,8 +58,16 @@ def _emit(text: str, out_path, human_lines) -> None:
             print(line, file=sys.stderr)
 
 
+def _read_text(path: str) -> str:
+    """A file's UTF-8 text; other bytes are a format error naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"cannot read {path}: {exc}") from None
+
+
 def _load_graph(path: str) -> Graph:
-    return parse_graph_auto(Path(path).read_text())
+    return parse_graph_auto(_read_text(path))
 
 
 def _require(args, names) -> None:
@@ -187,7 +195,7 @@ def cmd_check_critical(args) -> int:
 
 def _corpus_from_args(args) -> list[tuple[str, Graph]]:
     if args.input:
-        graphs = parse_graph6_corpus(Path(args.input).read_text())
+        graphs = parse_graph6_corpus(_read_text(args.input))
         return [(f"{args.input}:{i}", g) for i, g in enumerate(graphs)]
     g, meta = _build_variant(args)
     return [(meta["variant"], g)]
@@ -355,8 +363,8 @@ def _with_config(parser, argv: list[str]) -> list[str]:
     if path is None:
         return argv
     try:
-        config = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config {path}: {exc}")
     if not isinstance(config, dict):
         parser.error(f"config {path} must hold a JSON object")

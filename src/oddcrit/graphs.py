@@ -242,17 +242,24 @@ class Graph:
         """Per-vertex neighbor bitmasks (row ``v`` has bit ``u`` iff ``uv`` is an edge)."""
         return self._adj
 
+    def _vertex(self, v: int) -> int:
+        """``v`` as a vertex of this graph; ParameterError outside 0..n-1."""
+        v = index(v)
+        if not 0 <= v < self.n:
+            raise ParameterError(f"vertex {v} outside vertex range 0..{self.n - 1}")
+        return v
+
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u] >> index(v) & 1)
+        return bool(self._adj[self._vertex(u)] >> self._vertex(v) & 1)
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self._adj[self._vertex(v)].bit_count()
 
     def degrees(self) -> list[int]:
         return list(map(int.bit_count, self._adj))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self._adj[v]))
+        return tuple(_bits(self._adj[self._vertex(v)]))
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self._adj) // 2
@@ -281,7 +288,7 @@ class Graph:
     # -- edits (return new graphs) -----------------------------------------
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        u, v = index(u), index(v)
+        u, v = self._vertex(u), self._vertex(v)
         if u == v:
             raise ParameterError("self-loop not allowed")
         rows = list(self._adj)
@@ -290,7 +297,7 @@ class Graph:
         return Graph._from_rows(self.n, rows)
 
     def without_edge(self, u: int, v: int) -> "Graph":
-        u, v = index(u), index(v)
+        u, v = self._vertex(u), self._vertex(v)
         rows = list(self._adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)

@@ -4,7 +4,9 @@ The quotient of a symmetric matrix under a partition averages the row sums of
 each block.  When the partition is equitable every quotient eigenvalue is an
 eigenvalue of the source matrix, and for a nonnegative source the quotient's
 largest eigenvalue equals the full spectral radius; the join families are
-built so that their natural three-cell partitions are equitable.
+built so that their natural three-cell partitions are equitable.  The
+theorem evaluators do not come here for a radius: ``spectral.spectral_radius``
+builds the twin quotient of any graph, the comparison families included.
 
 Quotients of join partitions are not symmetric, but they are diagonally
 similar to symmetric matrices (scale by sqrt of the cell sizes), so their
@@ -15,15 +17,13 @@ polynomial in closed form.  Both must agree to 1e-9.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DisconnectedGraphError, ParameterError
+from .errors import ConvergenceError, ParameterError
 from .graphs import Graph
-from .spectral import _as_symmetric_float, check_kind, symmetric_eigenvalues
+from .spectral import _as_symmetric_float, symmetric_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -107,40 +107,6 @@ class QuotientMatrix:
             det = float(np.linalg.det(a))
             return _cubic_largest_real_root(-tr, minors, -det)
         raise ParameterError(f"closed-form roots implemented for order <= 3, got {m}")
-
-
-def family_quotient(s: int, parts: Sequence[int], kind: str) -> QuotientMatrix:
-    """Quotient of a join family's graph matrix, written from ``(s, parts)`` alone.
-
-    The family is ``family(s, parts)`` = K_s v (K_{parts[0]} u K_{parts[1]} u ...).
-    The cells are the join cell (when s > 0), then one cell per distinct
-    part size in order of first appearance: every vertex of a merged cell
-    sees the same row sums, so the partition is equitable, and for these
-    nonnegative matrices the quotient's largest eigenvalue is the spectral
-    radius of the n x n matrix, which is never built.  The signless kinds add
-    each cell's row sum (degree or transmission) to its diagonal entry.
-    """
-    check_kind(kind)
-    if s < 0 or not parts or any(p < 1 for p in parts):
-        raise ParameterError("join family needs s >= 0 and nonempty positive parts")
-    far = 2 if kind in ("distance", "distance_signless_laplacian") else 0
-    if far and s == 0 and len(parts) > 1:
-        raise DisconnectedGraphError("distance undefined: graph is disconnected")
-    groups = list(Counter(parts).items())  # (part size, multiplicity), first appearance first
-    rows = []
-    if s:
-        rows.append([s - 1] + [m * p for p, m in groups])
-    for i, (p, m) in enumerate(groups):
-        # every other clique lies at distance `far` (2 through the join cell,
-        # 0 for adjacency); the rest of the vertex's own clique at distance 1
-        row = [far * mq * q for q, mq in groups]
-        row[i] += p - 1 - far * p
-        rows.append(([s] if s else []) + row)
-    entries = np.array(rows, dtype=float)
-    if kind in ("signless_laplacian", "distance_signless_laplacian"):
-        entries += np.diag(entries.sum(axis=1))
-    sizes = ((s,) if s else ()) + tuple(m * p for p, m in groups)
-    return QuotientMatrix(entries, sizes)
 
 
 def _cbrt(x: float) -> float:

@@ -9,13 +9,14 @@ the configured tolerance, and classify the outcome; a sweep driver confirms
 positive verdicts by brute-force criticality and reports any falsification.
 
 Every comparison family is a join K_s v (K_{n_1} u ... u K_{n_t}), known by
-its layout ``(s, parts)`` (``extremal_layout_for``).  The size condition uses
-the layout's exact edge count, and every comparison radius is the largest
-eigenvalue of the family's equitable quotient (``partitions.family_quotient``),
-which equals the radius of the n x n matrix.  The input's radius comes from
-its own twin quotient (``spectral.spectral_radius``), read from the graph on
-one vertex per twin class: a handful of vertices on the extremal families'
-one-edge supergraphs, n only on twin-free inputs.
+its layout ``(s, parts)`` (``extremal_layout_for``) and built by
+``graphs.family``.  Both sides of a condition are computed the same way, on
+the family and on the input alike: the size condition counts edges, and
+every radius is ``spectral.spectral_radius``, the largest eigenvalue of the
+graph's twin quotient, read from the graph on one vertex per twin class.
+That is a handful of vertices on the extremal families and their one-edge
+supergraphs, and n only on twin-free inputs.  On the canonically labelled
+comparison family the two sides agree bit for bit.
 
 The comparison side of a condition -- the family's edge count or radius and
 the exceptional graphs -- depends on the parameters (theorem, n, b, k, delta)
@@ -49,7 +50,6 @@ from typing import Optional, Sequence
 from .errors import ParameterError, ScaleLimitError
 from .factors import ENUMERATION_CAP, is_k_critical
 from .graphs import ExtremalParams, Graph, check_parameters, family
-from .partitions import family_quotient
 from .spectral import spectral_radius
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -139,16 +139,6 @@ def extremal_layout_for(
     return ExtremalParams(n, b, k, delta).layout("gprime")
 
 
-def _family_edge_count(s: int, parts: Sequence[int]) -> int:
-    n = s + sum(parts)
-    return s * (s - 1) // 2 + s * (n - s) + sum(p * (p - 1) // 2 for p in parts)
-
-
-def _family_radius(s: int, parts: Sequence[int], kind: str) -> float:
-    """Spectral radius of a join family's matrix, from its equitable quotient."""
-    return float(family_quotient(s, parts, kind).eigenvalues()[0])
-
-
 def exceptional_layouts_for(
     theorem_id: str, n: int, b: int, k: int, delta: Optional[int]
 ) -> list[tuple[int, list[int]]]:
@@ -165,16 +155,13 @@ def _comparison(
 ) -> tuple[float, tuple[Graph, ...]]:
     """Right-hand side of a theorem's condition at order n, and its exceptional graphs.
 
-    The size condition compares with the family's exact edge count, the
-    spectral ones with its radius from the equitable quotient.
+    The first exceptional graph is the comparison family.  The right-hand
+    side is its edge count or its spectral radius, computed as the input's.
     """
     quantity, _ = _CONDITION[theorem_id]
-    s, parts = extremal_layout_for(theorem_id, n, b, k, delta)
-    if quantity == "size":
-        rhs = float(_family_edge_count(s, parts))
-    else:
-        rhs = _family_radius(s, parts, quantity)
     exceptions = tuple(family(*ex) for ex in exceptional_layouts_for(theorem_id, n, b, k, delta))
+    h = exceptions[0]
+    rhs = float(h.edge_count()) if quantity == "size" else spectral_radius(h, quantity)
     return rhs, exceptions
 
 
@@ -283,8 +270,8 @@ def ordering_lemma_check(
         big = n - s - p * (t - 1)
         if parts[0] >= big:
             return None
-        lhs = _family_radius(s, parts, "distance")
-        rhs = _family_radius(s, [big] + [p] * (t - 1), "distance")
+        lhs = spectral_radius(family(s, parts), "distance")
+        rhs = spectral_radius(family(s, [big] + [p] * (t - 1)), "distance")
         return lhs > rhs + tol.strict
 
     if lemma_id == "2.9":
@@ -296,8 +283,8 @@ def ordering_lemma_check(
     else:
         raise ParameterError(f"unknown lemma id {lemma_id!r}")
 
-    lhs = _family_radius(s, parts, "distance_signless_laplacian")
-    rhs = _family_radius(s, flat, "distance_signless_laplacian")
+    lhs = spectral_radius(family(s, parts), "distance_signless_laplacian")
+    rhs = spectral_radius(family(s, flat), "distance_signless_laplacian")
     if sorted(parts, reverse=True) == sorted(flat, reverse=True):
         return abs(lhs - rhs) <= tol.equality
     return lhs > rhs + tol.strict

@@ -1,15 +1,15 @@
 """Lemma checks on the extremal families that only the tests use.
 
-Each compares spectral radii of join families, read from their equitable
-quotients as the package's theorem evaluators do.
+Each compares spectral radii of join families, each family built by
+``family`` and solved by ``spectral_radius`` as the theorem evaluators do.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-from oddcrit.graphs import ExtremalParams, g_star
+from oddcrit.graphs import ExtremalParams, family, g_star
 from oddcrit.spectral import spectral_radius
-from oddcrit.theorems import _family_radius, extremal_layout_for
+from oddcrit.theorems import extremal_layout_for
 from oddcrit.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -22,9 +22,11 @@ def gstar_ordering_check(
     mu1(K_{k+2} v (K_{n-2b-k-3} u (2b+1)K_1)) with the strictness margin.
     """
     star = g_star(n, b, k)
-    mu_wide = _family_radius(*extremal_layout_for("1.4", n, b, k, None), "distance")
+    mu_wide = spectral_radius(family(*extremal_layout_for("1.4", n, b, k, None)), "distance")
     mu_star = spectral_radius(star, "distance")
-    mu_narrow = _family_radius(k + 2, [n - 2 * b - k - 3] + [1] * (2 * b + 1), "distance")
+    mu_narrow = spectral_radius(
+        family(k + 2, [n - 2 * b - k - 3] + [1] * (2 * b + 1)), "distance"
+    )
     return mu_wide < mu_star - tol.strict and mu_star < mu_narrow - tol.strict
 
 
@@ -36,7 +38,7 @@ def interlacing_bound_check(
     The join cell and the big clique together induce a complete subgraph of
     order n - b*delta + b*k - 1, and distance spectra interlace.
     """
-    mu = _family_radius(*p.layout("gprime"), "distance")
+    mu = spectral_radius(family(*p.layout("gprime")), "distance")
     return mu >= p.n - p.b * p.delta + p.b * p.k - 2 - tol.equality
 
 
@@ -52,5 +54,5 @@ def eta_lower_bound_check(
     n, b, k, d = p.n, p.b, p.k, p.delta
     if n < 2 * (b * b + 2 * b) * d * d + 2 * d + 2 * b * b * k * k:
         return None
-    eta = _family_radius(s, parts, "distance_signless_laplacian")
+    eta = spectral_radius(family(s, parts), "distance_signless_laplacian")
     return eta > 2 * n + 4 * b * d - 4 * b * k + 1 + tol.strict

@@ -1,5 +1,7 @@
+import ast
 import json
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -469,6 +471,24 @@ class TestVerifyAndSweep:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "FILE"],
+    ["verify", "--theorem", "1.2", "--b", "1", "--k", "1", "--delta", "2", "--input", "FILE"],
+    ["--config", "FILE", "verify", "--theorem", "1.2", "--n", "13", "--b", "1", "--k", "1",
+     "--delta", "2"],
+])
+def test_file_that_is_not_text_exit_two(tmp_path, capsys, argv):
+    bad = tmp_path / "utf16.g6"
+    bad.write_bytes(b"\xff\xfe")
+    try:
+        code = main([str(bad) if arg == "FILE" else arg for arg in argv])
+    except SystemExit as exc:  # a config is read while the arguments are parsed
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.search(rf"cannot read (config )?{re.escape(str(bad))}: 'utf-8' codec", err)
+
+
 def test_unknown_theorem_flag_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--theorem", "7.7", "--n", "13", "--b", "1", "--k", "1", "--delta", "2"])
@@ -489,3 +509,16 @@ def test_runtime_needs_numpy_alone():
     library = ("errors", "factors", "graphs", "partitions", "spectral", "theorems", "tolerances")
     assert loaded.split() == [f"oddcrit.{name}" for name in library]
     assert foreign == ""
+
+
+def test_every_import_is_stdlib_numpy_or_oddcrit():
+    # numpy is the one runtime dependency that pyproject.toml declares
+    allowed = set(sys.stdlib_module_names) | {"numpy", "oddcrit"}
+    found = set()
+    for source in Path(oddcrit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert "numpy" in found and found <= allowed, sorted(found - allowed)

@@ -294,6 +294,23 @@ class TestQueries:
         assert make_complete(80).odd_components_after_removal([label(70)]) == 1
         assert make_complete(80).odd_components_after_removal([label(7), 70]) == 0
 
+    @pytest.mark.parametrize("query", [
+        lambda g: g.has_edge(-1, 0),
+        lambda g: g.has_edge(0, 4),
+        lambda g: g.degree(-1),
+        lambda g: g.neighbors(-1),
+        lambda g: g.with_edge(-1, 1),
+        lambda g: g.with_edge(1, 7),
+        lambda g: g.without_edge(-1, 1),
+        lambda g: g.without_edge(4, 1),
+    ])
+    def test_labels_outside_the_vertex_range_are_rejected(self, query):
+        # -1 would index row 3 from the end, and shifts by it raise ValueError
+        g = Graph(4, [(3, 0)])
+        with pytest.raises(ParameterError, match="outside vertex range 0..3"):
+            query(g)
+        assert g.has_edge(3, 0) and g.degree(3) == 1 and g.neighbors(3) == (0,)
+
     def test_without_vertices_relabels(self):
         g = without_vertices(path(4), [1])
         assert g.n == 3

@@ -14,7 +14,7 @@ from oddcrit.graphs import (
     proof_graph_g2,
     proof_graph_g3,
 )
-from oddcrit.partitions import family_quotient, partition_of, perron_vector, quotient
+from oddcrit.partitions import partition_of, perron_vector, quotient
 from oddcrit.spectral import (
     SPECTRAL_KINDS,
     distance_matrix,
@@ -265,6 +265,12 @@ LEMMA_LAYOUTS = [
 
 
 class TestFamilyQuotient:
+    """A join family's radius is ``spectral_radius`` of the built family.
+
+    Its twin quotient and the quotient over its size cells (``family_cells``)
+    are both equitable, so they share the largest eigenvalue.
+    """
+
     def test_radius_matches_eigvalsh(self, parameter_grid):
         layouts = comparison_layouts(parameter_grid) + LEMMA_LAYOUTS
         for n, b, k, d in ((47, 1, 1, 3), (63, 1, 1, 3), (271, 3, 1, 3)):
@@ -274,7 +280,7 @@ class TestFamilyQuotient:
             g = family(s, list(parts))
             for kind in SPECTRAL_KINDS:
                 exact = np.linalg.eigvalsh(graph_matrix(g, kind).astype(float))[-1]
-                assert abs(family_quotient(s, parts, kind).eigenvalues()[0] - exact) < 1e-9
+                assert abs(spectral_radius(g, kind) - exact) < 1e-9
 
     def test_cells_are_equitable_and_entries_exact(self, parameter_grid):
         for s, parts in comparison_layouts(parameter_grid)[::5] + LEMMA_LAYOUTS:
@@ -282,42 +288,41 @@ class TestFamilyQuotient:
             cells = family_cells(s, list(parts))
             for kind in SPECTRAL_KINDS:
                 matrix = graph_matrix(g, kind)
-                q = family_quotient(s, parts, kind)
+                q = quotient(matrix, cells)
                 assert is_equitable(matrix, cells)
-                assert q.cell_sizes == tuple(len(c) for c in cells.cells)
-                assert np.array_equal(q.entries, quotient(matrix, cells).entries)
+                assert np.array_equal(q.entries, np.round(q.entries))
+                assert abs(q.eigenvalues()[0] - spectral_radius(g, kind)) < 1e-9
 
     def test_three_cells_match_the_closed_forms(self):
         n, b, k, d = 28, 3, 2, 4
         big, singles = ExtremalParams(n, b, k, d).gprime_parts()
-        layout = (d, [big] + [1] * singles)
-        assert np.array_equal(
-            family_quotient(*layout, "distance").entries,
-            np.array(expected_distance_quotient(n, b, k, d), float),
-        )
-        assert np.array_equal(
-            family_quotient(*layout, "distance_signless_laplacian").entries,
-            np.array(expected_qd_quotient(n, b, k, d), float),
-        )
+        g = family(d, [big] + [1] * singles)
+        cells = family_cells(d, [big] + [1] * singles)
+        for kind, expected in (
+            ("distance", expected_distance_quotient(n, b, k, d)),
+            ("distance_signless_laplacian", expected_qd_quotient(n, b, k, d)),
+        ):
+            q = quotient(graph_matrix(g, kind), cells)
+            assert np.array_equal(q.entries, np.array(expected, float))
+            assert abs(q.eigenvalues()[0] - spectral_radius(g, kind)) < 1e-9
 
     def test_no_join_cell(self):
         # K_3 u K_3 u K_1: adjacency radius 2; distance is undefined
+        g = family(0, [3, 3, 1])
         for kind in ("adjacency", "signless_laplacian"):
-            exact = np.linalg.eigvalsh(graph_matrix(family(0, [3, 3, 1]), kind).astype(float))[-1]
-            assert abs(family_quotient(0, [3, 3, 1], kind).eigenvalues()[0] - exact) < 1e-12
+            exact = np.linalg.eigvalsh(graph_matrix(g, kind).astype(float))[-1]
+            assert abs(spectral_radius(g, kind) - exact) < 1e-12
         for kind, k5_radius in (("distance", 4.0), ("distance_signless_laplacian", 8.0)):
             with pytest.raises(DisconnectedGraphError):
-                family_quotient(0, [3, 3, 1], kind)
-            with pytest.raises(DisconnectedGraphError):
-                spectral_radius(family(0, [3, 3, 1]), kind)
-            assert family_quotient(0, [5], kind).eigenvalues()[0] == pytest.approx(k5_radius)
+                spectral_radius(g, kind)
+            assert spectral_radius(family(0, [5]), kind) == pytest.approx(k5_radius)
 
     def test_rejects_bad_layouts(self):
         with pytest.raises(ParameterError, match="kind"):
-            family_quotient(1, [2], "laplacian")
+            spectral_radius(family(1, [2]), "laplacian")
         for s, parts in ((-1, [2]), (1, []), (1, [2, 0])):
             with pytest.raises(ParameterError):
-                family_quotient(s, parts, "distance")
+                family(s, parts)
 
 
 class TestPerronVector:

@@ -1,4 +1,5 @@
 import enum
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -215,6 +216,27 @@ class TestEvaluateTheorem:
             assert verdict.conclusion == EXTREMAL_EXCEPTION, (tid, verdict)
             assert abs(verdict.condition_lhs - verdict.condition_rhs) <= 1e-8
 
+    def test_canonical_bases_tie_exactly(self):
+        # both sides of the condition run spectral_radius on the same graph,
+        # so no tolerance is needed at the smallest order that admits the family
+        cases = {}  # 1.4 ignores delta: one case per (b, k)
+        for tid in ("1.2", "1.3", "1.4", "1.5", "1.6"):
+            for b, k, d in itertools.product((1, 3), (1, 2), (2, 3, 4)):
+                delta = None if tid == "1.4" else d
+                n = math.ceil(order_bound(tid, b, k, delta))
+                n += (n - k) % 2
+                if n <= 300:
+                    cases.setdefault((tid, n, b, k, delta), None)
+        met = 0
+        for tid, n, b, k, delta in cases:
+            g = family(*extremal_layout_for(tid, n, b, k, delta))
+            verdict = evaluate_theorem(g, tid, b, k, delta)
+            if verdict.hypotheses_met:
+                met += 1
+                assert verdict.condition_lhs == verdict.condition_rhs, (tid, n, b, k, delta)
+                assert verdict.conclusion == EXTREMAL_EXCEPTION
+        assert met == 35
+
     @pytest.mark.parametrize("tid, n, b, k, d", [
         ("1.2", 19, 1, 1, 3),
         ("1.3", 19, 1, 1, 3),
@@ -223,51 +245,57 @@ class TestEvaluateTheorem:
         ("1.6", 63, 1, 1, 3),
     ])
     def test_only_the_input_graph_gets_a_matrix(self, monkeypatch, tid, n, b, k, d):
-        # the comparison family gets no graph matrix, only its equitable
-        # quotient, solved once per parameter set; the input's matrix is its
-        # twin quotient, whose distances come from one search on the graph
-        # induced on its c twin representatives, so no n x n matrix is built
-        # on either side
+        # both sides of the condition run spectral_radius on their graph's twin
+        # quotient: the comparison family once per parameter set, the input
+        # once per evaluation; distances come from one search on the graph
+        # induced on the c twin representatives, so no n x n matrix is built
         def refuse(*args):
             raise AssertionError("an n x n graph matrix was built")
 
         for name in ("graph_matrix", "adjacency_matrix", "signless_laplacian_matrix",
                      "distance_signless_laplacian_matrix"):
             monkeypatch.setattr(spectral, name, refuse)
-        shapes = []
-        solve = spectral._eigvalsh
+        shapes, searched, solved = [], [], []
+        solve, distances, radius = spectral._eigvalsh, spectral.distance_matrix, spectral_radius
 
         def counting(matrix):
             shapes.append(matrix.shape)
             return solve(matrix)
 
-        monkeypatch.setattr(spectral, "_eigvalsh", counting)
-        searched = []
-        distances = spectral.distance_matrix
-
         def search(h):
             searched.append(h.n)
             return distances(h)
 
+        def radius_of(h, kind):
+            solved.append(h)
+            return radius(h, kind)
+
+        monkeypatch.setattr(spectral, "_eigvalsh", counting)
         monkeypatch.setattr(spectral, "distance_matrix", search)
+        monkeypatch.setattr(theorems, "spectral_radius", radius_of)
         theorems._comparison.cache_clear()
         theorems.order_bound.cache_clear()
-        g = family(*extremal_layout_for(tid, n, b, k, d))
-        orders = []
-        # the family is solved on the first evaluation only
-        for h, solves in ((g, 2), (g.with_edge(*next(g.non_edges())), 1)):
-            shapes.clear()
-            searched.clear()
-            assert evaluate_theorem(h, tid, b, k, d).hypotheses_met
+
+        def class_count(h):
             # one class per twin class, and one per vertex without twins
             classes = _twin_classes(h.adjacency_rows)
-            c = len(classes) + h.n - sum(map(int.bit_count, classes))
-            assert len(shapes) == solves and max(shapes) < (n, n) and shapes[-1] == (c, c)
-            assert searched == ([] if tid in ("1.2", "1.3") else [c])
-            orders.append(c)
+            return len(classes) + h.n - sum(map(int.bit_count, classes))
+
+        g = family(*extremal_layout_for(tid, n, b, k, d))
+        plus = g.with_edge(*next(g.non_edges()))
+        # the family is solved on the first evaluation only
+        for h, graphs in ((g, [g, g]), (plus, [plus])):
+            shapes.clear()
+            searched.clear()
+            solved.clear()
+            assert evaluate_theorem(h, tid, b, k, d).hypotheses_met
+            assert solved == graphs
+            orders = [class_count(x) for x in graphs]
+            assert shapes == [(c, c) for c in orders] and max(orders) < n
+            assert searched == ([] if tid in ("1.2", "1.3") else orders)
         # G'(47,1,1,3): 3 classes; plus an edge from the big clique to a singleton: 5
         if (tid, n) == ("1.5", 47):
-            assert orders == [3, 5]
+            assert (class_count(g), class_count(plus)) == (3, 5)
 
     def test_cached_verdicts_equal_cold_verdicts(self):
         # per parameter set: the extremal family, a supergraph and a subgraph
