@@ -10,8 +10,11 @@ sweep whose assertions were not all confirmed by brute force.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from .errors import (
     ParameterError,
     ScaleLimitError,
 )
-from .factors import ENUMERATION_CAP, FactorSpec, is_k_critical
+from .factors import ENUMERATION_CAP, is_k_critical
 from .graphs import (
     ExtremalParams,
     Graph,
@@ -39,8 +42,9 @@ from .spectral import (
     wiener_gprime_closed_form,
     wiener_index,
 )
-from .theorems import THEOREM_IDS, counterexample_sweep, one_edge_supergraphs, report_json
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .theorems import (
+    EQUALITY_TOLERANCE, THEOREM_IDS, counterexample_sweep, one_edge_supergraphs, report_json
+)
 
 VARIANTS = ("gprime", "g2", "g3", "gstar")
 
@@ -159,10 +163,9 @@ def cmd_extremal(args) -> int:
 
 def cmd_check_critical(args) -> int:
     g = _load_graph(args.input)
-    spec = FactorSpec(args.b, args.k)
     payload = {"input": args.input, "b": args.b, "k": args.k, "mode": args.mode}
     if args.mode == "exact":
-        verdict = is_k_critical(g, spec, cap=args.cap)
+        verdict = is_k_critical(g, args.b, args.k, cap=args.cap)
         witness = sorted(verdict.witness) if verdict.witness is not None else None
         line = f"critical={verdict.critical} subsets_examined={verdict.subsets_examined}" + (
             f" witness={witness}" if witness is not None else ""
@@ -171,7 +174,7 @@ def cmd_check_critical(args) -> int:
         # witness-only: search small separators, never certify criticality
         # the search starts at |S| = k, so the default reaches at least that far
         max_size = args.max_size if args.max_size is not None else min(g.n - 1, max(4, args.k))
-        verdict = is_k_critical(g, spec, cap=max(args.cap, g.n), max_size=max_size)
+        verdict = is_k_critical(g, args.b, args.k, cap=max(args.cap, g.n), max_size=max_size)
         payload["max_size"] = max_size
         witness = sorted(verdict.witness) if verdict.witness is not None else None
         if witness is None:
@@ -219,13 +222,12 @@ def _sweep(args, corpus, *, per_graph: bool) -> int:
     code 1 on a falsification, else 2 if some assertion went unconfirmed
     (above the enumeration cap), else 0.
     """
-    tol = (
-        Tolerances.scaled(args.tolerance)
-        if args.tolerance is not None
-        else DEFAULT_TOLERANCES
-    )
+    scale = 1.0 if args.tolerance is None else args.tolerance
+    if not (math.isfinite(scale) and scale > 0):
+        raise ParameterError(f"tolerance scale factor must be positive and finite, got {scale!r}")
     report = counterexample_sweep(
-        corpus, args.b, args.k, args.delta, args.theorem, cap=args.cap, tol=tol
+        corpus, args.b, args.k, args.delta, args.theorem, cap=args.cap,
+        tol=EQUALITY_TOLERANCE * scale,
     )
     lines = []
     if per_graph:
@@ -252,23 +254,17 @@ def _sweep(args, corpus, *, per_graph: bool) -> int:
 
 
 def _csv(report) -> str:
-    rows = ["graph_id,theorem_id,conclusion,condition_lhs,condition_rhs,brute_force,witness"]
+    out = io.StringIO()
+    out.write("graph_id,theorem_id,conclusion,condition_lhs,condition_rhs,brute_force,witness\n")
+    writer = csv.writer(out, lineterminator="\n")
     for r in report.records:
         witness = r.get("witness")
-        rows.append(
-            ",".join(
-                [
-                    r["graph_id"],
-                    r["theorem_id"],
-                    r["conclusion"],
-                    format(r["condition_lhs"], ".12g"),
-                    format(r["condition_rhs"], ".12g"),
-                    str(r.get("brute_force_verdict")),
-                    ";".join(str(v) for v in witness) if witness else "",
-                ]
-            )
-        )
-    return "\n".join(rows) + "\n"
+        writer.writerow([
+            r["graph_id"], r["theorem_id"], r["conclusion"],
+            format(r["condition_lhs"], ".12g"), format(r["condition_rhs"], ".12g"),
+            str(r.get("brute_force_verdict")), ";".join(map(str, witness)) if witness else "",
+        ])
+    return out.getvalue()
 
 
 def _add_params(p, *, need_delta=True):
@@ -316,26 +312,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON verdict here")
     p.set_defaults(func=cmd_check_critical)
 
-    p = sub.add_parser("verify", help="evaluate one theorem over a corpus")
+    # the flags verify and sweep share: both run one theorem over a corpus
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--theorem", choices=THEOREM_IDS, required=True)
+    shared.add_argument("--variant", choices=VARIANTS, default="gprime")
+    shared.add_argument("--cap", type=int, default=ENUMERATION_CAP)
+    shared.add_argument(
+        "--tolerance", type=float, help="scale factor for the equality tolerance 1e-8"
+    )
+    shared.add_argument("--format", choices=("json", "csv"), default="json")
+    shared.add_argument("--out", help="write the JSON or CSV report here")
+
+    p = sub.add_parser("verify", parents=[shared], help="evaluate one theorem over a corpus")
     _add_params(p)
-    p.add_argument("--theorem", choices=THEOREM_IDS, required=True)
     p.add_argument("--input", help="corpus file: one graph6 per line")
-    p.add_argument("--variant", choices=VARIANTS, default="gprime")
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
-    p.add_argument("--tolerance", type=float, help="scale factor for both tolerances")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", help="theorem sweep over one-edge supergraphs")
+    p = sub.add_parser("sweep", parents=[shared], help="theorem sweep over one-edge supergraphs")
     _add_params(p)
-    p.add_argument("--theorem", choices=THEOREM_IDS, required=True)
-    p.add_argument("--variant", choices=VARIANTS, default="gprime")
     p.add_argument("--include-base", action="store_true")
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
     return top
 

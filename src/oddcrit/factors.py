@@ -39,8 +39,10 @@ still cost sum C(n, s) over the open sizes, hence the default order cap.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from operator import index
+from typing import Optional, Sequence
 
 from .errors import ParameterError, ScaleLimitError
 from .graphs import (
@@ -58,39 +60,6 @@ ENUMERATION_CAP = 22
 #: subsets per vertex: finding them costs about as much as testing a few
 #: subsets, and the walk over their blocks a little more per subset
 _TWIN_SCAN_RATIO = 4
-
-
-@dataclass(frozen=True)
-class FactorSpec:
-    """Per-vertex odd degree bounds and a criticality order.
-
-    ``f`` is either one odd positive integer (the constant [1,b] case) or a
-    per-vertex sequence of odd positive integers.
-    """
-
-    f: Union[int, tuple[int, ...]]
-    k: int = 0
-
-    def __post_init__(self):
-        values = (self.f,) if isinstance(self.f, int) else tuple(self.f)
-        if not values:
-            raise ParameterError("factor bounds must be nonempty")
-        for x in values:
-            if x < 1 or x % 2 == 0:
-                raise ParameterError(f"factor bound {x} must be a positive odd integer")
-        if self.k < 0:
-            raise ParameterError(f"criticality order k={self.k} must be >= 0")
-        if not isinstance(self.f, int):
-            object.__setattr__(self, "f", values)
-
-    def values_for(self, n: int) -> tuple[int, ...]:
-        if isinstance(self.f, int):
-            return (self.f,) * n
-        if len(self.f) != n:
-            raise ParameterError(
-                f"per-vertex bounds cover {len(self.f)} vertices, graph has {n}"
-            )
-        return self.f
 
 
 @dataclass(frozen=True)
@@ -316,61 +285,71 @@ def _find_violation(
     return None, examined
 
 
-def _as_spec(f, k: Optional[int]) -> FactorSpec:
-    """``f`` (an odd bound, per-vertex bounds or a FactorSpec) with order ``k``.
+def _bounds(f, k, n: int) -> tuple[int, ...]:
+    """``f`` -- one odd bound, or one per vertex -- as the bound of each of n vertices.
 
-    A FactorSpec keeps its own k; passing a different explicit ``k`` with it
-    is an error.  Plain bounds take ``k``, or 0 when it is None.
+    Checks the bounds, then the criticality order ``k``, then the length of
+    per-vertex bounds.  Each number must have ``__index__``, as for
+    ``operator.index``: a float is a ParameterError, not a bound or an order.
     """
-    if isinstance(f, FactorSpec):
-        if k is not None and f.k != k:
-            raise ParameterError(f"factor spec has k={f.k}, expected k={k}")
-        return f
-    return FactorSpec(f, 0 if k is None else k)
+    per_vertex = isinstance(f, Iterable)
+    bounds = tuple(f) if per_vertex else (f,)
+    if not bounds:
+        raise ParameterError("factor bounds must be nonempty")
+    for x in bounds:
+        if not hasattr(type(x), "__index__") or x < 1 or x % 2 == 0:
+            raise ParameterError(f"factor bound {x} must be a positive odd integer")
+    if not hasattr(type(k), "__index__"):
+        raise ParameterError(f"criticality order k={k} must be an integer")
+    if k < 0:
+        raise ParameterError(f"criticality order k={k} must be >= 0")
+    bounds = tuple(map(index, bounds))
+    if not per_vertex:
+        return bounds * n
+    if len(bounds) != n:
+        raise ParameterError(f"per-vertex bounds cover {len(bounds)} vertices, graph has {n}")
+    return bounds
 
 
 def has_odd_factor(g: Graph, f, *, cap: int = ENUMERATION_CAP) -> bool:
     """Whether G has a spanning subgraph with every degree odd and <= f(v).
 
-    ``f`` is an odd integer bound, a per-vertex sequence, or a FactorSpec with
-    k=0.  Decided by exhaustive subset enumeration (S = empty set alone forces
-    o(G) = 0, so odd-order graphs always fail; the empty graph has one).
+    ``f`` is an odd integer bound or one per vertex.  Decided by exhaustive
+    subset enumeration (S = empty set alone forces o(G) = 0, so odd-order
+    graphs always fail; the empty graph has one).
     """
-    spec = _as_spec(f, 0)
-    mask, _ = _find_violation(g, spec.values_for(g.n), 0, cap=cap)
+    mask, _ = _find_violation(g, _bounds(f, 0, g.n), 0, cap=cap)
     return mask is None
 
 
 def is_k_critical(
     g: Graph,
     f,
-    k: Optional[int] = None,
+    k: int = 0,
     *,
     cap: int = ENUMERATION_CAP,
     max_size: Optional[int] = None,
 ) -> CriticalityVerdict:
     """Whether deleting any k vertices leaves a graph with an odd factor.
 
-    ``f`` is an odd bound, per-vertex bounds, or a FactorSpec (whose k must
-    agree with an explicit ``k``).  Exact check of the odd-component
-    criterion over all S with |S| >= k, in increasing size with early exit on
-    the first violation; the witness of a negative verdict is the first
-    violating set in (size, numeric) order.  Sizes that cannot hold a
-    violation are skipped; size k is scanned one S per orbit of the twin
-    swaps and the larger sizes over unions of whole twin classes, which
-    leaves verdict and witness those of the scan over every subset.
+    ``f`` is an odd integer bound or one per vertex.  Exact check of the
+    odd-component criterion over all S with |S| >= k, in increasing size
+    with early exit on the first violation; the witness of a negative
+    verdict is the first violating set in (size, numeric) order.  Sizes that
+    cannot hold a violation are skipped; size k is scanned one S per orbit of
+    the twin swaps and the larger sizes over unions of whole twin classes,
+    which leaves verdict and witness those of the scan over every subset.
     ``max_size`` limits the search to k <= |S| <= max_size: the verdict is
     then non-critical with a witness, or ``critical=None`` when none was
     found; it never certifies criticality.
     """
-    spec = _as_spec(f, k)
-    if g.n < spec.k + 2:
-        raise ParameterError(f"criticality needs n >= k+2, got n={g.n}, k={spec.k}")
-    if max_size is not None and max_size < spec.k:
-        raise ParameterError(f"max_size={max_size} is below k={spec.k}: no set S would be searched")
-    mask, examined = _find_violation(
-        g, spec.values_for(g.n), spec.k, cap=cap, max_size=max_size
-    )
+    fvals = _bounds(f, k, g.n)
+    k = index(k)
+    if g.n < k + 2:
+        raise ParameterError(f"criticality needs n >= k+2, got n={g.n}, k={k}")
+    if max_size is not None and max_size < k:
+        raise ParameterError(f"max_size={max_size} is below k={k}: no set S would be searched")
+    mask, examined = _find_violation(g, fvals, k, cap=cap, max_size=max_size)
     if mask is not None:
         return CriticalityVerdict(False, frozenset(_bits(mask)), examined)
     return CriticalityVerdict(None if max_size is not None else True, None, examined)

@@ -211,6 +211,7 @@ class Graph:
         if n < 0:
             raise ParameterError("vertex count must be nonnegative")
         adj = [0] * n
+        edges = iter(edges)  # edges that are not iterable are a TypeError, not a label's
         try:
             for u, v in edges:
                 if not (0 <= u < n and 0 <= v < n):
@@ -220,10 +221,11 @@ class Graph:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
             # a numpy integer label makes rows numpy integers, whose shifts lose
-            # bits or overflow; one check of the rows beats coercing each label
+            # bits or overflow; one check of the rows beats coercing each label,
+            # and a label that is no integer fails the indexing or the shift
             if any(type(row) is not int for row in adj):
                 raise OverflowError
-        except OverflowError:
+        except (OverflowError, TypeError):
             raise ParameterError("vertex labels must be Python ints") from None
         self.n = n
         self._adj = tuple(adj)
@@ -693,13 +695,20 @@ def parse_graph_auto(text: str) -> Graph:
     """Parse either format, auto-detected by the first byte.
 
     graph6 bytes are printable codes >= 63 ('?'), while edge lists start with a
-    digit or '#' comment, so the first non-blank byte decides.
+    digit or '#' comment, so the first non-blank byte decides.  graph6 input
+    is read as a corpus (``parse_graph6_corpus``) that must hold one graph.
     """
     s = text.lstrip()
     if not s:
         raise GraphFormatError("empty graph input")
     if s.startswith(_G6_HEADER) or ord(s[0]) >= 63:
-        return parse_graph6(s.splitlines()[0])
+        graphs = parse_graph6_corpus(s)
+        if len(graphs) > 1:
+            raise GraphFormatError(
+                f"input holds {len(graphs)} graph6 lines, one graph expected; "
+                "use verify --input for a corpus"
+            )
+        return graphs[0]
     return parse_edge_list(text)
 
 

@@ -4,9 +4,9 @@ Six sufficient conditions (labeled '1.1'..'1.6') assert that a graph meeting
 parity, connectivity, order and minimum-degree hypotheses is k-critical for
 odd factors with bound b whenever a size or spectral comparison against a
 fixed extremal family holds -- unless the graph is that extremal family
-itself.  The evaluators check the hypotheses literally, run the comparison at
-the configured tolerance, and classify the outcome; a sweep driver confirms
-positive verdicts by brute-force criticality and reports any falsification.
+itself.  The evaluators check the hypotheses literally, run the comparison
+within ``EQUALITY_TOLERANCE``, and classify the outcome; a sweep driver
+confirms positive verdicts by brute force and reports any falsification.
 
 Every comparison family is a join K_s v (K_{n_1} u ... u K_{n_t}), known by
 its layout ``(s, parts)`` (``extremal_layout_for``) and built by
@@ -51,9 +51,13 @@ from .errors import ParameterError, ScaleLimitError
 from .factors import ENUMERATION_CAP, is_k_critical
 from .graphs import ExtremalParams, Graph, check_parameters, family
 from .spectral import spectral_radius
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 THEOREM_IDS = ("1.1", "1.2", "1.3", "1.4", "1.5", "1.6")
+
+#: spectral radii within this of each other count as equal in a condition
+EQUALITY_TOLERANCE = 1e-8
+#: margin by which the ordering lemmas' strict inequalities must hold
+_STRICT_MARGIN = 1e-9
 
 ASSERTS_CRITICAL = "asserts_critical"
 EXTREMAL_EXCEPTION = "extremal_exception"
@@ -199,13 +203,14 @@ def evaluate_theorem(
     k: int,
     delta: Optional[int] = None,
     *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    tol: float = EQUALITY_TOLERANCE,
 ) -> TheoremVerdict:
     """Check one theorem's hypotheses and condition against a graph.
 
     Hypothesis failures yield conclusion 'inapplicable' rather than errors.
     Variant '1.4' only requires connectivity and ignores delta; the others
-    require (k+1)-connectivity and minimum degree exactly delta.
+    require (k+1)-connectivity and minimum degree exactly delta.  A radius
+    condition is met within ``tol`` of equality.
     """
     delta = None if theorem_id == "1.4" else delta  # 1.4 ignores it: one cache entry
     bound = order_bound(theorem_id, b, k, delta)
@@ -231,7 +236,7 @@ def evaluate_theorem(
         met = lhs >= rhs
     else:
         lhs = spectral_radius(g, quantity)
-        met = lhs >= rhs - tol.equality if orientation == "ge" else lhs <= rhs + tol.equality
+        met = lhs >= rhs - tol if orientation == "ge" else lhs <= rhs + tol
     if not met:
         return TheoremVerdict(theorem_id, hyp, False, lhs, rhs, CONDITION_FAILS)
     if any(g == h for h in exceptions):
@@ -244,8 +249,6 @@ def ordering_lemma_check(
     s: int,
     parts: Sequence[int],
     p: Optional[int] = None,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Optional[bool]:
     """Radius comparisons between a join family and its flattened counterpart.
 
@@ -272,7 +275,7 @@ def ordering_lemma_check(
             return None
         lhs = spectral_radius(family(s, parts), "distance")
         rhs = spectral_radius(family(s, [big] + [p] * (t - 1)), "distance")
-        return lhs > rhs + tol.strict
+        return lhs > rhs + _STRICT_MARGIN
 
     if lemma_id == "2.9":
         flat = [n - s - t + 1] + [1] * (t - 1)
@@ -286,8 +289,8 @@ def ordering_lemma_check(
     lhs = spectral_radius(family(s, parts), "distance_signless_laplacian")
     rhs = spectral_radius(family(s, flat), "distance_signless_laplacian")
     if sorted(parts, reverse=True) == sorted(flat, reverse=True):
-        return abs(lhs - rhs) <= tol.equality
-    return lhs > rhs + tol.strict
+        return abs(lhs - rhs) <= EQUALITY_TOLERANCE
+    return lhs > rhs + _STRICT_MARGIN
 
 
 @dataclass
@@ -418,7 +421,7 @@ def counterexample_sweep(
     theorem_id: str,
     *,
     cap: int = ENUMERATION_CAP,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    tol: float = EQUALITY_TOLERANCE,
 ) -> SweepReport:
     """Evaluate a theorem over a corpus, brute-force checking every assertion.
 
@@ -461,6 +464,7 @@ def one_edge_supergraphs(g: Graph) -> list[tuple[str, Graph]]:
 __all__ = [
     "ASSERTS_CRITICAL",
     "CONDITION_FAILS",
+    "EQUALITY_TOLERANCE",
     "EXTREMAL_EXCEPTION",
     "INAPPLICABLE",
     "THEOREM_IDS",

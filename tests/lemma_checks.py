@@ -10,16 +10,13 @@ from typing import Optional
 from oddcrit.graphs import ExtremalParams, family, g_star
 from oddcrit.spectral import spectral_radius
 from oddcrit.theorems import extremal_layout_for
-from oddcrit.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
-def gstar_ordering_check(
-    n: int, b: int, k: int, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
+def gstar_ordering_check(n: int, b: int, k: int) -> bool:
     """Strict radius ordering of the one-extra-edge graph between two families.
 
     Checks mu1(K_{k+1} v (K_{n-b-k-2} u (b+1)K_1)) < mu1(G*) <
-    mu1(K_{k+2} v (K_{n-2b-k-3} u (2b+1)K_1)) with the strictness margin.
+    mu1(K_{k+2} v (K_{n-2b-k-3} u (2b+1)K_1)), each by a margin of 1e-9.
     """
     star = g_star(n, b, k)
     mu_wide = spectral_radius(family(*extremal_layout_for("1.4", n, b, k, None)), "distance")
@@ -27,25 +24,21 @@ def gstar_ordering_check(
     mu_narrow = spectral_radius(
         family(k + 2, [n - 2 * b - k - 3] + [1] * (2 * b + 1)), "distance"
     )
-    return mu_wide < mu_star - tol.strict and mu_star < mu_narrow - tol.strict
+    return mu_wide < mu_star - 1e-9 and mu_star < mu_narrow - 1e-9
 
 
-def interlacing_bound_check(
-    p: ExtremalParams, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
-    """mu1 of the extremal family is at least n - b*delta + b*k - 2.
+def interlacing_bound_check(p: ExtremalParams) -> bool:
+    """mu1 of the extremal family is at least n - b*delta + b*k - 2, within 1e-8.
 
     The join cell and the big clique together induce a complete subgraph of
     order n - b*delta + b*k - 1, and distance spectra interlace.
     """
     mu = spectral_radius(family(*p.layout("gprime")), "distance")
-    return mu >= p.n - p.b * p.delta + p.b * p.k - 2 - tol.equality
+    return mu >= p.n - p.b * p.delta + p.b * p.k - 2 - 1e-8
 
 
-def eta_lower_bound_check(
-    p: ExtremalParams, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Optional[bool]:
-    """Whether eta1 of the extremal family exceeds 2n + 4b*delta - 4b*k + 1.
+def eta_lower_bound_check(p: ExtremalParams) -> Optional[bool]:
+    """Whether eta1 of the extremal family exceeds 2n + 4b*delta - 4b*k + 1 by 1e-9.
 
     Applies only when n >= 2(b^2+2b)delta^2 + 2delta + 2b^2k^2 (the regime in
     which the 4W/n lower bound gives this); returns None when inapplicable.
@@ -55,4 +48,4 @@ def eta_lower_bound_check(
     if n < 2 * (b * b + 2 * b) * d * d + 2 * d + 2 * b * b * k * k:
         return None
     eta = spectral_radius(family(s, parts), "distance_signless_laplacian")
-    return eta > 2 * n + 4 * b * d - 4 * b * k + 1 + tol.strict
+    return eta > 2 * n + 4 * b * d - 4 * b * k + 1 + 1e-9

@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from oddcrit.errors import GraphFormatError, ParameterError, ScaleLimitError
-from oddcrit.factors import CriticalityVerdict, FactorSpec
+from oddcrit.factors import CriticalityVerdict
 from oddcrit.graphs import ExtremalParams, Graph, _bits, _component_mask, _fan_reaches
 
 #: size limits of the constructive odd-factor search
@@ -102,7 +102,7 @@ def is_k_critical_definitional(g: Graph, b: int, k: int) -> bool:
 def full_scan(g: Graph, f, k: int = 0, *, max_size: Optional[int] = None) -> CriticalityVerdict:
     """The odd-component criterion tested on every S with k <= |S| <= min(max_size, n - 1).
 
-    ``f`` is an odd bound or a FactorSpec, which brings its own k.  Sets are
+    ``f`` is an odd bound or one per vertex, taken as given.  Sets are
     tested in (size, numeric bitmask) order, each against
     sum_S f - max{sum_X f : X <= S, |X| = k} with o(G - S) counted in full by
     ``Graph.odd_components_after_removal``.  The verdict reads like
@@ -110,9 +110,8 @@ def full_scan(g: Graph, f, k: int = 0, *, max_size: Optional[int] = None) -> Cri
     tested S counted, and ``critical=None`` when a search bounded by
     ``max_size`` found nothing.
     """
-    spec = f if isinstance(f, FactorSpec) else FactorSpec(f, k)
-    n, k = g.n, spec.k
-    fvals = spec.values_for(n)
+    n = g.n
+    fvals = (f,) * n if isinstance(f, int) else tuple(f)
     top = n - 1 if max_size is None else min(max_size, n - 1)
     examined = 0
     for size in range(k, top + 1):

@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import random
 import re
@@ -359,6 +360,18 @@ class TestVerifyAndSweep:
         assert lines[0].startswith("graph_id,theorem_id,conclusion")
         assert len(lines) == 2
 
+    def test_csv_quotes_a_comma_in_the_graph_id(self, tmp_path):
+        # graph ids hold the input path, which may hold the delimiter
+        corpus = write_graph(tmp_path, "a,b.g6", extremal_gprime(ExtremalParams(19, 1, 1, 3)))
+        out = tmp_path / "r.csv"
+        main([
+            "verify", "--theorem", "1.1", "--b", "1", "--k", "1", "--delta", "3",
+            "--format", "csv", "--input", corpus, "--out", str(out),
+        ])
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert len(rows) == 2 and all(len(row) == 7 for row in rows)
+        assert rows[1][0] == f"{corpus}:0"
+
     def test_verify_malformed_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "bad.g6"
         corpus.write_text("D?\n")
@@ -489,6 +502,31 @@ def test_file_that_is_not_text_exit_two(tmp_path, capsys, argv):
     assert re.search(rf"cannot read (config )?{re.escape(str(bad))}: 'utf-8' codec", err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "FILE"],
+    ["check-critical", "--input", "FILE", "--b", "1", "--k", "0"],
+])
+def test_input_with_several_graphs_exit_two(tmp_path, capsys, argv):
+    # both commands read one graph: a second one is not dropped in silence
+    path = tmp_path / "two.g6"
+    path.write_text("D?{\nD~{\n")
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "holds 2 graph6 lines" in err and "verify --input" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "extremal", "check-critical", "verify", "sweep"])
+def test_help_lists_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    if command in ("verify", "sweep"):
+        for flag in ("--theorem", "--variant", "--cap", "--tolerance", "--format", "--out"):
+            assert flag in out
+        assert "scale factor for the equality tolerance 1e-8" in " ".join(out.split())
+
+
 def test_unknown_theorem_flag_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--theorem", "7.7", "--n", "13", "--b", "1", "--k", "1", "--delta", "2"])
@@ -496,7 +534,7 @@ def test_unknown_theorem_flag_rejected(capsys):
 
 def test_runtime_needs_numpy_alone():
     # scipy and networkx are test-only references; the package must not import them.
-    # `import oddcrit` loads the seven library submodules and not the CLI, so
+    # `import oddcrit` loads the six library submodules and not the CLI, so
     # the import time measured for it covers the whole library
     src = str(Path(oddcrit.__file__).resolve().parents[1])
     code = (
@@ -506,7 +544,7 @@ def test_runtime_needs_numpy_alone():
     )
     done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
     loaded, foreign = done.stdout.split("\n")[:2]
-    library = ("errors", "factors", "graphs", "partitions", "spectral", "theorems", "tolerances")
+    library = ("errors", "factors", "graphs", "partitions", "spectral", "theorems")
     assert loaded.split() == [f"oddcrit.{name}" for name in library]
     assert foreign == ""
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oddcrit.errors import ParameterError, ScaleLimitError
 from oddcrit.factors import (
     CriticalityVerdict,
-    FactorSpec,
+    _bounds,
     _canonical_subsets,
     _clique_cover_size,
     _subsets_of_size,
@@ -60,22 +61,53 @@ def factor_is_valid(g, edges, b):
     return all(d % 2 == 1 and d <= b for d in deg)
 
 
-class TestFactorSpec:
-    def test_rejects_even_or_nonpositive_bounds(self):
-        with pytest.raises(ParameterError):
-            FactorSpec(2)
-        with pytest.raises(ParameterError):
-            FactorSpec(0)
-        with pytest.raises(ParameterError):
-            FactorSpec((1, 3, -1))
-        with pytest.raises(ParameterError):
-            FactorSpec(1, k=-1)
+class TestBounds:
+    @pytest.mark.parametrize(
+        "f,k,message",
+        [
+            (2, 0, "factor bound 2 must be a positive odd integer"),
+            (0, 0, "factor bound 0 must be a positive odd integer"),
+            ((1, 3, -1), 0, "factor bound -1 must be a positive odd integer"),
+            ((), 0, "factor bounds must be nonempty"),
+            (1, -1, "criticality order k=-1 must be >= 0"),
+        ],
+    )
+    def test_rejects_even_or_nonpositive_bounds(self, f, k, message):
+        g = make_complete(3)
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            is_k_critical(g, f, k)
+        if k == 0:
+            with pytest.raises(ParameterError, match=re.escape(message)):
+                has_odd_factor(g, f)
 
-    def test_values_for(self):
-        assert FactorSpec(3).values_for(4) == (3, 3, 3, 3)
-        assert FactorSpec((1, 3, 1)).values_for(3) == (1, 3, 1)
+    def test_one_bound_per_vertex(self):
+        assert _bounds(3, 0, 4) == (3, 3, 3, 3)
+        assert _bounds((1, 3, 1), 1, 3) == _bounds([1, 3, 1], 1, 3) == (1, 3, 1)
+        for f in ((1, 3), (1, 3, 1, 1)):
+            message = f"per-vertex bounds cover {len(f)} vertices, graph has 3"
+            with pytest.raises(ParameterError, match=message):
+                is_k_critical(star(2), f)
+            with pytest.raises(ParameterError, match=message):
+                has_odd_factor(star(2), f)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: is_k_critical(g, 1, 2.0),
+            lambda g: is_k_critical(g, 1.0, 0),
+            lambda g: is_k_critical(g, (1, 1.0, 1, 1), 0),
+            lambda g: is_k_critical(g, 3, 1.5),
+            lambda g: has_odd_factor(g, 3.0),
+            lambda g: has_odd_factor(g, "3"),
+            lambda g: Graph(3, [(0, 1.0)]),
+            lambda g: Graph(3, [(1.0, 0)]),
+        ],
+        ids=["float-k", "float-bound", "float-in-per-vertex", "fractional-k", "float-b",
+             "str-b", "float-label", "float-first-label"],
+    )
+    def test_non_integer_parameters_are_parameter_errors(self, call):
         with pytest.raises(ParameterError):
-            FactorSpec((1, 3)).values_for(3)
+            call(make_complete(4))
 
 
 class TestHasOddFactor:
@@ -99,8 +131,8 @@ class TestHasOddFactor:
 
     def test_per_vertex_bounds(self):
         # center may take degree 3, leaves stay at 1
-        assert has_odd_factor(star(3), FactorSpec((3, 1, 1, 1)))
-        assert not has_odd_factor(star(3), FactorSpec((1, 1, 1, 3)))
+        assert has_odd_factor(star(3), (3, 1, 1, 1))
+        assert not has_odd_factor(star(3), (1, 1, 1, 3))
 
     def test_cap(self):
         with pytest.raises(ScaleLimitError):
@@ -190,14 +222,6 @@ class TestCriticality:
         assert not is_k_critical(make_complete(5), 1, 2).critical
         assert not is_k_critical(make_complete(4), 3, 1).critical
 
-    def test_factor_spec_k_must_agree(self):
-        assert is_k_critical(make_complete(3), FactorSpec(1, 1), 1).critical
-        assert is_k_critical(make_complete(3), FactorSpec(1, 1)).critical
-        with pytest.raises(ParameterError, match="k=1, expected k=0"):
-            is_k_critical(make_complete(3), FactorSpec(1, 1), 0)
-        with pytest.raises(ParameterError, match="k=1, expected k=0"):
-            has_odd_factor(make_complete(3), FactorSpec(1, 1))
-
     def test_max_size_never_certifies(self):
         # kappa = 3 settles |S| = 1 (n - k even) and |S| = 2 without a subset
         g = extremal_gprime(ExtremalParams(19, 1, 1, 3))
@@ -221,7 +245,7 @@ class TestCriticality:
             for _ in range(15):
                 n = rng.randrange(k + 2, 10)
                 g = random_connected_graph(rng, n, rng.uniform(0.3, 0.9))
-                per_vertex = FactorSpec(tuple(rng.choice([1, 3, 5]) for _ in range(n)), k)
+                per_vertex = tuple(rng.choice([1, 3, 5]) for _ in range(n))
                 for f in (1, 3, per_vertex):
                     fast = is_k_critical(g, f, k)
                     slow = full_scan(g, f, k)
@@ -236,7 +260,7 @@ class TestCriticality:
             for base in (extremal_gprime(params), proof_graph_g2(params)):
                 assert base.vertex_connectivity() > k and (n - k) % 2 == 0
                 g = relabelled(base, rng)
-                per_vertex = FactorSpec(tuple(rng.choice([1, 3, 5]) for _ in range(n)), k)
+                per_vertex = tuple(rng.choice([1, 3, 5]) for _ in range(n))
                 for f in (b, per_vertex):
                     fast = is_k_critical(g, f, k)
                     slow = full_scan(g, f, k)
@@ -386,7 +410,7 @@ class TestTwinOrbits:
         # n - k is even, so that size k does not fail on parity alone
         k = data.draw(st.sampled_from([k for k in (0, 1, 2) if (g.n - k) % 2 == 0]))
         fvals = tuple(data.draw(st.sampled_from([1, 3])) for _ in range(g.n))
-        witness = full_scan(g, FactorSpec(fvals, k)).witness
+        witness = full_scan(g, fvals, k).witness
         if witness is None or len(witness) == k:
             return
         for c in twin_classes_by_hand(g):
@@ -408,9 +432,9 @@ class TestTwinOrbits:
                 bound = data.draw(st.sampled_from([1, 3, 5]))
                 for v in c:
                     fvals[v] = bound
-            f = FactorSpec(tuple(fvals), k)
+            f = tuple(fvals)
         else:
-            f = FactorSpec(tuple(data.draw(st.sampled_from([1, 3, 5])) for _ in range(n)), k)
+            f = tuple(data.draw(st.sampled_from([1, 3, 5])) for _ in range(n))
         max_size = data.draw(st.integers(k, n - 1)) if bounded else None
         fast = is_k_critical(g, f, k, max_size=max_size)
         slow = full_scan(g, f, k, max_size=max_size)
@@ -433,9 +457,8 @@ class TestTwinOrbits:
         fvals = [1] * 13
         for v in (1, 3, 4):
             fvals[perm[v]] = 3
-        f = FactorSpec(tuple(fvals), 1)
-        fast = is_k_critical(g, f)
-        slow = full_scan(g, f)
+        fast = is_k_critical(g, fvals, 1)
+        slow = full_scan(g, fvals, 1)
         assert fast.critical and slow.critical and slow.subsets_examined == 2 ** 13 - 2
         classes = (2, 8, 1, 1, 1)  # {0, 1} {3..10} {2} {11} {12}
         assert sorted(map(len, twin_classes_by_hand(g))) == sorted(classes)
@@ -464,9 +487,9 @@ class TestExtremalWitness:
 
 def test_subset_enumeration_respects_size_order():
     # the first witness in (size, numeric) order is the reported one
-    v = is_k_critical(Graph(2), FactorSpec(1, 0))  # o(G - {}) = 2 > 0
+    v = is_k_critical(Graph(2), 1, 0)  # o(G - {}) = 2 > 0
     assert not v.critical and v.witness == frozenset()
-    w = is_k_critical(star(3), FactorSpec(1, 0))  # first violation at S = {center}
+    w = is_k_critical(star(3), 1, 0)  # first violation at S = {center}
     assert not w.critical and w.witness == frozenset({0})
 
 

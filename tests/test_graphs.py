@@ -374,6 +374,12 @@ class TestGraphIO:
         assert parse_graph_auto("0 1\n1 2") == path(3)
         assert parse_graph_auto(">>graph6<<D?{").n == 5
         assert parse_graph_auto("D?{").n == 5
+        assert parse_graph_auto("\nD?{\n\n").n == 5
+        assert parse_graph_auto("D?{\n# a comment, as in a corpus\n").n == 5
+
+    def test_auto_detection_reads_one_graph6_graph(self):
+        with pytest.raises(GraphFormatError, match="holds 2 graph6 lines, one graph expected"):
+            parse_graph_auto("D?{\nD~{\n")
 
     def test_corpus_parsing(self):
         text = "# two graphs\nD?{\n" + write_graph6(make_complete(4)) + "\n"
