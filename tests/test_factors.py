@@ -62,23 +62,20 @@ def factor_is_valid(g, edges, b):
 
 
 class TestBounds:
-    @pytest.mark.parametrize(
-        "f,k,message",
-        [
+    def test_rejects_even_or_nonpositive_bounds(self):
+        g = make_complete(3)
+        for f, k, message in [
             (2, 0, "factor bound 2 must be a positive odd integer"),
             (0, 0, "factor bound 0 must be a positive odd integer"),
             ((1, 3, -1), 0, "factor bound -1 must be a positive odd integer"),
             ((), 0, "factor bounds must be nonempty"),
             (1, -1, "criticality order k=-1 must be >= 0"),
-        ],
-    )
-    def test_rejects_even_or_nonpositive_bounds(self, f, k, message):
-        g = make_complete(3)
-        with pytest.raises(ParameterError, match=re.escape(message)):
-            is_k_critical(g, f, k)
-        if k == 0:
+        ]:
             with pytest.raises(ParameterError, match=re.escape(message)):
-                has_odd_factor(g, f)
+                is_k_critical(g, f, k)
+            if k == 0:
+                with pytest.raises(ParameterError, match=re.escape(message)):
+                    has_odd_factor(g, f)
 
     def test_one_bound_per_vertex(self):
         assert _bounds(3, 0, 4) == (3, 3, 3, 3)
