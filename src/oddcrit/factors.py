@@ -49,6 +49,7 @@ from .graphs import (
     Graph,
     _bits,
     _component_mask,
+    _integer,
     _k_connected,
     _twin_classes,
 )
@@ -237,6 +238,7 @@ def _find_violation(
     kappa tests and the classes are computed only when a size needs them.
     """
     n = g.n
+    cap = _integer(cap, "cap")
     if n > cap:
         raise ScaleLimitError(
             f"graph order {n} exceeds the enumeration cap {cap}; "
@@ -299,9 +301,7 @@ def _bounds(f, k, n: int) -> tuple[int, ...]:
     for x in bounds:
         if not hasattr(type(x), "__index__") or x < 1 or x % 2 == 0:
             raise ParameterError(f"factor bound {x} must be a positive odd integer")
-    if not hasattr(type(k), "__index__"):
-        raise ParameterError(f"criticality order k={k} must be an integer")
-    if k < 0:
+    if _integer(k, "criticality order k") < 0:
         raise ParameterError(f"criticality order k={k} must be >= 0")
     bounds = tuple(map(index, bounds))
     if not per_vertex:
@@ -347,8 +347,10 @@ def is_k_critical(
     k = index(k)
     if g.n < k + 2:
         raise ParameterError(f"criticality needs n >= k+2, got n={g.n}, k={k}")
-    if max_size is not None and max_size < k:
-        raise ParameterError(f"max_size={max_size} is below k={k}: no set S would be searched")
+    if max_size is not None:
+        max_size = _integer(max_size, "max_size")
+        if max_size < k:
+            raise ParameterError(f"max_size={max_size} is below k={k}: no set S would be searched")
     mask, examined = _find_violation(g, fvals, k, cap=cap, max_size=max_size)
     if mask is not None:
         return CriticalityVerdict(False, frozenset(_bits(mask)), examined)

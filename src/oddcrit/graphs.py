@@ -22,6 +22,14 @@ import numpy as np
 from .errors import GraphFormatError, ParameterError
 
 
+def _integer(value, name: str) -> int:
+    """``value`` by ``operator.index``; a float or a string is a ParameterError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ParameterError(f"{name}={value!r} must be an integer") from None
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -208,6 +216,7 @@ class Graph:
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        n = _integer(n, "vertex count n")
         if n < 0:
             raise ParameterError("vertex count must be nonnegative")
         adj = [0] * n

@@ -1,9 +1,9 @@
 """Dense symmetric matrices of a graph and their spectra.
 
 Builds the adjacency, signless Laplacian, distance and distance signless
-Laplacian matrices.  Every spectrum and spectral radius comes from one
-LAPACK call, ``np.linalg.eigvalsh``.  Matrices with integer entries stay
-integer until they enter the eigensolver.
+Laplacian matrices.  Distances come from Seidel's squaring of the adjacency
+on BLAS (``_distances``); every spectrum and spectral radius from one LAPACK
+call, ``np.linalg.eigvalsh``.  Integer matrices stay integer until then.
 
 A spectral radius comes from the c x c quotient of the matrix over the
 graph's c twin classes, read from the graph induced on one representative
@@ -13,7 +13,6 @@ graph has c = n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -90,44 +89,47 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
     return a + np.diag(np.array(g.degrees(), dtype=np.int64))
 
 
-def distance_matrix(g: Graph) -> np.ndarray:
-    """Shortest-path distances, by breadth-first search from every vertex.
+def _distances(a: np.ndarray) -> np.ndarray:
+    """Exact ``int64`` distances of the graph with 0/1 adjacency array ``a``.
 
-    The searches run on bitsets, one level at a time together; a level stops
-    expanding once the neighbours walked so far cover every vertex still
-    unseen.  d(v, u) is the number of levels at which u is still unseen from
-    v, so each level's unseen sets are unpacked into one 0/1 array and added
-    to the result, in ``uint16`` (every distance is below n) up to order
-    65535, then returned as ``int64`` so transmissions and the Wiener index
-    stay exact.  A level that reaches no new vertex while some stay unseen
-    means the graph is disconnected.
+    Seidel's algorithm (JCSS 51, 1995) as a loop.  Going up, each level joins
+    the pairs at distance <= 2 in the one below, B = A or A^2 off the
+    diagonal, halving distances (rounded up) until a level is complete; a
+    squaring that adds no pair means the graph is disconnected, so no other
+    pass checks connectivity.  Going down from D = 2 - A off the diagonal at
+    the level below the complete one, each level doubles the distances T
+    above, less one where d(i, j) is odd, i.e. where the sum of T(i, k) over
+    the neighbours k of j falls short of deg(j) T(i, j): D = 2T - [TA < T deg].
+    O(n^3 log diam) flops, two BLAS products per level, exact in ``float64``
+    as every partial sum is an integer below n^2; levels are kept as ``bool``.
     """
+    n = len(a)
+    level = a.astype(bool)
+    pairs = np.count_nonzero(level)
+    stack = []
+    while pairs < n * n - n:
+        stack.append(level)
+        f = level.astype(float)
+        level = np.logical_or(f @ f, stack[-1])
+        level.flat[:: n + 1] = False
+        more = np.count_nonzero(level)
+        if more == pairs:
+            raise DisconnectedGraphError("distance undefined: graph is disconnected")
+        pairs = more
+    # a complete A is its own top level, and 2 - A is A off the diagonal
+    d = 2.0 - (stack.pop() if stack else level)
+    d.flat[:: n + 1] = 0
+    for level in reversed(stack):
+        f = level.astype(float)
+        d = 2 * d - (d @ f < d * f.sum(axis=0))
+    return d.astype(np.int64)
+
+
+def distance_matrix(g: Graph) -> np.ndarray:
+    """Shortest-path distances as ``int64``, from ``_distances`` on the adjacency."""
     if g.n == 0:
         raise ParameterError("distance matrix undefined for the empty graph")
-    n = g.n
-    full = (1 << n) - 1
-    non_neighbours = [full ^ row for row in g.adjacency_rows]
-    unseen = [full ^ (1 << v) for v in range(n)]
-    frontier = [1 << v for v in range(n)]
-    dist = np.zeros((n, n), dtype=np.uint16 if n <= 0xFFFF else np.int64)
-    while any(unseen):
-        dist += _unpack_masks(unseen, n)
-        for i, rest in enumerate(unseen):
-            if not rest:
-                continue
-            # _bits inlined, as in _component_mask: this walk is the hot loop
-            f = frontier[i]
-            while f:
-                low = f & -f
-                rest &= non_neighbours[low.bit_length() - 1]
-                if not rest:
-                    break
-                f ^= low
-            if rest == unseen[i]:
-                raise DisconnectedGraphError("distance undefined: graph is disconnected")
-            frontier[i] = unseen[i] ^ rest
-            unseen[i] = rest
-    return dist.astype(np.int64)
+    return _distances(_unpack_masks(g.adjacency_rows, g.n))
 
 
 def transmissions(g: Graph) -> np.ndarray:
@@ -204,9 +206,7 @@ def spectral_radius(g: Graph, kind: str = "distance") -> float:
     if kind.startswith("distance"):
         if c == 1 and g.n > 1 and not w[0]:
             raise DisconnectedGraphError("distance undefined: graph is disconnected")
-        rows = np.packbits(m, axis=1, bitorder="little")
-        chunks = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
-        m = distance_matrix(Graph._from_rows(c, map(int.from_bytes, chunks, repeat("little"))))
+        m = _distances(m)
         w = 2 - w
     diagonal = (sizes - 1) * w
     if kind.endswith("signless_laplacian"):

@@ -106,6 +106,24 @@ class TestBounds:
         with pytest.raises(ParameterError):
             call(make_complete(4))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda g: is_k_critical(g, 1, 0, max_size=2.5), "max_size=2.5"),
+            (lambda g: is_k_critical(g, 1, 0, cap="22"), "cap='22'"),
+            (lambda g: is_k_critical(g, 1, 0, cap=None), "cap=None"),
+            (lambda g: is_k_critical(g, 1, 0, cap=2.5), "cap=2.5"),
+            (lambda g: has_odd_factor(g, 1, cap=4.0), "cap=4.0"),
+            (lambda g: Graph(2.0), "vertex count n=2.0"),
+            (lambda g: Graph("3"), "vertex count n='3'"),
+        ],
+        ids=["float-max-size", "str-cap", "none-cap", "float-cap", "float-cap-odd-factor",
+             "float-order", "str-order"],
+    )
+    def test_caps_sizes_and_orders_must_be_integers(self, call, message):
+        with pytest.raises(ParameterError, match=re.escape(f"{message} must be an integer")):
+            call(make_complete(4))
+
 
 class TestHasOddFactor:
     def test_k2_perfect_matching(self):

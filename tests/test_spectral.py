@@ -92,10 +92,12 @@ class TestDistanceMatrix:
         disjoint_union(make_complete(3), make_complete(3)),
         disjoint_union(make_complete(4), make_complete(1)),
         relabelled(disjoint_union(path(6), cycle(5)), random.Random(7)),
-    ], ids=["2K3", "K4+K1", "relabelled"])
+        disjoint_union(path(40), path(33)),
+    ], ids=["2K3", "K4+K1", "relabelled", "P40+P33"])
     def test_disconnection_found_by_the_search(self, g):
         # 2K_3 has twin representatives in both components, and K_4 + K_1 an
-        # isolated vertex; no connectivity pass runs before the searches
+        # isolated vertex; P_40 + P_33 passes six squarings before the seventh
+        # adds no pair.  No connectivity pass runs before the squarings
         with pytest.raises(DisconnectedGraphError, match="distance undefined"):
             distance_matrix(g)
         for kind in ("distance", "distance_signless_laplacian"):
@@ -106,7 +108,8 @@ class TestDistanceMatrix:
     def test_matches_scipy_on_random_connected_graphs(self, n, extra, rnd):
         assert_distances_match_scipy(random_connected_graph(rnd, n, extra))
 
-    @pytest.mark.parametrize("g", [path(120), cycle(65), make_complete(1)], ids=["P120", "C65", "K1"])
+    @pytest.mark.parametrize("g", [path(120), path(300), cycle(65), make_complete(1)],
+                             ids=["P120", "P300", "C65", "K1"])
     def test_matches_scipy_on_long_diameters(self, g):
         assert_distances_match_scipy(g)
 

@@ -247,31 +247,31 @@ class TestEvaluateTheorem:
     def test_only_the_input_graph_gets_a_matrix(self, monkeypatch, tid, n, b, k, d):
         # both sides of the condition run spectral_radius on their graph's twin
         # quotient: the comparison family once per parameter set, the input
-        # once per evaluation; distances come from one search on the graph
+        # once per evaluation; distances come from one Seidel run on the graph
         # induced on the c twin representatives, so no n x n matrix is built
         def refuse(*args):
             raise AssertionError("an n x n graph matrix was built")
 
         for name in ("graph_matrix", "adjacency_matrix", "signless_laplacian_matrix",
-                     "distance_signless_laplacian_matrix"):
+                     "distance_matrix", "distance_signless_laplacian_matrix"):
             monkeypatch.setattr(spectral, name, refuse)
         shapes, searched, solved = [], [], []
-        solve, distances, radius = spectral._eigvalsh, spectral.distance_matrix, spectral_radius
+        solve, distances, radius = spectral._eigvalsh, spectral._distances, spectral_radius
 
         def counting(matrix):
             shapes.append(matrix.shape)
             return solve(matrix)
 
-        def search(h):
-            searched.append(h.n)
-            return distances(h)
+        def search(a):
+            searched.append(len(a))
+            return distances(a)
 
         def radius_of(h, kind):
             solved.append(h)
             return radius(h, kind)
 
         monkeypatch.setattr(spectral, "_eigvalsh", counting)
-        monkeypatch.setattr(spectral, "distance_matrix", search)
+        monkeypatch.setattr(spectral, "_distances", search)
         monkeypatch.setattr(theorems, "spectral_radius", radius_of)
         theorems._comparison.cache_clear()
         theorems.order_bound.cache_clear()
