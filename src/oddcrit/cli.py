@@ -267,13 +267,12 @@ def _csv(report) -> str:
     return out.getvalue()
 
 
-def _add_params(p, *, need_delta=True):
+def _add_params(p):
     p.add_argument("--n", type=int, help="graph order")
     p.add_argument("--b", type=int, help="odd factor bound")
     p.add_argument("--k", type=int, help="criticality order")
-    if need_delta:
-        p.add_argument("--delta", type=int, help="minimum-degree parameter")
-        p.add_argument("--s", type=int, help="separator size (g2/g3 variants)")
+    p.add_argument("--delta", type=int, help="minimum-degree parameter")
+    p.add_argument("--s", type=int, help="separator size (g2/g3 variants)")
 
 
 @functools.cache

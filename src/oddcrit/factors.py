@@ -38,7 +38,6 @@ still cost sum C(n, s) over the open sizes, hence the default order cap.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import index
@@ -56,11 +55,6 @@ from .graphs import (
 
 #: default cap on the order of graphs accepted for exhaustive subset enumeration
 ENUMERATION_CAP = 22
-
-#: the twin classes are found at the first size holding more than this many
-#: subsets per vertex: finding them costs about as much as testing a few
-#: subsets, and the walk over their blocks a little more per subset
-_TWIN_SCAN_RATIO = 4
 
 
 @dataclass(frozen=True)
@@ -228,8 +222,8 @@ def _find_violation(
     size: o(G-S) is at most both, and each S of size s has a bound of at least
     min(f) * (s - k), which only grows with s.  It also skips the sizes
     k < s < kappa, and s = k when kappa > k and n - k is even: G - S is
-    connected there, with even order at s = k.  From the first size with more
-    than 4n subsets on, it uses the twin classes (see ``_twin_layout``): at
+    connected there, with even order at s = k.  On every size it enumerates,
+    it uses the twin classes (see ``_twin_layout``), if there are any: at
     size k it tests one S per orbit of the twin swaps, the one taking the
     lowest members of every class, which is the numerically first of its
     orbit; above size k it tests the unions of whole classes, as the first
@@ -252,7 +246,7 @@ def _find_violation(
     theta = 0
     # whether size < kappa, tested only for the sizes it could skip
     below_kappa = True
-    # twin classes, found at the first size that is worth it
+    # twin classes, found at the first size the scan enumerates
     twins = None
     examined = 0
     for size in range(k, top + 1):
@@ -268,7 +262,7 @@ def _find_violation(
             below_kappa = below_kappa and size + 1 < n and _k_connected(adj, size + 1)
             if below_kappa:
                 continue
-        if twins is None and math.comb(n, size) > _TWIN_SCAN_RATIO * n:
+        if twins is None:
             twins = _twin_layout(adj)
         if twins:
             cls, prefixes, wholes = twins

@@ -8,6 +8,11 @@ objects, so values can be shared freely between threads.
 Join-family constructors use a canonical labeling: the join cell comes first,
 then the parts in the given order.  ``is_join_family`` recognises a family
 under any labeling.
+
+Every family the paper builds is K_x v (K_{n-x-p(bx-bk+1)} u (bx-bk+1) K_p),
+and ``_join_layout`` alone computes and checks its parts: G' is x = delta,
+g2 is x = s, g3 is x = s with p = delta+1-s, g* adds an edge to x = k+2, and
+Theorem 1.4's two families are x = k+1 and x = k; p = 1 but for g3.
 """
 from __future__ import annotations
 
@@ -43,6 +48,17 @@ def _unpack_masks(masks: Sequence[int], n: int) -> np.ndarray:
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
     return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+
+
+def _pack_masks(a: np.ndarray) -> list[int]:
+    """Row i of the 0/1 array ``a`` as the int with bit j set iff a[i, j] is.
+
+    The inverse of ``_unpack_masks``; an array with rows needs a column.
+    """
+    packed = np.packbits(a, axis=1, bitorder="little")
+    # each row's bytes as one bytes object, then one int per row
+    chunks = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+    return list(map(int.from_bytes, chunks, repeat("little")))
 
 
 def _component_mask(adj, seed: int, alive: int) -> int:
@@ -332,10 +348,8 @@ class Graph:
     def odd_components_after_removal(self, removed: Iterable[int]) -> int:
         """o(G-S): number of odd-order components left after deleting S."""
         mask = 0
-        for v in map(index, removed):
-            if not 0 <= v < self.n:
-                raise ParameterError(f"vertex {v} outside range 0..{self.n - 1}")
-            mask |= 1 << v
+        for v in removed:
+            mask |= 1 << self._vertex(v)
         return sum(1 for comp in self.component_masks(mask) if comp.bit_count() & 1)
 
     def is_connected(self) -> bool:
@@ -389,6 +403,7 @@ class Graph:
 
 def make_complete(m: int) -> Graph:
     """Complete graph K_m (K_0 is the empty graph)."""
+    m = _integer(m, "order m")
     if m < 0:
         raise ParameterError("order must be nonnegative")
     full = (1 << m) - 1
@@ -417,6 +432,8 @@ def family(s: int, parts: list[int]) -> Graph:
 
     The join cell takes vertices 0..s-1, then the parts follow in order.
     """
+    s = _integer(s, "join cell size s")
+    parts = [_integer(p, "part order") for p in parts]
     if s < 0:
         raise ParameterError("join cell size must be nonnegative")
     if not parts:
@@ -465,16 +482,35 @@ def is_join_family(g: Graph, s: int, parts: Sequence[int]) -> bool:
 def check_parameters(b: int, k: int, n: Optional[int] = None, delta: Optional[int] = None) -> None:
     """The paper's rules: b odd and positive, k and delta positive, n = k (mod 2).
 
-    n and delta are checked only when given.
+    n and delta are checked only when given; each must be an integer.
     """
+    b, k = _integer(b, "b"), _integer(k, "k")
     if b < 1 or b % 2 == 0:
         raise ParameterError(f"b must be a positive odd integer, got {b}")
     if k < 1:
         raise ParameterError(f"k must be a positive integer, got {k}")
-    if delta is not None and delta < 1:
+    if delta is not None and _integer(delta, "delta") < 1:
         raise ParameterError(f"delta must be a positive integer, got {delta}")
-    if n is not None and (n - k) % 2 != 0:
+    if n is not None and (_integer(n, "n") - k) % 2 != 0:
         raise ParameterError(f"parity violation: n={n} and k={k} must agree mod 2")
+
+
+def _join_layout(n: int, b: int, k: int, x: int, p: int = 1, *, name: str) -> tuple[int, list[int]]:
+    """``(x, parts)`` of K_x v (K_{n-x-p(bx-bk+1)} u (bx-bk+1) K_p), as ``family`` takes them.
+
+    Every family the paper builds has this form; ``name`` spells x in the
+    messages.  Both the big clique and the count of small parts must be >= 1.
+    """
+    n, x, p = _integer(n, "n"), _integer(x, name), _integer(p, "p")
+    copies = b * x - b * k + 1
+    big = n - x - p * copies
+    if big < 1:
+        formula = f"n-(b+1)*{name}+b*k-1" if p == 1 else f"n-{name}-{p}*(b*{name}-b*k+1)"
+        raise ParameterError(f"big clique part {formula} = {big} must be >= 1")
+    if copies < 1:
+        small = "singleton" if p == 1 else "copy"
+        raise ParameterError(f"{small} count b*{name}-b*k+1 = {copies} must be >= 1")
+    return x, [big] + [p] * copies
 
 
 @dataclass(frozen=True)
@@ -492,69 +528,38 @@ class ExtremalParams:
     delta: int
     s: Optional[int] = None
 
-    def validate_common(self) -> None:
-        check_parameters(self.b, self.k, self.n, self.delta)
+    def layout(self, variant: str) -> tuple[int, list[int]]:
+        """``(x, parts)`` of the family 'gprime' (x = delta), 'g2' (x = s) or 'g3'.
 
-    def _separator(self) -> int:
-        if self.s is None:
-            raise ParameterError("separator size s is required")
-        if self.s < 1:
-            raise ParameterError(f"s must be a positive integer, got {self.s}")
-        return self.s
-
-    def _split(self, x: int, name: str) -> tuple[int, int]:
-        """(n-(b+1)x+bk-1, bx-bk+1): big clique order and singleton count at join cell x.
-
-        ``name`` spells x in the messages.
+        g3 is x = s with parts K_{delta+1-s}, so it needs s <= delta-1; the
+        others have singletons.  See ``_join_layout``.
         """
-        n, b, k = self.n, self.b, self.k
-        big = n - (b + 1) * x + b * k - 1
-        singles = b * x - b * k + 1
-        if big < 1:
-            raise ParameterError(f"big clique part n-(b+1)*{name}+b*k-1 = {big} must be >= 1")
-        if singles < 1:
-            raise ParameterError(f"singleton count b*{name}-b*k+1 = {singles} must be >= 1")
-        return big, singles
+        if variant not in ("gprime", "g2", "g3"):
+            raise ParameterError(f"unknown extremal variant {variant!r}")
+        n, b, k, d = self.n, self.b, self.k, self.delta
+        check_parameters(b, k, n, d)
+        if variant == "gprime":
+            return _join_layout(n, b, k, d, name="delta")
+        s = _integer(self.s, "s")
+        if variant == "g2":
+            return _join_layout(n, b, k, s, name="s")
+        if s > d - 1:
+            raise ParameterError(f"s = {s} must be <= delta-1 = {d - 1}")
+        return _join_layout(n, b, k, s, d + 1 - s, name="s")
 
     def gprime_parts(self) -> tuple[int, int]:
         """(big clique order, number of singletons) for the main extremal graph."""
-        self.validate_common()
-        return self._split(self.delta, "delta")
+        parts = self.layout("gprime")[1]
+        return parts[0], len(parts) - 1
 
     def g2_parts(self) -> tuple[int, int]:
-        self.validate_common()
-        return self._split(self._separator(), "s")
+        parts = self.layout("g2")[1]
+        return parts[0], len(parts) - 1
 
     def g3_parts(self) -> tuple[int, int, int]:
         """(big clique order, number of copies, copy order)."""
-        self.validate_common()
-        s = self._separator()
-        n, b, k, d = self.n, self.b, self.k, self.delta
-        if s > d - 1:
-            raise ParameterError(f"s = {s} must be <= delta-1 = {d - 1}")
-        copies = b * s - b * k + 1
-        copy_order = d + 1 - s
-        big = n - s - copy_order * copies
-        if copies < 1:
-            raise ParameterError(f"copy count b*s-b*k+1 = {copies} must be >= 1")
-        if big < 1:
-            raise ParameterError(
-                f"big clique part n-s-(delta+1-s)(b*s-b*k+1) = {big} must be >= 1"
-            )
-        return big, copies, copy_order
-
-    def layout(self, variant: str) -> tuple[int, list[int]]:
-        """``(s, parts)`` of the family 'gprime', 'g2' or 'g3', as ``family`` takes them."""
-        if variant == "gprime":
-            big, singles = self.gprime_parts()
-            return self.delta, [big] + [1] * singles
-        if variant == "g2":
-            big, singles = self.g2_parts()
-            return self.s, [big] + [1] * singles
-        if variant == "g3":
-            big, copies, copy_order = self.g3_parts()
-            return self.s, [big] + [copy_order] * copies
-        raise ParameterError(f"unknown extremal variant {variant!r}")
+        parts = self.layout("g3")[1]
+        return parts[0], len(parts) - 1, parts[1]
 
 
 def extremal_gprime(p: ExtremalParams) -> Graph:
@@ -575,12 +580,9 @@ def proof_graph_g3(p: ExtremalParams) -> Graph:
 def g_star(n: int, b: int, k: int) -> Graph:
     """K_{k+2} v (K_{n-2b-k-3} u (2b+1) K_1) plus one edge between two singletons."""
     check_parameters(b, k, n)
-    big = n - 2 * b - k - 3
-    if big < 1:
-        raise ParameterError(f"big clique part n-2b-k-3 = {big} must be >= 1")
-    base = family(k + 2, [big] + [1] * (2 * b + 1))
-    first_single = k + 2 + big
-    return base.with_edge(first_single, first_single + 1)
+    x, parts = _join_layout(n, b, k, k + 2, name="(k+2)")
+    first_single = x + parts[0]
+    return family(x, parts).with_edge(first_single, first_single + 1)
 
 
 # -- graph6 / edge-list I/O ----------------------------------------------------
@@ -622,8 +624,8 @@ def parse_graph6(text: str) -> Graph:
 
     The body's bits come from ``_G6_BITS`` by one ``np.take``, fill the
     strictly lower triangle through the cached mask ``_lower_triangle(n)``,
-    and the packed rows become ints in one ``map`` over bytes objects: no
-    Python statement runs per vertex.
+    and ``_pack_masks`` turns the rows into ints: no Python statement runs
+    per vertex.
     """
     s = text.strip()
     if s.startswith(_G6_HEADER):
@@ -659,11 +661,7 @@ def parse_graph6(text: str) -> Graph:
     adj = np.zeros((n, n), dtype=bool)
     adj[_lower_triangle(n)] = bits[: n * (n - 1) // 2]
     adj |= adj.T
-    # each row's packed bytes as one bytes object, then one int per row
-    width = (n + 7) // 8
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    chunks = packed.view(np.dtype((np.void, width))).ravel().tolist()
-    return Graph._from_rows(n, map(int.from_bytes, chunks, repeat("little")))
+    return Graph._from_rows(n, _pack_masks(adj))
 
 
 def parse_edge_list(text: str) -> Graph:

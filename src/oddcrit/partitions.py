@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .graphs import Graph
+from .graphs import Graph, _pack_masks
 from .spectral import _as_symmetric_float, symmetric_eigenvalues
 
 
@@ -167,8 +167,7 @@ def perron_vector(matrix) -> np.ndarray:
         raise ParameterError("Perron vector requires a nonnegative matrix")
     positive = a > 0
     np.fill_diagonal(positive, False)
-    packed = np.packbits(positive, axis=1, bitorder="little")
-    support = Graph._from_rows(n, (int.from_bytes(row.tobytes(), "little") for row in packed))
+    support = Graph._from_rows(n, _pack_masks(positive))
     if n > 1 and not support.is_connected():
         raise ParameterError("matrix is reducible: off-diagonal support is disconnected")
     if n == 1 and a[0, 0] == 0.0:

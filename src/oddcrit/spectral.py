@@ -198,11 +198,8 @@ def spectral_radius(g: Graph, kind: str = "distance") -> float:
     c = len(reps)
     # per class: its size, and w: 1 for true twins, 0 for false twins and classes of one
     sizes, w = np.array([(cls.bit_count(), adj[r] & cls != 0) for r, cls in zip(reps, classes)]).T
-    # H's adjacency: bit r_j of row r_i, read from the packed bytes of the rows
-    width = (g.n + 7) // 8
-    packed = np.frombuffer(b"".join(adj[r].to_bytes(width, "little") for r in reps), dtype=np.uint8)
-    at = np.array(reps)
-    m = np.take(packed.reshape(c, width), at >> 3, axis=1) >> (at & 7).astype(np.uint8) & 1
+    # H's adjacency: columns r_j of rows r_i
+    m = _unpack_masks([adj[r] for r in reps], g.n)[:, reps]
     if kind.startswith("distance"):
         if c == 1 and g.n > 1 and not w[0]:
             raise DisconnectedGraphError("distance undefined: graph is disconnected")

@@ -8,9 +8,10 @@ itself.  The evaluators check the hypotheses literally, run the comparison
 within ``EQUALITY_TOLERANCE``, and classify the outcome; a sweep driver
 confirms positive verdicts by brute force and reports any falsification.
 
-Every comparison family is a join K_s v (K_{n_1} u ... u K_{n_t}), known by
-its layout ``(s, parts)`` (``extremal_layout_for``) and built by
-``graphs.family``.  Both sides of a condition are computed the same way, on
+Every comparison family is a join K_x v (K_{n-x-(bx-bk+1)} u (bx-bk+1) K_1),
+known by its layout ``(x, parts)`` from ``graphs._join_layout`` (x = delta,
+or x = k+1 and x = k for Theorem 1.4; see ``extremal_layout_for``) and built
+by ``graphs.family``.  Both sides of a condition are computed the same way, on
 the family and on the input alike: the size condition counts edges, and
 every radius is ``spectral.spectral_radius``, the largest eigenvalue of the
 graph's twin quotient, read from the graph on one vertex per twin class.
@@ -49,7 +50,7 @@ from typing import Optional, Sequence
 
 from .errors import ParameterError, ScaleLimitError
 from .factors import ENUMERATION_CAP, is_k_critical
-from .graphs import ExtremalParams, Graph, check_parameters, family
+from .graphs import ExtremalParams, Graph, _integer, _join_layout, check_parameters, family
 from .spectral import spectral_radius
 
 THEOREM_IDS = ("1.1", "1.2", "1.3", "1.4", "1.5", "1.6")
@@ -78,20 +79,20 @@ _CONDITION = {
 _CACHE_SIZE = 64
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def order_bound(theorem_id: str, b: int, k: int, delta: Optional[int] = None) -> Fraction:
     """Order lower bound n0(b, k, delta) of a theorem, as an exact rational.
 
     Also the one check of these four arguments, so every entry point that
-    takes them calls it first.  Cached per arguments; invalid parameters
-    raise on every call.
+    takes them calls it first.  Cached per arguments and their types, so a
+    float never hits an int's entry; invalid parameters raise on every call.
     """
     if theorem_id not in THEOREM_IDS:
         raise ParameterError(f"unknown theorem id {theorem_id!r}")
     check_parameters(b, k)
     if theorem_id == "1.4":
         return Fraction(b * b + 2 * b * k + 5 * b + 2 * k + 4, b)
-    if delta is None or delta < 1:
+    if delta is None or _integer(delta, "delta") < 1:
         raise ParameterError(f"theorem {theorem_id} needs a positive delta")
     d = delta
     if theorem_id == "1.1":
@@ -133,23 +134,28 @@ def order_bound(theorem_id: str, b: int, k: int, delta: Optional[int] = None) ->
 def extremal_layout_for(
     theorem_id: str, n: int, b: int, k: int, delta: Optional[int]
 ) -> tuple[int, list[int]]:
-    """``(s, parts)`` of a theorem's comparison family K_s v (K_{parts[0]} u ...)."""
+    """``(s, parts)`` of a theorem's comparison family.
+
+    G' (x = delta in ``graphs._join_layout``) for every theorem but 1.4,
+    whose family is x = k+1: K_{k+1} v (K_{n-b-k-2} u (b+1)K_1).
+    """
     order_bound(theorem_id, b, k, delta)
     if theorem_id == "1.4":
-        big = n - b - k - 2
-        if big < 1:
-            raise ParameterError(f"part n-b-k-2 = {big} must be >= 1")
-        return k + 1, [big] + [1] * (b + 1)
+        return _join_layout(n, b, k, k + 1, name="(k+1)")
     return ExtremalParams(n, b, k, delta).layout("gprime")
 
 
 def exceptional_layouts_for(
     theorem_id: str, n: int, b: int, k: int, delta: Optional[int]
 ) -> list[tuple[int, list[int]]]:
-    """Layouts ``(s, parts)`` of the families excluded from the criticality conclusion."""
+    """Layouts ``(s, parts)`` of the families excluded from the criticality conclusion.
+
+    Theorem 1.4 also excludes K_k v (K_{n-k-1} u K_1), which fits whenever
+    its comparison family does.
+    """
     out = [extremal_layout_for(theorem_id, n, b, k, delta)]
-    if theorem_id == "1.4" and n - k - 1 >= 1:
-        out.append((k, [n - k - 1, 1]))
+    if theorem_id == "1.4":
+        out.append(_join_layout(n, b, k, k, name="k"))
     return out
 
 

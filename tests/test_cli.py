@@ -101,6 +101,26 @@ def test_edge_list_order_beyond_graph6_limit_exit_two(tmp_path, capsys, command)
     assert "error: line 2: vertex 2000000000 gives an order above 258047" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty graph input"),
+    (" \n\t\n", "empty graph input"),
+    (">>graph6<<\n", "empty graph6 input"),
+    ("~?\n", "truncated graph6 size header"),
+    ("~~\n", "graph6 orders beyond 258047 unsupported"),
+    ("0 1 2\n", "line 1: expected 'u v'"),
+    ("-1 0\n", "line 1: negative vertex index"),
+], ids=["empty", "blank", "header_alone", "truncated_header", "order_beyond_limit",
+        "three_tokens", "negative_vertex"])
+def test_malformed_graph_input_exit_two(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["analyze", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_edge_list_at_the_order_limit_fits_in_4_gb(tmp_path):
     # order 258047, nearly all of it isolated vertices; the child process
     # alone gets a 4 GB address-space limit

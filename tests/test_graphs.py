@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 import numpy as np
@@ -12,7 +12,9 @@ from oddcrit.graphs import (
     ExtremalParams,
     Graph,
     _fan_reaches,
+    _pack_masks,
     _twin_classes,
+    _unpack_masks,
     disjoint_union,
     extremal_gprime,
     family,
@@ -222,6 +224,93 @@ class TestExtremalFamilies:
             g_star(18, 1, 1)
         with pytest.raises(ParameterError):
             g_star(5, 1, 1)
+
+
+def _paper_rules(n, b, k, d=1):
+    return b >= 1 and b % 2 == 1 and k >= 1 and d >= 1 and (n - k) % 2 == 0
+
+
+# Each family's layout by the arithmetic and the checks it had when every
+# family wrote them out itself, or None where those checks rejected the
+# parameters; g* as its graph.
+def _gprime_reference(n, b, k, d, s):
+    big, singles = n - (b + 1) * d + b * k - 1, b * d - b * k + 1
+    if _paper_rules(n, b, k, d) and big >= 1 and singles >= 1:
+        return d, [big] + [1] * singles
+    return None
+
+
+def _g2_reference(n, b, k, d, s):
+    # the G' arithmetic at join cell s
+    if s is None or s < 1 or not _paper_rules(n, b, k, d):
+        return None
+    return _gprime_reference(n, b, k, s, s)
+
+
+def _g3_reference(n, b, k, d, s):
+    if s is None or not 1 <= s <= d - 1 or not _paper_rules(n, b, k, d):
+        return None
+    copies = b * s - b * k + 1
+    big = n - s - (d + 1 - s) * copies
+    if copies >= 1 and big >= 1:
+        return s, [big] + [d + 1 - s] * copies
+    return None
+
+
+def _gstar_reference(n, b, k, d, s):
+    big = n - 2 * b - k - 3
+    if _paper_rules(n, b, k) and big >= 1:
+        first_single = k + 2 + big
+        return family(k + 2, [big] + [1] * (2 * b + 1)).with_edge(first_single, first_single + 1)
+    return None
+
+
+def _theorem_14_reference(n, b, k, d, s):
+    big = n - b - k - 2
+    if not (b >= 1 and b % 2 == 1 and k >= 1 and big >= 1):
+        return None
+    return [(k + 1, [big] + [1] * (b + 1))] + ([(k, [n - k - 1, 1])] if n - k - 1 >= 1 else [])
+
+
+_WITH_DELTA_AND_S = list(product(range(26), (0, 1, 2, 3, 5), range(4), range(6), (None, *range(6))))
+_WITHOUT_DELTA_OR_S = list(product(range(26), (0, 1, 2, 3, 5), range(4), (None,), (None,)))
+
+
+@pytest.mark.parametrize("current, reference, grid", [
+    (lambda n, b, k, d, s: ExtremalParams(n, b, k, d, s).layout("gprime"), _gprime_reference,
+     _WITH_DELTA_AND_S),
+    (lambda n, b, k, d, s: ExtremalParams(n, b, k, d, s).layout("g2"), _g2_reference,
+     _WITH_DELTA_AND_S),
+    (lambda n, b, k, d, s: ExtremalParams(n, b, k, d, s).layout("g3"), _g3_reference,
+     _WITH_DELTA_AND_S),
+    (lambda n, b, k, d, s: g_star(n, b, k), _gstar_reference, _WITHOUT_DELTA_OR_S),
+    (lambda n, b, k, d, s: exceptional_layouts_for("1.4", n, b, k, None), _theorem_14_reference,
+     _WITHOUT_DELTA_OR_S),
+], ids=["gprime", "g2", "g3", "gstar", "theorem_1.4"])
+def test_join_layout_matches_each_family_on_a_grid(current, reference, grid):
+    valid = 0
+    for n, b, k, d, s in grid:
+        expected = reference(n, b, k, d, s)
+        try:
+            got = current(n, b, k, d, s)
+        except ParameterError:
+            got = None
+        assert got == expected, (n, b, k, d, s)
+        valid += expected is not None
+    assert valid >= 20
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_complete(2.0),
+    lambda: family(1, [2.0]),
+    lambda: family(1.0, [2]),
+    lambda: extremal_gprime(ExtremalParams(19.0, 1, 1, 3)),
+    lambda: ExtremalParams(19, 1, 1, 3, 2.0).layout("g2"),
+    lambda: g_star(19.0, 1, 1),
+], ids=["make_complete", "family_part", "family_cell", "extremal_gprime", "g2_s", "g_star"])
+def test_family_orders_must_be_integers(build):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        build()
 
 
 class TestQueries:
@@ -469,6 +558,15 @@ class TestKernelsMatchReferences:
             rows = parse_graph6(prefix + text).adjacency_rows
             assert rows == parse_graph6_per_row(prefix + text).adjacency_rows
         assert parse_graph6(prefix + written) == g
+
+    def test_pack_masks_undoes_unpack_masks(self):
+        rng = random.Random(5)
+        for n in (1, 7, 8, 9, 64, 65):
+            for rows in (1, 3, n):
+                masks = [rng.getrandbits(n) for _ in range(rows)]
+                assert _pack_masks(_unpack_masks(masks, n)) == masks
+        assert _pack_masks(_unpack_masks([], 0)) == []
+        assert parse_graph6("?") == Graph(0)
 
     @settings(max_examples=150)
     @given(st.one_of(random_graphs(st.integers(2, 16)), twin_blowups(), graphs_with_a_small_cut()))

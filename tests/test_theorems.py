@@ -150,6 +150,13 @@ _PARAMETER_CHECKED = {
 }
 
 
+def test_order_bound_rejects_float_parameters_after_a_cache_hit():
+    order_bound("1.2", 1, 1, 3)
+    for args in ((1.0, 1, 3), (1, 1.0, 3), (1, 1, 3.0)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            order_bound("1.2", *args)
+
+
 @pytest.mark.parametrize("call", _PARAMETER_CHECKED.values(), ids=list(_PARAMETER_CHECKED))
 @pytest.mark.parametrize(
     "args",
