@@ -6,6 +6,10 @@ inputs give byte-identical reports); a short human-readable summary goes to
 standard output.  Exit codes: 0 success/affirmative, 1 negative verdict,
 2 usage or runtime error, an inconclusive witness-only search, or a verify or
 sweep whose assertions were not all confirmed by brute force.
+
+``main`` parses a runnable command line once, with the subcommand's own
+parser, after ``_dispatch`` has found the subcommand and turned a ``--config``
+file into leading flags; graph files are read as bytes and decoded as UTF-8.
 """
 from __future__ import annotations
 
@@ -63,9 +67,19 @@ def _emit(text: str, out_path, human_lines) -> None:
 
 
 def _read_text(path: str) -> str:
-    """A file's UTF-8 text; other bytes are a format error naming the file."""
+    """A file's UTF-8 text; other bytes are a format error naming the file.
+
+    Decoded from bytes, with no newline translation (the parsers split lines
+    with ``str.splitlines``).  A name ``open`` rejects is read through
+    ``Path``, which reads ``x/`` as ``x`` and spells ``./x`` as ``x`` in errors.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            data = Path(path).read_bytes()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from None
 
@@ -277,12 +291,16 @@ def _add_params(p):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and then shared.
+    """The top-level parser, built on first use and then shared.
 
-    Each parse returns a fresh namespace, so nothing carries over between
-    calls of ``main``.
+    ``main`` hands a runnable command line to the subcommand's parser alone
+    (see ``_dispatch``).  This parser serves help and usage errors: it prints
+    ``oddcrit -h``, rejects leftover tokens, and takes the lines that
+    ``_dispatch`` does not hand over.  Each parse returns a fresh namespace,
+    so nothing carries over between calls of ``main``.
     """
-    top = argparse.ArgumentParser(prog="oddcrit", description=__doc__)
+    # the module docstring's last paragraph is about the code, not for -h
+    top = argparse.ArgumentParser(prog="oddcrit", description=__doc__.rsplit("\n\n", 1)[0])
     top.add_argument("--config", help="JSON file of default flag values (flags win)")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -334,54 +352,71 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _with_config(parser, argv: list[str]) -> list[str]:
-    """``argv`` with the ``--config`` file's values placed as leading subcommand flags.
+def _dispatch(parser, argv: list[str]) -> tuple[argparse.ArgumentParser, list[str]]:
+    """The parser that reads ``argv``, and the tokens it reads.
 
-    Each key the chosen subcommand defines becomes a ``--flag=value`` token
-    right after the subcommand name, so argparse converts and checks it
-    exactly like the flag itself, and the user's own flags, which come later,
-    win.  Other keys are ignored.
+    When the subcommand name comes first, or after ``--config FILE`` and
+    ``--config=FILE`` tokens alone, its own parser reads the tokens after the
+    name in one pass.  Every other line (no or an unknown subcommand, ``-h``
+    or any other token ahead of it) goes whole to the top parser, which
+    prints the help or the usage error, or parses it in two passes.  Each key
+    of the ``--config`` file that the subcommand defines becomes a leading
+    ``--flag=value`` token, so argparse converts and checks it exactly like
+    the flag itself, and the user's own flags, which come later, win.  Other
+    keys are ignored.
     """
     commands = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ).choices
     at = 0
+    only_config = True
     while at < len(argv) and argv[at] not in commands:
-        at += 2 if argv[at] == "--config" else 1
-    if at == 0 or at >= len(argv):
-        # no subcommand, or no flag ahead of it to name a config
-        return argv
-    top = argparse.ArgumentParser(add_help=False)
-    top.add_argument("--config")
-    path = top.parse_known_args(argv[:at])[0].config
-    if path is None:
-        return argv
-    try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config {path}: {exc}")
-    if not isinstance(config, dict):
-        parser.error(f"config {path} must hold a JSON object")
-    values = {key.replace("-", "_"): value for key, value in config.items()}
+        token = argv[at]
+        only_config = only_config and (token == "--config" or token.startswith("--config="))
+        at += 2 if token == "--config" else 1
+    if at >= len(argv):
+        return parser, argv
+    sub = commands[argv[at]]
     tokens = []
-    for action in commands[argv[at]]._actions:
-        value = values.get(action.dest)
-        if not action.option_strings or action.dest == "help" or value is None:
-            continue
-        flag = action.option_strings[-1]
-        if action.nargs != 0:
-            tokens.append(f"{flag}={value}")
-        elif value is True:
-            tokens.append(flag)
-        elif value is not False:
-            parser.error(f"config {path}: {action.dest} must be true or false")
-    return argv[: at + 1] + tokens + argv[at + 1 :]
+    path = None
+    if at:
+        top = argparse.ArgumentParser(add_help=False)
+        top.add_argument("--config")
+        path = top.parse_known_args(argv[:at])[0].config
+    if path is not None:
+        try:
+            config = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            parser.error(f"cannot read config {path}: {exc}")
+        if not isinstance(config, dict):
+            parser.error(f"config {path} must hold a JSON object")
+        values = {key.replace("-", "_"): value for key, value in config.items()}
+        for action in sub._actions:
+            value = values.get(action.dest)
+            if not action.option_strings or action.dest == "help" or value is None:
+                continue
+            flag = action.option_strings[-1]
+            if action.nargs != 0:
+                tokens.append(f"{flag}={value}")
+            elif value is True:
+                tokens.append(flag)
+            elif value is not False:
+                parser.error(f"config {path}: {action.dest} must be true or false")
+    tokens += argv[at + 1 :]
+    # the top parser reads "--=x" anywhere as an ambiguous --config or --help
+    if only_config and not any(t.startswith("--=") for t in tokens):
+        return sub, tokens
+    return parser, argv[: at + 1] + tokens
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_with_config(parser, argv))
+    reader, tokens = _dispatch(parser, argv)
+    args, extras = reader.parse_known_args(tokens)
+    if extras:
+        # the words and the usage line of the top parser's own parse_args
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (

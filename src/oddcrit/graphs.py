@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import repeat
-from operator import index
+from operator import and_, index
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -201,9 +201,10 @@ def _k_connected(adj, k: int) -> bool:
     vertex on another side has too few paths.  The s-t paths of a pair are
     paths from N(s) to t, and s cannot lie on one, as all its neighbours are
     sources.  A pair with k common neighbours and a v_j with k earlier
-    neighbours need no search; the latter is tested here, before the call.
-    The degrees are counted once, and the stable sort on them in reverse
-    keeps equal degrees in label order.
+    neighbours need no search; the latter is tested here, before the call,
+    and all at once when v_1..v_k have every later vertex as a common
+    neighbour.  The degrees are counted once, and the stable sort on them in
+    reverse keeps equal degrees in label order.
     """
     if k == 1:
         # connected: one search in place of a fan per vertex
@@ -219,6 +220,8 @@ def _k_connected(adj, k: int) -> bool:
             if not adj[s] >> t & 1 and not _fan_reaches(adj, adj[s], t, k):
                 return False
     earlier = sum(1 << v for v in order[:k])
+    if functools.reduce(and_, map(adj.__getitem__, order[:k])) | earlier == (1 << len(adj)) - 1:
+        return True
     for t in order[k:]:
         if (adj[t] & earlier).bit_count() < k and not _fan_reaches(adj, earlier, t, k):
             return False
@@ -270,8 +273,8 @@ class Graph:
         return self._adj
 
     def _vertex(self, v: int) -> int:
-        """``v`` as a vertex of this graph; ParameterError outside 0..n-1."""
-        v = index(v)
+        """``v`` as a vertex of this graph; ParameterError if no integer in 0..n-1."""
+        v = _integer(v, "vertex")
         if not 0 <= v < self.n:
             raise ParameterError(f"vertex {v} outside vertex range 0..{self.n - 1}")
         return v

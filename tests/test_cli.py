@@ -1,5 +1,8 @@
+import argparse
 import ast
+import contextlib
 import csv
+import io
 import json
 import random
 import re
@@ -580,3 +583,213 @@ def test_every_import_is_stdlib_numpy_or_oddcrit():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 found.add(node.module.split(".")[0])
     assert "numpy" in found and found <= allowed, sorted(found - allowed)
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, usage exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+#: the usage line of the top-level parser at 80 columns
+TOP_USAGE = (
+    "usage: oddcrit [-h] [--config CONFIG]\n"
+    "               {analyze,extremal,check-critical,verify,sweep} ...\n"
+)
+
+
+#: each input as LF text; the same bytes with CRLF and CR line ends must read alike
+LINE_END_INPUTS = {
+    "graph6": write_graph6(extremal_gprime(ExtremalParams(13, 1, 1, 2))) + "\n",
+    "corpus": "# G'(13,1,1,2), K_13 and an edge\n\n"
+              + "\n".join(write_graph6(g) for g in (
+                  extremal_gprime(ExtremalParams(13, 1, 1, 2)), make_complete(13), Graph(13, [(0, 1)])))
+              + "\n",
+    "edge_list": "# a 5-cycle and a chord\n0 1\n1 2\n2 3\n3 4\n4 0\n0 2\n",
+}
+#: the exit code of each command on each input: reports and verdicts, not only errors
+LINE_END_CODES = {
+    "graph6": {"analyze": 0, "check-critical": 1, "verify": 0},
+    "corpus": {"analyze": 2, "check-critical": 2, "verify": 0},  # '#' reads as an edge list
+    "edge_list": {"analyze": 0, "check-critical": 0, "verify": 2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_END_INPUTS))
+@pytest.mark.parametrize("command", [
+    ["analyze", "--input", "g.txt"],
+    ["check-critical", "--input", "g.txt", "--b", "1", "--k", "1"],
+    ["verify", "--theorem", "1.2", "--input", "g.txt", "--b", "1", "--k", "1", "--delta", "2"],
+], ids=["analyze", "check-critical", "verify"])
+def test_crlf_and_cr_line_ends_read_like_lf(tmp_path, monkeypatch, kind, command):
+    # the same file name in three directories, so the reports may match byte for byte
+    results = {}
+    for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "g.txt").write_bytes(LINE_END_INPUTS[kind].replace("\n", end).encode())
+        monkeypatch.chdir(tmp_path / name)
+        results[name] = run_main(command)
+    assert results["crlf"] == results["lf"] == results["cr"]
+    assert results["lf"][0] == LINE_END_CODES[kind][command[0]]
+    assert "Traceback" not in results["lf"][2]
+
+
+
+@pytest.mark.parametrize("name, data, spell", [
+    ("g.g6", b"D?{\n\xff\n", ["check-critical", "--input", "FILE", "--b", "1", "--k", "1"]),
+    ("cfg.json", b'{"b": 1,\n\xff}', ["--config", "FILE", "sweep", "--theorem", "1.2"]),
+], ids=["graph", "config"])
+def test_non_utf8_file_keeps_its_error_line(tmp_path, monkeypatch, name, data, spell):
+    monkeypatch.setenv("COLUMNS", "80")
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    code, out, err = run_main([str(bad) if a == "FILE" else a for a in spell])
+    reason = "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"
+    if name == "g.g6":
+        reason = reason.replace("9", "4")
+        assert err == f"error: cannot read {bad}: {reason}\n"
+    else:
+        assert err == f"{TOP_USAGE}oddcrit: error: cannot read config {bad}: {reason}\n"
+    assert (code, out) == (2, "")
+
+
+#: a config file whose keys reach every command; flags given with it win
+CONTRACT_CONFIG = {"b": 1, "k": 1, "cap": 7, "max-size": 3, "n": 13, "delta": 2, "format": "csv",
+                   "include_base": True, "matrix": "adjacency"}
+
+# argv and the namespace of the full two-pass parse (top parser, then the
+# subcommand's), less its "command" and "config"; func by name
+PARSE_CONTRACT = [
+    (["analyze", "--input", "g.g6"],
+     {"input": "g.g6", "matrix": "distance", "out": None, "func": "cmd_analyze"}),
+    (["analyze", "--inp", "g.g6", "--mat", "adjacency", "--o", "r.json"],
+     {"input": "g.g6", "matrix": "adjacency", "out": "r.json", "func": "cmd_analyze"}),
+    (["--config", "cfg.json", "analyze", "--input", "g.g6"],
+     {"input": "g.g6", "matrix": "adjacency", "out": None, "func": "cmd_analyze"}),
+    (["extremal", "--n", "13", "--b", "1", "--k", "1", "--delta", "2"],
+     {"n": 13, "b": 1, "k": 1, "delta": 2, "s": None, "variant": "gprime", "graph_out": None,
+      "out": None, "func": "cmd_extremal"}),
+    (["--config=cfg.json", "extremal", "--variant", "g2", "--s", "1", "--delta", "3"],
+     {"n": 13, "b": 1, "k": 1, "delta": 3, "s": 1, "variant": "g2", "graph_out": None,
+      "out": None, "func": "cmd_extremal"}),
+    (["extremal", "--var", "gstar", "--graph", "g.g6", "--n", "15", "--b", "1", "--k", "1"],
+     {"n": 15, "b": 1, "k": 1, "delta": None, "s": None, "variant": "gstar", "graph_out": "g.g6",
+      "out": None, "func": "cmd_extremal"}),
+    (["check-critical", "--input", "g.g6", "--b", "1", "--k", "1"],
+     {"input": "g.g6", "b": 1, "k": 1, "mode": "exact", "cap": 22, "max_size": None, "out": None,
+      "func": "cmd_check_critical"}),
+    (["--config", "cfg.json", "check-critical", "--input", "g.g6", "--b", "3", "--cap", "9"],
+     {"input": "g.g6", "b": 3, "k": 1, "mode": "exact", "cap": 9, "max_size": 3, "out": None,
+      "func": "cmd_check_critical"}),
+    (["--config=cfg.json", "check-critical", "--input", "g.g6", "--mode", "witness-only"],
+     {"input": "g.g6", "b": 1, "k": 1, "mode": "witness-only", "cap": 7, "max_size": 3,
+      "out": None, "func": "cmd_check_critical"}),
+    (["check-critical", "--inp", "g.g6", "--b", "1", "--k", "0", "--mo", "witness-only", "--max", "2"],
+     {"input": "g.g6", "b": 1, "k": 0, "mode": "witness-only", "cap": 22, "max_size": 2,
+      "out": None, "func": "cmd_check_critical"}),
+    (["verify", "--theorem", "1.2", "--input", "c.g6", "--b", "1", "--k", "1", "--delta", "2"],
+     {"theorem": "1.2", "variant": "gprime", "cap": 22, "tolerance": None, "format": "json",
+      "out": None, "n": None, "b": 1, "k": 1, "delta": 2, "s": None, "input": "c.g6",
+      "func": "cmd_verify"}),
+    (["--config", "cfg.json", "verify", "--theorem", "1.5", "--format", "json", "--k", "3"],
+     {"theorem": "1.5", "variant": "gprime", "cap": 7, "tolerance": None, "format": "json",
+      "out": None, "n": 13, "b": 1, "k": 3, "delta": 2, "s": None, "input": None,
+      "func": "cmd_verify"}),
+    (["--config=cfg.json", "verify", "--theorem", "1.1", "--tolerance", "2.5", "--variant", "g2",
+      "--s", "1"],
+     {"theorem": "1.1", "variant": "g2", "cap": 7, "tolerance": 2.5, "format": "csv", "out": None,
+      "n": 13, "b": 1, "k": 1, "delta": 2, "s": 1, "input": None, "func": "cmd_verify"}),
+    (["verify", "--theo", "1.3", "--n", "13", "--b", "1", "--k", "1", "--delta", "2", "--tol", "0.5",
+      "--form", "csv"],
+     {"theorem": "1.3", "variant": "gprime", "cap": 22, "tolerance": 0.5, "format": "csv",
+      "out": None, "n": 13, "b": 1, "k": 1, "delta": 2, "s": None, "input": None,
+      "func": "cmd_verify"}),
+    (["sweep", "--theorem", "1.1", "--n", "19", "--b", "1", "--k", "1", "--delta", "3"],
+     {"theorem": "1.1", "variant": "gprime", "cap": 22, "tolerance": None, "format": "json",
+      "out": None, "n": 19, "b": 1, "k": 1, "delta": 3, "s": None, "include_base": False,
+      "func": "cmd_sweep"}),
+    (["--config", "cfg.json", "sweep", "--theorem", "1.2", "--n", "15", "--cap", "22"],
+     {"theorem": "1.2", "variant": "gprime", "cap": 22, "tolerance": None, "format": "csv",
+      "out": None, "n": 15, "b": 1, "k": 1, "delta": 2, "s": None, "include_base": True,
+      "func": "cmd_sweep"}),
+    (["--config=cfg.json", "sweep", "--theorem", "1.4", "--out", "s.json"],
+     {"theorem": "1.4", "variant": "gprime", "cap": 7, "tolerance": None, "format": "csv",
+      "out": "s.json", "n": 13, "b": 1, "k": 1, "delta": 2, "s": None, "include_base": True,
+      "func": "cmd_sweep"}),
+    (["sweep", "--theorem", "1.6", "--n", "19", "--b", "1", "--k", "1", "--delta", "3", "--incl",
+      "--v", "g3", "--s", "2"],
+     {"theorem": "1.6", "variant": "g3", "cap": 22, "tolerance": None, "format": "json",
+      "out": None, "n": 19, "b": 1, "k": 1, "delta": 3, "s": 2, "include_base": True,
+      "func": "cmd_sweep"}),
+]
+
+
+def spy_on_parses(monkeypatch, stub_commands=False):
+    """A list that records (prog, tokens, namespace) of every ``parse_known_args``.
+
+    With ``stub_commands`` the command a namespace would run is replaced by
+    one that returns 0, so only the parse is exercised.
+    """
+    calls = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, args=None, namespace=None):
+        ns, extras = original(self, args, namespace)
+        calls.append((self.prog, list(args), dict(vars(ns))))
+        if stub_commands and hasattr(ns, "func"):
+            ns.func = lambda parsed: 0
+        return ns, extras
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    return calls
+
+
+@pytest.mark.parametrize("argv, expected", PARSE_CONTRACT)
+def test_namespace_equals_the_two_pass_parse(tmp_path, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(CONTRACT_CONFIG))
+    calls = spy_on_parses(monkeypatch, stub_commands=True)
+    assert main(argv) == 0
+    got = next(ns for _, _, ns in calls if "func" in ns)
+    got = {key: value for key, value in got.items() if key not in ("command", "config")}
+    assert {**got, "func": got["func"].__name__} == expected
+
+
+@pytest.mark.parametrize("argv, code, out_start, err", [
+    ([], 2, "", TOP_USAGE + "oddcrit: error: the following arguments are required: command\n"),
+    (["-h"], 0, TOP_USAGE + "\nCommand-line front end. Commands: analyze,", ""),
+    (["bogus"], 2, "", TOP_USAGE + "oddcrit: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'analyze', 'extremal', 'check-critical', 'verify', 'sweep')\n"),
+    (["-h", "check-critical"], 0, TOP_USAGE + "\nCommand-line front end. Commands: analyze,", ""),
+    (["check-critical", "--input", "g.g6", "--b", "1", "--k", "1", "--bogus", "x"], 2, "",
+     TOP_USAGE + "oddcrit: error: unrecognized arguments: --bogus x\n"),
+    (["check-critical", "--config", "cfg.json", "--input", "g.g6", "--b", "1", "--k", "1"], 2, "",
+     TOP_USAGE + "oddcrit: error: unrecognized arguments: --config cfg.json\n"),
+    (["--config", "bad.json", "sweep", "--theorem", "1.2"], 2, "",
+     "usage: oddcrit sweep [-h] --theorem {1.1,1.2,1.3,1.4,1.5,1.6}\n"
+     "                     [--variant {gprime,g2,g3,gstar}] [--cap CAP]\n"
+     "                     [--tolerance TOLERANCE] [--format {json,csv}] [--out OUT]\n"
+     "                     [--n N] [--b B] [--k K] [--delta DELTA] [--s S]\n"
+     "                     [--include-base]\n"
+     "oddcrit sweep: error: argument --n: invalid int value: 'thirteen'\n"),
+], ids=["no_arguments", "help", "unknown_command", "help_before_command", "unrecognized_flag",
+        "config_after_command", "bad_config_value"])
+def test_usage_errors_keep_their_bytes(tmp_path, monkeypatch, argv, code, out_start, err):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    Path("cfg.json").write_text(json.dumps(CONTRACT_CONFIG))
+    Path("bad.json").write_text(json.dumps({"n": "thirteen"}))
+    got = run_main(argv)
+    assert (got[0], got[1][: len(out_start)], got[2]) == (code, out_start, err)
+
+
+def test_check_critical_parses_its_flags_once(tmp_path, monkeypatch, capsys):
+    flags = ["--input", write_graph(tmp_path, "k3.g6", make_complete(3)), "--b", "1", "--k", "1"]
+    calls = spy_on_parses(monkeypatch)
+    assert main(["check-critical", *flags]) == 0
+    assert [call[:2] for call in calls] == [("oddcrit check-critical", flags)]

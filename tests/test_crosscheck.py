@@ -19,8 +19,9 @@ from scipy.sparse.csgraph import shortest_path
 
 from oddcrit.errors import DisconnectedGraphError
 from oddcrit.factors import _clique_cover_size, is_k_critical
-from oddcrit.graphs import ExtremalParams, Graph, extremal_gprime
+from oddcrit.graphs import ExtremalParams, Graph, extremal_gprime, family, join, make_complete
 from oddcrit.spectral import adjacency_matrix, distance_matrix, spectral_radius
+from oddcrit.theorems import one_edge_supergraphs
 from conftest import relabelled
 
 
@@ -272,3 +273,38 @@ def test_criticality_witness_and_relabelling(case, b, k, rnd):
         for size in range(k, g.n + 1):
             for removed in combinations(range(g.n), size):
                 assert nx_odd_components(h, removed) <= b * (size - k)
+
+
+def dominated_graphs() -> list[Graph]:
+    """Graphs whose highest-degree vertices are adjacent to every other vertex.
+
+    Join families, their one-edge supergraphs, and seeded G(m, p) graphs
+    under a planted head (a clique or an independent set joined to all of
+    them), each as built and relabelled.
+    """
+    rng = random.Random(20)
+    graphs = []
+    for x, parts in [(1, [3, 1, 1]), (2, [4, 1, 1, 1]), (3, [5, 2, 2]), (2, [2, 2, 2]),
+                     (4, [3, 1, 1, 1, 1, 1])]:
+        base = family(x, parts)
+        graphs += [base] + [g for _, g in one_edge_supergraphs(base)]
+    for head in (2, 3, 4):
+        for p in (0.0, 0.2, 0.5, 0.8):
+            m = rng.randint(head + 1, 10)
+            rest = Graph(m, [(u, v) for u in range(m) for v in range(u + 1, m) if rng.random() < p])
+            graphs += [join(make_complete(head), rest), join(Graph(head), rest)]
+    return graphs + [relabelled(g, rng) for g in graphs]
+
+
+def test_connectivity_when_the_head_dominates():
+    # Even's test settles every later vertex at once when v_1..v_k, the k
+    # highest-degree vertices, are adjacent to all of them
+    settled = 0
+    for g in dominated_graphs():
+        kappa = nx.node_connectivity(to_nx(g))
+        rows = g.adjacency_rows
+        order = sorted(range(g.n), key=lambda v: -rows[v].bit_count())
+        for k in range(2, g.min_degree() + 2):
+            assert g.is_k_connected(k) == (g.n > k and kappa >= k), (g, k)
+            settled += g.n > k and all(rows[h] >> v & 1 for h in order[:k] for v in order[k:])
+    assert settled >= 200

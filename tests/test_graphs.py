@@ -313,6 +313,20 @@ def test_family_orders_must_be_integers(build):
         build()
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: g.has_edge(1.0, 2),
+    lambda g: g.degree("1"),
+    lambda g: g.neighbors(None),
+    lambda g: g.with_edge(0, 2.5),
+    lambda g: g.without_edge(np.float64(1), 2),
+    lambda g: g.odd_components_after_removal([1.5]),
+], ids=["has_edge", "degree", "neighbors", "with_edge", "without_edge",
+        "odd_components_after_removal"])
+def test_vertex_labels_must_be_integers(call):
+    with pytest.raises(ParameterError, match=r"vertex=.* must be an integer"):
+        call(make_complete(4))
+
+
 class TestQueries:
     def test_min_degree_edge_count(self):
         k5 = make_complete(5)
