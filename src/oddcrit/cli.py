@@ -124,8 +124,6 @@ def cmd_analyze(args) -> int:
         report["wiener_index"] = int(tr.sum()) // 2
         report["transmission_min"] = int(tr.min())
         report["transmission_max"] = int(tr.max())
-    elif kind in ("distance", "distance_signless_laplacian"):
-        raise DisconnectedGraphError("distance undefined: graph is disconnected")
     report["spectral_radius"] = spectral_radius(g, kind)
     lines = [
         f"n={report['n']} e={report['edges']} min_degree={report['min_degree']} "
@@ -380,7 +378,7 @@ def _dispatch(parser, argv: list[str]) -> tuple[argparse.ArgumentParser, list[st
     tokens = []
     path = None
     if at:
-        top = argparse.ArgumentParser(add_help=False)
+        top = argparse.ArgumentParser(prog=parser.prog, add_help=False)
         top.add_argument("--config")
         path = top.parse_known_args(argv[:at])[0].config
     if path is not None:

@@ -305,17 +305,6 @@ def _bounds(f, k, n: int) -> tuple[int, ...]:
     return bounds
 
 
-def has_odd_factor(g: Graph, f, *, cap: int = ENUMERATION_CAP) -> bool:
-    """Whether G has a spanning subgraph with every degree odd and <= f(v).
-
-    ``f`` is an odd integer bound or one per vertex.  Decided by exhaustive
-    subset enumeration (S = empty set alone forces o(G) = 0, so odd-order
-    graphs always fail; the empty graph has one).
-    """
-    mask, _ = _find_violation(g, _bounds(f, 0, g.n), 0, cap=cap)
-    return mask is None
-
-
 def is_k_critical(
     g: Graph,
     f,

@@ -705,13 +705,18 @@ def parse_graph_auto(text: str) -> Graph:
     """Parse either format, auto-detected by the first byte.
 
     graph6 bytes are printable codes >= 63 ('?'), while edge lists start with a
-    digit or '#' comment, so the first non-blank byte decides.  graph6 input
-    is read as a corpus (``parse_graph6_corpus``) that must hold one graph.
+    digit, so the first non-blank byte decides; where it opens a '#' comment,
+    the first line left after comments decides.  graph6 input is read as a
+    corpus (``parse_graph6_corpus``) that must hold one graph.
     """
     s = text.lstrip()
     if not s:
         raise GraphFormatError("empty graph input")
-    if s.startswith(_G6_HEADER) or ord(s[0]) >= 63:
+    first = s
+    if s[0] == "#":
+        # with comments alone, the edge-list parser reports the empty input
+        first = next(filter(None, (raw.split("#", 1)[0].strip() for raw in s.splitlines())), s)
+    if first.startswith(_G6_HEADER) or ord(first[0]) >= 63:
         graphs = parse_graph6_corpus(s)
         if len(graphs) > 1:
             raise GraphFormatError(

@@ -1,7 +1,8 @@
 """Dense symmetric matrices of a graph and their spectra.
 
-Builds the adjacency, signless Laplacian, distance and distance signless
-Laplacian matrices.  Distances come from Seidel's squaring of the adjacency
+Builds the distance and distance signless Laplacian matrices, and the
+spectral radius of those and of the adjacency and signless Laplacian
+(``spectral_radius``).  Distances come from Seidel's squaring of the adjacency
 on BLAS (``_distances``); every spectrum and spectral radius from one LAPACK
 call, ``np.linalg.eigvalsh``.  Integer matrices stay integer until then.
 
@@ -32,15 +33,6 @@ class Spectrum:
     """All real eigenvalues of a symmetric matrix, sorted descending."""
 
     values: tuple[float, ...]
-
-    @property
-    def radius(self) -> float:
-        if not self.values:
-            raise ParameterError("empty spectrum has no radius")
-        return self.values[0]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _as_symmetric_float(matrix) -> np.ndarray:
@@ -77,16 +69,6 @@ def eigenvalues(matrix) -> Spectrum:
 
 
 # -- matrix builders -----------------------------------------------------------
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    return _unpack_masks(g.adjacency_rows, g.n).astype(np.int64)
-
-
-def signless_laplacian_matrix(g: Graph) -> np.ndarray:
-    """Q = D_deg + A with D_deg the diagonal degree matrix."""
-    a = adjacency_matrix(g)
-    return a + np.diag(np.array(g.degrees(), dtype=np.int64))
 
 
 def _distances(a: np.ndarray) -> np.ndarray:
@@ -132,11 +114,6 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return _distances(_unpack_masks(g.adjacency_rows, g.n))
 
 
-def transmissions(g: Graph) -> np.ndarray:
-    """Per-vertex transmission Tr(v): sum of distances from v to all vertices."""
-    return distance_matrix(g).sum(axis=1)
-
-
 def wiener_index(g: Graph) -> int:
     """W(G): sum of distances over unordered vertex pairs (exact integer)."""
     return int(distance_matrix(g).sum()) // 2
@@ -148,23 +125,10 @@ def distance_signless_laplacian_matrix(g: Graph) -> np.ndarray:
     return d + np.diag(d.sum(axis=1))
 
 
-_MATRIX_BUILDERS = {
-    "adjacency": adjacency_matrix,
-    "signless_laplacian": signless_laplacian_matrix,
-    "distance": distance_matrix,
-    "distance_signless_laplacian": distance_signless_laplacian_matrix,
-}
-
-
 def check_kind(kind: str) -> None:
     """Raise unless ``kind`` names one of the ``SPECTRAL_KINDS``."""
     if kind not in SPECTRAL_KINDS:
         raise ParameterError(f"unknown matrix kind {kind!r}, expected one of {SPECTRAL_KINDS}")
-
-
-def graph_matrix(g: Graph, kind: str) -> np.ndarray:
-    check_kind(kind)
-    return _MATRIX_BUILDERS[kind](g)
 
 
 def spectral_radius(g: Graph, kind: str = "distance") -> float:

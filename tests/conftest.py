@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import settings, strategies as st
 
+from oddcrit.factors import ENUMERATION_CAP, _bounds, _find_violation
 from oddcrit.graphs import ExtremalParams, Graph, extremal_gprime, proof_graph_g2, proof_graph_g3
 
 settings.register_profile("deterministic", derandomize=True, max_examples=60)
@@ -48,6 +49,17 @@ def parameter_grid():
         proof_graph_g2(params)
         proof_graph_g3(params)
     return grid
+
+
+def has_odd_factor(g: Graph, f, *, cap: int = ENUMERATION_CAP) -> bool:
+    """Whether G has a spanning subgraph with every degree odd and <= f(v).
+
+    ``f`` is an odd integer bound or one per vertex.  Decided by exhaustive
+    subset enumeration (S = empty set alone forces o(G) = 0, so odd-order
+    graphs always fail; the empty graph has one).
+    """
+    mask, _ = _find_violation(g, _bounds(f, 0, g.n), 0, cap=cap)
+    return mask is None
 
 
 def random_connected_graph(rng: random.Random, n: int, extra: float = 0.3) -> Graph:

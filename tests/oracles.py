@@ -18,6 +18,9 @@ package.  So are ``parse_graph6_per_row``, ``clique_cover_size_min_scan``,
 ``k_connected_fan_per_vertex`` and ``twin_classes_every_vertex``: the graph6
 decoder, greedy clique cover, Even's test and twin detector as they were
 before their per-vertex steps moved into builtins and numpy.
+
+``reference_matrix`` builds the full matrix of each spectral kind from the
+edge list and scipy's shortest paths, sharing no code with the package.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
 from oddcrit.errors import GraphFormatError, ParameterError, ScaleLimitError
 from oddcrit.factors import CriticalityVerdict
@@ -282,3 +286,19 @@ def twin_classes_every_vertex(adj) -> list[int]:
         closed[row | bit] = closed.get(row | bit, 0) | bit
         open_[row] = open_.get(row, 0) | bit
     return [c for c in (*closed.values(), *open_.values()) if c & (c - 1)]
+
+
+def reference_matrix(g: Graph, kind: str) -> np.ndarray:
+    """The full ``int64`` matrix of a spectral ``kind``, for a connected graph if a distance kind.
+
+    Adjacency from ``g.edges()``, distances from scipy's ``shortest_path``,
+    and the signless kinds with the row sums added on the diagonal.
+    """
+    m = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v in g.edges():
+        m[u, v] = m[v, u] = 1
+    if kind.startswith("distance"):
+        m = shortest_path(m, directed=False, unweighted=True).astype(np.int64)
+    if kind.endswith("signless_laplacian"):
+        m += np.diag(m.sum(axis=1))
+    return m

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from oddcrit.factors import has_odd_factor, is_k_critical
+from oddcrit.factors import is_k_critical
 from oddcrit.graphs import (
     ExtremalParams,
     Graph,
@@ -38,7 +38,7 @@ from oddcrit.theorems import (
     one_edge_supergraphs,
     ordering_lemma_check,
 )
-from conftest import graph_from_edge_mask, random_connected_graph
+from conftest import graph_from_edge_mask, has_odd_factor, random_connected_graph
 from lemma_checks import gstar_ordering_check
 from oracles import criticality_witness_extremal, find_odd_factor, full_scan
 from partition_helpers import join_partition

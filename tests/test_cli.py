@@ -51,11 +51,12 @@ class TestAnalyze:
         assert abs(payload["spectral_radius"] - 2.73205080757) < 1e-9
         assert payload["wiener_index"] == 4
 
-    def test_disconnected_distance_errors(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["distance", "distance_signless_laplacian"])
+    def test_disconnected_distance_errors(self, tmp_path, capsys, kind):
         path = tmp_path / "two.txt"
         path.write_text("0 1\n2 3\n")
-        assert main(["analyze", "--input", str(path)]) == 2
-        assert "distance undefined" in capsys.readouterr().err
+        assert main(["analyze", "--input", str(path), "--matrix", kind]) == 2
+        assert capsys.readouterr().err == "error: distance undefined: graph is disconnected\n"
 
     def test_disconnected_adjacency_ok(self, tmp_path):
         path = tmp_path / "two.txt"
@@ -606,6 +607,8 @@ TOP_USAGE = (
 #: each input as LF text; the same bytes with CRLF and CR line ends must read alike
 LINE_END_INPUTS = {
     "graph6": write_graph6(extremal_gprime(ExtremalParams(13, 1, 1, 2))) + "\n",
+    "commented_graph6": "# G'(13,1,1,2)\n\n"
+                        + write_graph6(extremal_gprime(ExtremalParams(13, 1, 1, 2))) + "\n",
     "corpus": "# G'(13,1,1,2), K_13 and an edge\n\n"
               + "\n".join(write_graph6(g) for g in (
                   extremal_gprime(ExtremalParams(13, 1, 1, 2)), make_complete(13), Graph(13, [(0, 1)])))
@@ -615,7 +618,8 @@ LINE_END_INPUTS = {
 #: the exit code of each command on each input: reports and verdicts, not only errors
 LINE_END_CODES = {
     "graph6": {"analyze": 0, "check-critical": 1, "verify": 0},
-    "corpus": {"analyze": 2, "check-critical": 2, "verify": 0},  # '#' reads as an edge list
+    "commented_graph6": {"analyze": 0, "check-critical": 1, "verify": 0},
+    "corpus": {"analyze": 2, "check-critical": 2, "verify": 0},  # three graphs, one expected
     "edge_list": {"analyze": 0, "check-critical": 0, "verify": 2},
 }
 
@@ -777,8 +781,12 @@ def test_namespace_equals_the_two_pass_parse(tmp_path, monkeypatch, argv, expect
      "                     [--n N] [--b B] [--k K] [--delta DELTA] [--s S]\n"
      "                     [--include-base]\n"
      "oddcrit sweep: error: argument --n: invalid int value: 'thirteen'\n"),
+    # an abbreviated --config that takes the subcommand name as its value
+    (["--conf", "analyze", "check-critical", "--input", "g.g6", "--b", "1", "--k", "1"], 2, "",
+     "usage: oddcrit [--config CONFIG]\n"
+     "oddcrit: error: argument --config: expected one argument\n"),
 ], ids=["no_arguments", "help", "unknown_command", "help_before_command", "unrecognized_flag",
-        "config_after_command", "bad_config_value"])
+        "config_after_command", "bad_config_value", "abbreviated_config_before_command"])
 def test_usage_errors_keep_their_bytes(tmp_path, monkeypatch, argv, code, out_start, err):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")

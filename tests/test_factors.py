@@ -14,7 +14,6 @@ from oddcrit.factors import (
     _clique_cover_size,
     _subsets_of_size,
     _twin_layout,
-    has_odd_factor,
     is_k_critical,
 )
 from oddcrit.graphs import (
@@ -30,6 +29,7 @@ from oddcrit.theorems import one_edge_supergraphs
 from conftest import (
     build_parameter_grid,
     graph_from_edge_mask,
+    has_odd_factor,
     random_connected_graph,
     random_graphs,
     relabelled,

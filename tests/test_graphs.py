@@ -479,6 +479,11 @@ class TestGraphIO:
         assert parse_graph_auto("D?{").n == 5
         assert parse_graph_auto("\nD?{\n\n").n == 5
         assert parse_graph_auto("D?{\n# a comment, as in a corpus\n").n == 5
+        # a leading comment: the first line left after comments decides
+        assert parse_graph_auto("# one graph\n\n  # and a note\nD?{\n").n == 5
+        assert parse_graph_auto("# a path\n0 1  # first edge\n1 2\n") == path(3)
+        with pytest.raises(GraphFormatError, match="empty edge list"):
+            parse_graph_auto("# nothing else\n\n# at all\n")
 
     def test_auto_detection_reads_one_graph6_graph(self):
         with pytest.raises(GraphFormatError, match="holds 2 graph6 lines, one graph expected"):
