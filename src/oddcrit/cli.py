@@ -320,7 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "witness-only"), default="exact")
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
+    p.add_argument(
+        "--cap", type=int, default=ENUMERATION_CAP,
+        help="exact: largest graph order to enumerate (default %(default)s); "
+        "witness-only ignores it",
+    )
     p.add_argument(
         "--max-size", type=int, help="witness-only: largest |S| to try, >= k (default max(4, k))"
     )
@@ -357,11 +361,13 @@ def _dispatch(parser, argv: list[str]) -> tuple[argparse.ArgumentParser, list[st
     ``--config=FILE`` tokens alone, its own parser reads the tokens after the
     name in one pass.  Every other line (no or an unknown subcommand, ``-h``
     or any other token ahead of it) goes whole to the top parser, which
-    prints the help or the usage error, or parses it in two passes.  Each key
-    of the ``--config`` file that the subcommand defines becomes a leading
-    ``--flag=value`` token, so argparse converts and checks it exactly like
-    the flag itself, and the user's own flags, which come later, win.  Other
-    keys are ignored.
+    prints the help or the usage error, or parses it in two passes; so does
+    a line with an abbreviated ``--config`` (``--conf FILE``), whose value
+    is never taken for the subcommand, even when it is named like one.
+    Each key of the ``--config`` file that the subcommand defines becomes a
+    leading ``--flag=value`` token, so argparse converts and checks it
+    exactly like the flag itself, and the user's own flags, which come
+    later, win.  Other keys are ignored.
     """
     commands = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
@@ -371,7 +377,8 @@ def _dispatch(parser, argv: list[str]) -> tuple[argparse.ArgumentParser, list[st
     while at < len(argv) and argv[at] not in commands:
         token = argv[at]
         only_config = only_config and (token == "--config" or token.startswith("--config="))
-        at += 2 if token == "--config" else 1
+        # --config, or an abbreviation of it, takes the next token as its value
+        at += 2 if len(token) > 2 and "--config".startswith(token) else 1
     if at >= len(argv):
         return parser, argv
     sub = commands[argv[at]]

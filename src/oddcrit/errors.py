@@ -27,4 +27,4 @@ class ScaleLimitError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative numerical routine failed to reach its tolerance."""
+    """A LAPACK symmetric eigensolver (``eigvalsh`` or ``eigh``) did not converge."""

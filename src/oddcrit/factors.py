@@ -2,25 +2,25 @@
 
 A spanning subgraph in which every degree lies in {1, 3, ..., b} (b odd) is an
 odd factor with bound b.  A graph is k-critical for that property when the
-factor survives the deletion of any k vertices.  Both questions reduce to an
-odd-component inequality: the factor exists after deleting any k vertices iff
+factor survives the deletion of any k vertices.  By Amahashi's criterion, G
+has the factor iff o(G - T) <= b|T| for every T; applied to G - X for each
+k-set X, with S = X + T, the factor exists after deleting any k vertices iff
 
-    o(G - S)  <=  sum_{v in S} f(v)  -  max{ sum_{v in X} f(v) : X <= S, |X| = k }
+    o(G - S)  <=  b(|S| - k)
 
-holds for every S with |S| >= k (for constant f == b the right side is
-b(|S| - k)).  The checkers below enumerate S in increasing size with early
-exit, which is exact.
+holds for every S with |S| >= k.  The checker below enumerates S in
+increasing size with early exit, which is exact.
 
 Most sizes need no enumeration.  Every odd component of G - S holds a vertex
 and those vertices are pairwise non-adjacent, so o(G - S) <= n - |S| and
 o(G - S) <= alpha(G) <= theta, the number of cliques in any clique cover of G.
-Once min(n - s, theta) <= min(f) * (s - k), no S of size s or larger can
-violate the criterion, and the scan stops.  theta comes from one greedy clique
-cover per scan.  Below the vertex connectivity kappa, G - S stays connected,
-so o(G - S) <= 1 <= min(f) * (s - k) for k < s < kappa, and o(G - S) = 0 at
-s = k when n - k is even: those sizes are skipped.  Whether s < kappa is
-decided by one polynomial Menger test (G is (s+1)-connected) for each size
-the scan reaches that the test could skip, until one fails.
+Once min(n - s, theta) <= b(s - k), no S of size s or larger can violate the
+criterion, and the scan stops.  theta comes from one greedy clique cover per
+scan.  Below the vertex connectivity kappa, G - S stays connected, so
+o(G - S) <= 1 <= b(s - k) for k < s < kappa, and o(G - S) = 0 at s = k when
+n - k is even: those sizes are skipped.  Whether s < kappa is decided by one
+polynomial Menger test (G is (s+1)-connected) for each size the scan reaches
+that the test could skip, until one fails.
 
 Twins shrink the sizes that are left.  Vertices with one closed or one open
 neighbourhood can be swapped by an automorphism, which keeps o(G - S); at
@@ -28,20 +28,19 @@ size k the bound of every S is 0, so that size is scanned one S per orbit:
 the S taking the lowest-labelled members of every twin class.  Above size k
 the first violating S never splits a class: if it held v but not v's twin u,
 then u has all of v's neighbours in G - (S - v), so o(G - (S - v)) >=
-o(G - S) - 1 while the bound drops by at least min(f) >= 1, and the smaller
-S - v would violate too.  Those sizes are scanned over unions of whole twin
-classes, and neither argument needs equal bounds.  The cost is then set by
-the number of classes, not by n: the one-edge supergraphs of the paper's
-extremal graphs have a handful of twin classes and are decided from a few
-subsets each, at 47 vertices as at 271.  Graphs without twins
-still cost sum C(n, s) over the open sizes, hence the default order cap.
+o(G - S) - 1 while the bound drops by b >= 1, and the smaller S - v would
+violate too.  Those sizes are scanned over unions of whole twin classes.
+The cost is then set by the number of classes, not by n: the one-edge
+supergraphs of the paper's extremal graphs have a handful of twin classes
+and are decided from a few subsets each, at 47 vertices as at 271.  Graphs
+without twins still cost sum C(n, s) over the open sizes, hence the default
+order cap.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import index
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ParameterError, ScaleLimitError
 from .graphs import (
@@ -207,29 +206,28 @@ def _canonical_subsets(avail: int, size: int, cls, block, heads: int, ones: int)
 
 def _find_violation(
     g: Graph,
-    fvals: Sequence[int],
+    b: int,
     k: int,
     *,
     cap: int,
     max_size: Optional[int] = None,
 ):
-    """First S (by size, then numeric bitmask order) violating the criterion.
+    """First S (by size, then numeric bitmask order) with o(G - S) > b(|S| - k).
 
     Returns ``(mask, examined)``, with ``mask`` None when no S violates it.
     S ranges over k <= |S| <= n-1: deleting everything leaves no components, so
     S = V can never violate and is skipped.  The scan ends at the first size s
-    with min(n - s, theta) <= min(f) * (s - k), theta the greedy clique cover
-    size: o(G-S) is at most both, and each S of size s has a bound of at least
-    min(f) * (s - k), which only grows with s.  It also skips the sizes
-    k < s < kappa, and s = k when kappa > k and n - k is even: G - S is
-    connected there, with even order at s = k.  On every size it enumerates,
-    it uses the twin classes (see ``_twin_layout``), if there are any: at
-    size k it tests one S per orbit of the twin swaps, the one taking the
-    lowest members of every class, which is the numerically first of its
-    orbit; above size k it tests the unions of whole classes, as the first
-    violating S never splits a class there.  So the first violating S is
-    among those tested.  ``examined`` counts the subsets tested.  Theta, the
-    kappa tests and the classes are computed only when a size needs them.
+    with min(n - s, theta) <= b(s - k), theta the greedy clique cover size:
+    o(G-S) is at most both, and the bound b(s - k) only grows with s.  It also
+    skips the sizes k < s < kappa, and s = k when kappa > k and n - k is
+    even: G - S is connected there, with even order at s = k.  On every size
+    it enumerates, it uses the twin classes (see ``_twin_layout``), if there
+    are any: at size k it tests one S per orbit of the twin swaps, the one
+    taking the lowest members of every class, which is the numerically first
+    of its orbit; above size k it tests the unions of whole classes, as the
+    first violating S never splits a class there.  So the first violating S
+    is among those tested.  ``examined`` counts the subsets tested.  Theta,
+    the kappa tests and the classes are computed only when a size needs them.
     """
     n = g.n
     cap = _integer(cap, "cap")
@@ -240,8 +238,6 @@ def _find_violation(
         )
     adj = g.adjacency_rows
     full = (1 << n) - 1
-    constant = len(set(fvals)) <= 1
-    fmin = min(fvals) if fvals else 1
     top = n - 1 if max_size is None else min(max_size, n - 1)
     theta = 0
     # whether size < kappa, tested only for the sizes it could skip
@@ -250,13 +246,13 @@ def _find_violation(
     twins = None
     examined = 0
     for size in range(k, top + 1):
-        floor = fmin * (size - k)
-        if n - size <= floor:
+        bound = b * (size - k)
+        if n - size <= bound:
             break
-        # at size k the floor is 0, which theta >= 1 never meets
+        # at size k the bound is 0, which theta >= 1 never meets
         if size > k:
             theta = theta or _clique_cover_size(adj, n)
-            if theta <= floor:
+            if theta <= bound:
                 break
         if size > k or (n - size) % 2 == 0:
             below_kappa = below_kappa and size + 1 < n and _k_connected(adj, size + 1)
@@ -269,72 +265,56 @@ def _find_violation(
             masks = _canonical_subsets(full, size, cls, *(prefixes if size == k else wholes))
         else:
             masks = _subsets_of_size(n, size)
-        bound = fvals[0] * (size - k) if constant else None
         for mask in masks:
             examined += 1
-            if not constant:
-                chosen = sorted((fvals[i] for i in _bits(mask)), reverse=True)
-                bound = sum(chosen) - sum(chosen[:k])
-            odd = _odd_components_bounded(adj, full & ~mask, bound)
-            if odd > bound:
+            if _odd_components_bounded(adj, full & ~mask, bound) > bound:
                 return mask, examined
     return None, examined
 
 
-def _bounds(f, k, n: int) -> tuple[int, ...]:
-    """``f`` -- one odd bound, or one per vertex -- as the bound of each of n vertices.
+def _bounds(b, k) -> tuple[int, int]:
+    """The odd factor bound ``b`` and the criticality order ``k``, checked in that order.
 
-    Checks the bounds, then the criticality order ``k``, then the length of
-    per-vertex bounds.  Each number must have ``__index__``, as for
-    ``operator.index``: a float is a ParameterError, not a bound or an order.
+    Each must have ``__index__``, as for ``operator.index``: a float, a
+    string or a sequence is a ParameterError, not a bound or an order.
     """
-    per_vertex = isinstance(f, Iterable)
-    bounds = tuple(f) if per_vertex else (f,)
-    if not bounds:
-        raise ParameterError("factor bounds must be nonempty")
-    for x in bounds:
-        if not hasattr(type(x), "__index__") or x < 1 or x % 2 == 0:
-            raise ParameterError(f"factor bound {x} must be a positive odd integer")
-    if _integer(k, "criticality order k") < 0:
+    if not hasattr(type(b), "__index__") or b < 1 or b % 2 == 0:
+        raise ParameterError(f"factor bound {b} must be a positive odd integer")
+    k = _integer(k, "criticality order k")
+    if k < 0:
         raise ParameterError(f"criticality order k={k} must be >= 0")
-    bounds = tuple(map(index, bounds))
-    if not per_vertex:
-        return bounds * n
-    if len(bounds) != n:
-        raise ParameterError(f"per-vertex bounds cover {len(bounds)} vertices, graph has {n}")
-    return bounds
+    return index(b), k
 
 
 def is_k_critical(
     g: Graph,
-    f,
+    b: int,
     k: int = 0,
     *,
     cap: int = ENUMERATION_CAP,
     max_size: Optional[int] = None,
 ) -> CriticalityVerdict:
-    """Whether deleting any k vertices leaves a graph with an odd factor.
+    """Whether deleting any k vertices leaves a graph with an odd factor with bound b.
 
-    ``f`` is an odd integer bound or one per vertex.  Exact check of the
-    odd-component criterion over all S with |S| >= k, in increasing size
-    with early exit on the first violation; the witness of a negative
-    verdict is the first violating set in (size, numeric) order.  Sizes that
-    cannot hold a violation are skipped; size k is scanned one S per orbit of
-    the twin swaps and the larger sizes over unions of whole twin classes,
-    which leaves verdict and witness those of the scan over every subset.
-    ``max_size`` limits the search to k <= |S| <= max_size: the verdict is
-    then non-critical with a witness, or ``critical=None`` when none was
-    found; it never certifies criticality.
+    ``b`` is a positive odd integer.  Exact check of o(G - S) <= b(|S| - k)
+    over all S with |S| >= k, in increasing size with early exit on the first
+    violation; the witness of a negative verdict is the first violating set
+    in (size, numeric) order.  Sizes that cannot hold a violation are
+    skipped; size k is scanned one S per orbit of the twin swaps and the
+    larger sizes over unions of whole twin classes, which leaves verdict and
+    witness those of the scan over every subset.  ``max_size`` limits the
+    search to k <= |S| <= max_size: the verdict is then non-critical with a
+    witness, or ``critical=None`` when none was found; it never certifies
+    criticality.
     """
-    fvals = _bounds(f, k, g.n)
-    k = index(k)
+    b, k = _bounds(b, k)
     if g.n < k + 2:
         raise ParameterError(f"criticality needs n >= k+2, got n={g.n}, k={k}")
     if max_size is not None:
         max_size = _integer(max_size, "max_size")
         if max_size < k:
             raise ParameterError(f"max_size={max_size} is below k={k}: no set S would be searched")
-    mask, examined = _find_violation(g, fvals, k, cap=cap, max_size=max_size)
+    mask, examined = _find_violation(g, b, k, cap=cap, max_size=max_size)
     if mask is not None:
         return CriticalityVerdict(False, frozenset(_bits(mask)), examined)
     return CriticalityVerdict(None if max_size is not None else True, None, examined)

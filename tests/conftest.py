@@ -51,14 +51,14 @@ def parameter_grid():
     return grid
 
 
-def has_odd_factor(g: Graph, f, *, cap: int = ENUMERATION_CAP) -> bool:
-    """Whether G has a spanning subgraph with every degree odd and <= f(v).
+def has_odd_factor(g: Graph, b, *, cap: int = ENUMERATION_CAP) -> bool:
+    """Whether G has a spanning subgraph with every degree odd and at most b.
 
-    ``f`` is an odd integer bound or one per vertex.  Decided by exhaustive
-    subset enumeration (S = empty set alone forces o(G) = 0, so odd-order
-    graphs always fail; the empty graph has one).
+    ``b`` is a positive odd integer.  Decided by the criticality scan at
+    k = 0 (S = empty set alone forces o(G) = 0, so odd-order graphs always
+    fail; the empty graph has one).
     """
-    mask, _ = _find_violation(g, _bounds(f, 0, g.n), 0, cap=cap)
+    mask, _ = _find_violation(g, *_bounds(b, 0), cap=cap)
     return mask is None
 
 

@@ -15,11 +15,13 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oddcrit
 from oddcrit.graphs import ExtremalParams, Graph, extremal_gprime, make_complete, write_graph6
 from oddcrit import cli
 from oddcrit.cli import build_parser, main
+from conftest import random_graphs
 
 
 def write_graph(tmp_path, name, g):
@@ -730,6 +732,14 @@ PARSE_CONTRACT = [
      {"theorem": "1.6", "variant": "g3", "cap": 22, "tolerance": None, "format": "json",
       "out": None, "n": 19, "b": 1, "k": 1, "delta": 3, "s": 2, "include_base": True,
       "func": "cmd_sweep"}),
+    # abbreviated --config, with config files named like subcommands
+    (["--conf", "analyze", "check-critical", "--input", "g.g6", "--b", "3"],
+     {"input": "g.g6", "b": 3, "k": 1, "mode": "exact", "cap": 7, "max_size": 3, "out": None,
+      "func": "cmd_check_critical"}),
+    (["--c", "sweep", "verify", "--theorem", "1.2", "--input", "c.g6"],
+     {"theorem": "1.2", "variant": "gprime", "cap": 7, "tolerance": None, "format": "csv",
+      "out": None, "n": 13, "b": 1, "k": 1, "delta": 2, "s": None, "input": "c.g6",
+      "func": "cmd_verify"}),
 ]
 
 
@@ -756,7 +766,8 @@ def spy_on_parses(monkeypatch, stub_commands=False):
 @pytest.mark.parametrize("argv, expected", PARSE_CONTRACT)
 def test_namespace_equals_the_two_pass_parse(tmp_path, monkeypatch, argv, expected):
     monkeypatch.chdir(tmp_path)
-    Path("cfg.json").write_text(json.dumps(CONTRACT_CONFIG))
+    for name in ("cfg.json", "analyze", "sweep"):
+        Path(name).write_text(json.dumps(CONTRACT_CONFIG))
     calls = spy_on_parses(monkeypatch, stub_commands=True)
     assert main(argv) == 0
     got = next(ns for _, _, ns in calls if "func" in ns)
@@ -781,10 +792,10 @@ def test_namespace_equals_the_two_pass_parse(tmp_path, monkeypatch, argv, expect
      "                     [--n N] [--b B] [--k K] [--delta DELTA] [--s S]\n"
      "                     [--include-base]\n"
      "oddcrit sweep: error: argument --n: invalid int value: 'thirteen'\n"),
-    # an abbreviated --config that takes the subcommand name as its value
+    # an abbreviated --config takes the next token, a subcommand name too, as its file
     (["--conf", "analyze", "check-critical", "--input", "g.g6", "--b", "1", "--k", "1"], 2, "",
-     "usage: oddcrit [--config CONFIG]\n"
-     "oddcrit: error: argument --config: expected one argument\n"),
+     TOP_USAGE + "oddcrit: error: cannot read config analyze: "
+     "[Errno 2] No such file or directory: 'analyze'\n"),
 ], ids=["no_arguments", "help", "unknown_command", "help_before_command", "unrecognized_flag",
         "config_after_command", "bad_config_value", "abbreviated_config_before_command"])
 def test_usage_errors_keep_their_bytes(tmp_path, monkeypatch, argv, code, out_start, err):
@@ -796,8 +807,103 @@ def test_usage_errors_keep_their_bytes(tmp_path, monkeypatch, argv, code, out_st
     assert (got[0], got[1][: len(out_start)], got[2]) == (code, out_start, err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--conf", "analyze", "check-critical", "--input", "g.g6", "--b", "1", "--k", "1"],
+    ["--co", "verify", "--config", "sweep", "sweep", "--theorem", "1.3", "--n", "19"],
+    ["--c", "check-critical", "analyze", "--input", "g.g6", "--matrix", "adjacency"],
+])
+def test_abbreviated_config_parses_like_the_top_parser(tmp_path, monkeypatch, argv):
+    # config files named like subcommands, with no keys: nothing to add to the line
+    monkeypatch.chdir(tmp_path)
+    for name in ("analyze", "check-critical", "verify", "sweep"):
+        Path(name).write_text("{}")
+    expected = vars(build_parser().parse_args(argv))
+    calls = spy_on_parses(monkeypatch, stub_commands=True)
+    assert main(argv) == 0
+    # the last parse is the top parser's, after the subcommand's parse inside
+    # it; func, stubbed there, follows from the command
+    got = calls[-1][2]
+    del got["func"], expected["func"]
+    assert got == expected
+
+
 def test_check_critical_parses_its_flags_once(tmp_path, monkeypatch, capsys):
     flags = ["--input", write_graph(tmp_path, "k3.g6", make_complete(3)), "--b", "1", "--k", "1"]
     calls = spy_on_parses(monkeypatch)
     assert main(["check-critical", *flags]) == 0
     assert [call[:2] for call in calls] == [("oddcrit check-critical", flags)]
+
+
+def subcommand_parsers():
+    top = build_parser()
+    return next(a for a in top._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def typed_value(action):
+    """Tokens for an option's value, drawn from its own choices or type; None for paths."""
+    if action.choices:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        return st.one_of(st.integers(-1, 4), st.integers(-1, 16)).map(str)
+    if action.type is float:
+        return st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    return None
+
+
+@st.composite
+def cli_lines(draw, folder):
+    """A command line of one subcommand, with its graph file and maybe a --config file."""
+    name, sub = draw(st.sampled_from(sorted(subcommand_parsers().items())))
+    g = draw(random_graphs(st.integers(0, 8)))
+    if draw(st.booleans()):
+        text = write_graph6(g) + "\n"
+    else:
+        text = "".join(f"{u} {v}\n" for u, v in g.edges())
+    (folder / "g.txt").write_bytes(text.encode())
+    options = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+    argv = [name]
+    for action in options:
+        if not (action.required or draw(st.booleans())):
+            continue
+        if action.nargs == 0:
+            argv.append(action.option_strings[-1])
+            continue
+        values = typed_value(action)
+        if values is None:
+            value = str(folder / ("g.txt" if action.dest == "input" else "out"))
+        else:
+            # now and then a value of the wrong type
+            value = "x" if draw(st.integers(0, 9)) == 0 else draw(values)
+        argv += [action.option_strings[-1], value]
+    if draw(st.booleans()):
+        # path options stay out of the config: a relative path would land in the cwd
+        keys = [a.dest for a in options if a.nargs == 0 or typed_value(a) is not None]
+        config = draw(st.dictionaries(
+            st.sampled_from(keys + ["bogus"]),
+            st.one_of(st.integers(-1, 16), st.booleans(), st.none(), st.sampled_from(
+                ["x", "1.5", "witness-only", "csv", "g2", "gstar", "adjacency", "1.2"])),
+            max_size=4,
+        ))
+        (folder / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", str(folder / "cfg.json")] + argv
+    return argv
+
+
+@pytest.fixture(scope="module")
+def line_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("lines")
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_every_command_line_exits_cleanly(line_folder, data):
+    # a verdict or a report (0, 1), a caught error (2), or argparse's usage exit
+    # (2): no other exception leaves main
+    argv = data.draw(cli_lines(line_folder))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2)

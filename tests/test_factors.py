@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from oddcrit.errors import ParameterError, ScaleLimitError
 from oddcrit.factors import (
     CriticalityVerdict,
-    _bounds,
     _canonical_subsets,
     _clique_cover_size,
     _subsets_of_size,
@@ -64,28 +63,34 @@ def factor_is_valid(g, edges, b):
 class TestBounds:
     def test_rejects_even_or_nonpositive_bounds(self):
         g = make_complete(3)
-        for f, k, message in [
+        for b, k, message in [
             (2, 0, "factor bound 2 must be a positive odd integer"),
             (0, 0, "factor bound 0 must be a positive odd integer"),
-            ((1, 3, -1), 0, "factor bound -1 must be a positive odd integer"),
-            ((), 0, "factor bounds must be nonempty"),
+            (-1, 0, "factor bound -1 must be a positive odd integer"),
             (1, -1, "criticality order k=-1 must be >= 0"),
         ]:
             with pytest.raises(ParameterError, match=re.escape(message)):
-                is_k_critical(g, f, k)
+                is_k_critical(g, b, k)
             if k == 0:
                 with pytest.raises(ParameterError, match=re.escape(message)):
-                    has_odd_factor(g, f)
+                    has_odd_factor(g, b)
 
-    def test_one_bound_per_vertex(self):
-        assert _bounds(3, 0, 4) == (3, 3, 3, 3)
-        assert _bounds((1, 3, 1), 1, 3) == _bounds([1, 3, 1], 1, 3) == (1, 3, 1)
-        for f in ((1, 3), (1, 3, 1, 1)):
-            message = f"per-vertex bounds cover {len(f)} vertices, graph has 3"
-            with pytest.raises(ParameterError, match=message):
-                is_k_critical(star(2), f)
-            with pytest.raises(ParameterError, match=message):
-                has_odd_factor(star(2), f)
+    @pytest.mark.parametrize(
+        "b, k, message",
+        [
+            ((1, 3, 1), 0, "factor bound (1, 3, 1) must be a positive odd integer"),
+            ([1, 1, 1], 1, "factor bound [1, 1, 1] must be a positive odd integer"),
+            (3.0, 0, "factor bound 3.0 must be a positive odd integer"),
+            ("3", 0, "factor bound 3 must be a positive odd integer"),
+            ((1, 1, 1), -1, "factor bound (1, 1, 1) must be a positive odd integer"),
+            (1, 2.0, "criticality order k=2.0 must be an integer"),
+        ],
+        ids=["tuple", "list", "float", "str", "tuple-before-k", "float-k"],
+    )
+    def test_bound_must_be_one_integer(self, b, k, message):
+        # a sequence of bounds is no bound: the bound b, then k, is checked
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            is_k_critical(make_complete(3), b, k)
 
     @pytest.mark.parametrize(
         "call",
@@ -138,16 +143,6 @@ class TestHasOddFactor:
 
     def test_empty_graph_vacuous(self):
         assert has_odd_factor(Graph(0), 1)
-
-    def test_empty_graph_checks_per_vertex_bounds(self):
-        # bounds for two vertices do not fit a graph with none
-        with pytest.raises(ParameterError, match="cover 2 vertices, graph has 0"):
-            has_odd_factor(Graph(0), (1, 3))
-
-    def test_per_vertex_bounds(self):
-        # center may take degree 3, leaves stay at 1
-        assert has_odd_factor(star(3), (3, 1, 1, 1))
-        assert not has_odd_factor(star(3), (1, 1, 1, 3))
 
     def test_cap(self):
         with pytest.raises(ScaleLimitError):
@@ -260,10 +255,9 @@ class TestCriticality:
             for _ in range(15):
                 n = rng.randrange(k + 2, 10)
                 g = random_connected_graph(rng, n, rng.uniform(0.3, 0.9))
-                per_vertex = tuple(rng.choice([1, 3, 5]) for _ in range(n))
-                for f in (1, 3, per_vertex):
-                    fast = is_k_critical(g, f, k)
-                    slow = full_scan(g, f, k)
+                for b in (1, 3, 5):
+                    fast = is_k_critical(g, b, k)
+                    slow = full_scan(g, b, k)
                     assert (fast.critical, fast.witness) == (slow.critical, slow.witness)
                     assert fast.subsets_examined <= slow.subsets_examined
         # relabelled extremal members, where kappa > k settles whole sizes and
@@ -275,10 +269,9 @@ class TestCriticality:
             for base in (extremal_gprime(params), proof_graph_g2(params)):
                 assert base.vertex_connectivity() > k and (n - k) % 2 == 0
                 g = relabelled(base, rng)
-                per_vertex = tuple(rng.choice([1, 3, 5]) for _ in range(n))
-                for f in (b, per_vertex):
-                    fast = is_k_critical(g, f, k)
-                    slow = full_scan(g, f, k)
+                for bound in (1, 3, 5):
+                    fast = is_k_critical(g, bound, k)
+                    slow = full_scan(g, bound, k)
                     assert (fast.critical, fast.witness) == (slow.critical, slow.witness)
                     assert fast.subsets_examined < slow.subsets_examined
 
@@ -432,52 +425,15 @@ class TestTwinOrbits:
             assert set(c) <= witness or not set(c) & witness
 
     @settings(max_examples=120)
-    @given(twin_blowups(), st.integers(0, 2), st.sampled_from(["1", "3", "class", "vertex"]),
-           st.booleans(), st.data())
-    def test_orbit_scan_matches_full_scan(self, g, k, bounds, bounded, data):
+    @given(twin_blowups(), st.integers(0, 2), st.sampled_from([1, 3, 5]), st.booleans(), st.data())
+    def test_orbit_scan_matches_full_scan(self, g, k, b, bounded, data):
         if g.n < k + 2:
             return
-        n = g.n
-        if bounds in ("1", "3"):
-            f = int(bounds)
-        elif bounds == "class":
-            # one bound per class of twins
-            fvals = [0] * n
-            for c in twin_classes_by_hand(g):
-                bound = data.draw(st.sampled_from([1, 3, 5]))
-                for v in c:
-                    fvals[v] = bound
-            f = tuple(fvals)
-        else:
-            f = tuple(data.draw(st.sampled_from([1, 3, 5])) for _ in range(n))
-        max_size = data.draw(st.integers(k, n - 1)) if bounded else None
-        fast = is_k_critical(g, f, k, max_size=max_size)
-        slow = full_scan(g, f, k, max_size=max_size)
+        max_size = data.draw(st.integers(k, g.n - 1)) if bounded else None
+        fast = is_k_critical(g, b, k, max_size=max_size)
+        slow = full_scan(g, b, k, max_size=max_size)
         assert (fast.critical, fast.witness) == (slow.critical, slow.witness)
         assert fast.subsets_examined <= slow.subsets_examined
-
-    def test_twins_with_different_bounds_share_a_class(self):
-        # relabelled G'(13,1,1,2) plus the edge from big-clique vertex 2 to
-        # singleton 11, with bound 3 on hub 1 and big-clique vertices 3 and 4:
-        # the twin classes {0, 1} and {3..10} hold vertices of both bounds
-        # and stay whole.  Sizes 2 and 3 are scanned (kappa = 2 settles 1,
-        # theta = 3 settles 4 on), both above k, so over unions of whole
-        # classes: the first violating S above size k never splits a class,
-        # whatever the bounds
-        rng = random.Random(13)
-        perm = list(range(13))
-        rng.shuffle(perm)
-        base = extremal_gprime(ExtremalParams(13, 1, 1, 2)).with_edge(2, 11)
-        g = Graph(13, [(perm[u], perm[v]) for u, v in base.edges()])
-        fvals = [1] * 13
-        for v in (1, 3, 4):
-            fvals[perm[v]] = 3
-        fast = is_k_critical(g, fvals, 1)
-        slow = full_scan(g, fvals, 1)
-        assert fast.critical and slow.critical and slow.subsets_examined == 2 ** 13 - 2
-        classes = (2, 8, 1, 1, 1)  # {0, 1} {3..10} {2} {11} {12}
-        assert sorted(map(len, twin_classes_by_hand(g))) == sorted(classes)
-        assert fast.subsets_examined == sum(union_count(classes, s) for s in (2, 3)) == 8
 
 
 class TestExtremalWitness:

@@ -1,10 +1,12 @@
-"""Every public module-level name of ``oddcrit`` has a user outside the tests.
+"""Every module-level name of ``oddcrit`` has a user outside the tests.
 
 A name that only the tests call is code the package carries for nothing: it
-moves into ``tests/`` or goes.  References are read with ``ast``: a loaded
-``Name`` or ``Attribute``, or an imported name, anywhere in ``src/oddcrit``
-or ``perfbench/*.py``.  Strings, such as the entries of ``__all__``, do not
-count, and neither do the test files.
+moves into ``tests/`` or goes, whether or not its name starts with '_'.
+References are read with ``ast``: a loaded ``Name`` or ``Attribute``, or an
+imported name, anywhere in ``src/oddcrit`` or ``perfbench/*.py``, except
+inside the name's own module-level definition, so recursion is no use.
+Strings, such as the entries of ``__all__``, do not count, and neither do
+the test files.  Dunder names such as ``__version__`` are left out.
 """
 import ast
 from pathlib import Path
@@ -25,35 +27,55 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def public_definitions(tree: ast.Module):
-    """Names of the module-level functions, classes and constants not starting with '_'."""
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class or constants."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def definitions(tree: ast.Module):
+    """Names of the module-level functions, classes and constants, dunders aside."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        yield from (name for name in names if not name.startswith("_"))
+        for name in defined_names(node):
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name
 
 
 def references(tree: ast.Module):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1]
+    """Names the module loads or imports, each outside its own definition."""
+    for top in tree.body:
+        own = set(defined_names(top))
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            if name not in own:
+                yield name
+
+
+def unused_definitions(private: bool) -> list[str]:
+    used = {name for path in USERS for name in references(parse(path))}
+    return sorted(
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in definitions(parse(path))
+        if name.startswith("_") == private and name not in used
+    )
 
 
 def test_every_public_name_has_a_user_outside_the_tests():
-    used = {name for path in USERS for name in references(parse(path))}
-    defined = {(path.stem, name) for path in MODULES for name in public_definitions(parse(path))}
-    unused = sorted(f"{module}.{name}" for module, name in defined if name not in used)
-    assert unused == sorted(
-        f"{module}.{name}" for module, name in defined if name in UNUSED_BY_DESIGN
-    )
-    # an allowed name that gains a user fails the first assert, one that goes the second
-    assert {name for _, name in defined} >= UNUSED_BY_DESIGN.keys()
+    # an allowed name that gains a user, or goes, fails too
+    unused = unused_definitions(private=False)
+    assert {name.split(".")[1] for name in unused} == UNUSED_BY_DESIGN.keys()
+
+
+def test_every_private_name_has_a_user_outside_the_tests():
+    # a leading '_' hides no helper that only the tests call
+    assert unused_definitions(private=True) == []
