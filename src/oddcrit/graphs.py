@@ -279,18 +279,6 @@ class Graph:
             raise ParameterError(f"vertex {v} outside vertex range 0..{self.n - 1}")
         return v
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[self._vertex(u)] >> self._vertex(v) & 1)
-
-    def degree(self, v: int) -> int:
-        return self._adj[self._vertex(v)].bit_count()
-
-    def degrees(self) -> list[int]:
-        return list(map(int.bit_count, self._adj))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self._adj[self._vertex(v)]))
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self._adj) // 2
 
@@ -315,7 +303,7 @@ class Graph:
     def is_complete(self) -> bool:
         return self.edge_count() == self.n * (self.n - 1) // 2
 
-    # -- edits (return new graphs) -----------------------------------------
+    # -- edit (returns a new graph) ----------------------------------------
 
     def with_edge(self, u: int, v: int) -> "Graph":
         u, v = self._vertex(u), self._vertex(v)
@@ -324,13 +312,6 @@ class Graph:
         rows = list(self._adj)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph._from_rows(self.n, rows)
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        u, v = self._vertex(u), self._vertex(v)
-        rows = list(self._adj)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
         return Graph._from_rows(self.n, rows)
 
     # -- connectivity and components ----------------------------------------
@@ -343,10 +324,6 @@ class Graph:
             comps.append(comp)
             alive &= ~comp
         return comps
-
-    def components(self) -> int:
-        """Number of connected components c(G)."""
-        return len(self.component_masks())
 
     def odd_components_after_removal(self, removed: Iterable[int]) -> int:
         """o(G-S): number of odd-order components left after deleting S."""
@@ -520,7 +497,7 @@ def _join_layout(n: int, b: int, k: int, x: int, p: int = 1, *, name: str) -> tu
 class ExtremalParams:
     """Parameters (n, b, k, delta[, s]) of the extremal join families.
 
-    b is the odd per-vertex factor bound, k the criticality order, delta the
+    b is the odd factor bound, k the criticality order, delta the
     minimum-degree parameter and s an optional separator size used by the
     auxiliary families.
     """

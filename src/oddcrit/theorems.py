@@ -337,9 +337,12 @@ def report_json(payload: dict) -> str:
     """A report as JSON: keys sorted and floats at 12 significant digits.
 
     Equal payloads give byte-identical text; every report the package writes
-    goes through here.  The text is what ``json.dumps`` writes with
-    ``indent=2`` and ``sort_keys=True`` once each float is rounded, and every
-    value ``json`` rejects raises ``TypeError``.
+    goes through here.  A payload holds dicts with ``str`` keys, lists,
+    tuples, and values of the exact types ``str``, ``int``, ``bool``,
+    ``float`` and ``None``; anything else, a subclass such as
+    ``numpy.float64`` included, raises ``TypeError``.  On those types the
+    text is what ``json.dumps`` writes with ``indent=2`` and
+    ``sort_keys=True`` once each float is rounded.
     """
     out: list[str] = []
     _write_json(payload, "\n", out)
@@ -360,7 +363,7 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         sep = "{" + inner
         for key, val in sorted(obj.items()):
             if type(key) is not str:
-                key = _key_text(key)
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(sep + encode_basestring_ascii(key) + ": ")
             _write_json(val, inner, out)
             sep = "," + inner
@@ -377,7 +380,7 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
             sep = "," + inner
         out.append(newline + "]")
     else:
-        out.append(_subclass_text(obj))
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _float_text(x: float) -> str:
@@ -398,25 +401,6 @@ _SCALAR_TEXT = {
     int: int.__repr__,
     float: lambda x: _float_text(float(format(x, ".12g"))),
 }
-
-
-def _subclass_text(obj) -> str:
-    """Text of an instance of a str, int or float subclass, as of its base."""
-    for base in (str, int, float):
-        if isinstance(obj, base):
-            return _SCALAR_TEXT[base](obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    """A dict key as ``json`` writes it: as its value would be, floats unrounded."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is None or isinstance(key, int):
-        return _SCALAR_TEXT.get(type(key), int.__repr__)(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def counterexample_sweep(

@@ -11,13 +11,14 @@ None of the criticality oracles uses the engine's pruning:
   numeric) order, with no settled sizes, twin classes or early exit inside a
   count; it shares only the graph's component search with the engine.
 
-``without_vertices`` and ``criticality_witness_extremal`` serve only these
-tests.  ``write_graph6_per_bit`` and ``report_json_via_dumps`` are the earlier
-graph6 writer and report writer, kept as references for the ones in the
-package.  So are ``parse_graph6_per_row``, ``clique_cover_size_min_scan``,
-``k_connected_fan_per_vertex`` and ``twin_classes_every_vertex``: the graph6
-decoder, greedy clique cover, Even's test and twin detector as they were
-before their per-vertex steps moved into builtins and numpy.
+``without_vertices``, ``without_edge`` and ``criticality_witness_extremal``
+serve only these tests.  ``write_graph6_per_bit`` and ``report_json_via_dumps``
+are the earlier graph6 writer and report writer, kept as references for the
+ones in the package.  So are ``parse_graph6_per_row``,
+``clique_cover_size_min_scan``, ``k_connected_fan_per_vertex`` and
+``twin_classes_every_vertex``: the graph6 decoder, greedy clique cover,
+Even's test and twin detector as they were before their per-vertex steps
+moved into builtins and numpy.
 
 ``reference_matrix`` builds the full matrix of each spectral kind from the
 edge list and scipy's shortest paths, sharing no code with the package.
@@ -58,9 +59,9 @@ def find_odd_factor(g: Graph, b: int) -> Optional[tuple[tuple[int, int], ...]]:
         )
     if n == 0:
         return ()
-    if any(d == 0 for d in g.degrees()):
+    remaining = [row.bit_count() for row in g.adjacency_rows]
+    if 0 in remaining:
         return None
-    remaining = g.degrees()
     deg = [0] * n
     chosen: list[tuple[int, int]] = []
 
@@ -144,6 +145,11 @@ def without_vertices(g: Graph, drop: Iterable[int]) -> Graph:
     return Graph(len(keep), edges)
 
 
+def without_edge(g: Graph, u: int, v: int) -> Graph:
+    """``g`` less the edge uv (the same graph if uv is no edge)."""
+    return Graph(g.n, [e for e in g.edges() if e != (min(u, v), max(u, v))])
+
+
 def criticality_witness_extremal(p: ExtremalParams) -> frozenset[int]:
     """The join cell of the main extremal family as a criticality violation.
 
@@ -169,7 +175,7 @@ def write_graph6_per_bit(g: Graph) -> str:
     nbits = 0
     for v in range(1, n):
         for u in range(v):
-            acc = (acc << 1) | int(g.has_edge(u, v))
+            acc = (acc << 1) | (g.adjacency_rows[v] >> u & 1)
             nbits += 1
             if nbits == 6:
                 out.append(acc + 63)

@@ -22,6 +22,7 @@ from oddcrit.graphs import ExtremalParams, Graph, extremal_gprime, make_complete
 from oddcrit import cli
 from oddcrit.cli import build_parser, main
 from conftest import random_graphs
+from oracles import without_edge
 
 
 def write_graph(tmp_path, name, g):
@@ -337,7 +338,7 @@ class TestVerifyAndSweep:
         # falsification; the 47-vertex exception stays unconfirmed
         corpus = tmp_path / "corpus.g6"
         g = extremal_gprime(ExtremalParams(13, 1, 1, 2))
-        corpus.write_text(write_graph6(g.without_edge(2, 3)) + "\n"
+        corpus.write_text(write_graph6(without_edge(g, 2, 3)) + "\n"
                           + write_graph6(extremal_gprime(ExtremalParams(47, 1, 1, 2))) + "\n")
         code = main([
             "verify", "--theorem", "1.2", "--b", "1", "--k", "1", "--delta", "2",
@@ -907,3 +908,37 @@ def test_every_command_line_exits_cleanly(line_folder, data):
             assert exc.code == 2
             return
     assert code in (0, 1, 2)
+
+
+#: the commands that read a graph file, each with the file's path last
+GRAPH_READERS = [
+    ["analyze", "--input"],
+    ["check-critical", "--b", "1", "--k", "1", "--input"],
+    ["check-critical", "--b", "1", "--k", "1", "--mode", "witness-only", "--input"],
+    ["verify", "--theorem", "1.2", "--b", "1", "--k", "1", "--delta", "2", "--input"],
+]
+
+
+@st.composite
+def near_miss_edge_lists(draw):
+    """A short edge list with labels below 13, cut anywhere, with one byte put in anywhere.
+
+    Labels keep at most three digits: a 12-byte list may name vertex 258046,
+    and witness-only mode then holds gigabytes.
+    """
+    pairs = draw(st.lists(st.tuples(st.integers(-1, 12), st.integers(-1, 12)), max_size=3))
+    text = "".join(f"{u} {v}\n" for u, v in pairs).encode()[:draw(st.integers(0, 12))]
+    at = draw(st.integers(0, len(text)))
+    return (text[:at] + draw(st.binary(max_size=1)) + text[at:])[:12]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=12), near_miss_edge_lists()))
+def test_every_graph_file_exits_cleanly(line_folder, data):
+    # any bytes as the graph file: a verdict or a report (0, 1) or a caught
+    # error (2), never an exception out of main
+    path = line_folder / "bytes.g"
+    path.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for command in GRAPH_READERS:
+            assert main(command + [str(path)]) in (0, 1, 2)

@@ -54,7 +54,7 @@ def cycle(n):
 def factor_is_valid(g, edges, b):
     deg = [0] * g.n
     for u, v in edges:
-        assert g.has_edge(u, v)
+        assert g.adjacency_rows[u] >> v & 1
         deg[u] += 1
         deg[v] += 1
     return all(d % 2 == 1 and d <= b for d in deg)
@@ -337,7 +337,7 @@ class TestCriticality:
 
 def twin_classes_by_hand(g):
     """Vertex classes with one closed or one open neighbourhood."""
-    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    nbrs = [{u for u in range(g.n) if row >> u & 1} for row in g.adjacency_rows]
     classes = []
     for v in range(g.n):
         for c in classes:

@@ -36,6 +36,7 @@ from oracles import (
     k_connected_fan_per_vertex,
     parse_graph6_per_row,
     twin_classes_every_vertex,
+    without_edge,
     without_vertices,
     write_graph6_per_bit,
 )
@@ -79,7 +80,7 @@ class TestElementaryConstructors:
         assert (g.n, g.edge_count()) == (2, 0)
         h = disjoint_union(make_complete(3), make_complete(2))
         assert (h.n, h.edge_count()) == (5, 4)
-        assert h.components() == 2
+        assert len(h.component_masks()) == 2
 
     def test_join_small(self):
         k2 = join(make_complete(1), make_complete(1))
@@ -109,7 +110,7 @@ class TestElementaryConstructors:
     def test_family_p3(self):
         g = family(1, [1, 1])
         assert (g.n, g.edge_count()) == (3, 2)
-        assert sorted(g.degrees()) == [1, 1, 2]
+        assert sorted(row.bit_count() for row in g.adjacency_rows) == [1, 1, 2]
 
     def test_family_rejects_degenerate(self):
         with pytest.raises(ParameterError, match="degenerate"):
@@ -181,7 +182,7 @@ class TestExtremalFamilies:
     def test_gstar_degrees(self):
         g = g_star(19, 1, 1)
         assert g.n == 19
-        degs = [g.degree(v) for v in (16, 17, 18)]
+        degs = [g.adjacency_rows[v].bit_count() for v in (16, 17, 18)]
         assert sorted(degs) == [3, 4, 4]
 
     def test_gstar_edge_count(self):
@@ -204,7 +205,7 @@ class TestExtremalFamilies:
             rng.shuffle(perm)
             h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
             added = h.with_edge(*rng.choice(list(h.non_edges())))
-            removed = h.without_edge(*rng.choice(list(h.edges())))
+            removed = without_edge(h, *rng.choice(list(h.edges())))
             assert is_join_family(h, s, parts)
             assert not is_join_family(added, s, parts)
             assert not is_join_family(removed, s, parts)
@@ -314,14 +315,9 @@ def test_family_orders_must_be_integers(build):
 
 
 @pytest.mark.parametrize("call", [
-    lambda g: g.has_edge(1.0, 2),
-    lambda g: g.degree("1"),
-    lambda g: g.neighbors(None),
     lambda g: g.with_edge(0, 2.5),
-    lambda g: g.without_edge(np.float64(1), 2),
     lambda g: g.odd_components_after_removal([1.5]),
-], ids=["has_edge", "degree", "neighbors", "with_edge", "without_edge",
-        "odd_components_after_removal"])
+], ids=["with_edge", "odd_components_after_removal"])
 def test_vertex_labels_must_be_integers(call):
     with pytest.raises(ParameterError, match=r"vertex=.* must be an integer"):
         call(make_complete(4))
@@ -380,7 +376,7 @@ class TestQueries:
         assert make_complete(4).odd_components_after_removal(()) == 0
         g = extremal_gprime(ExtremalParams(19, 1, 1, 3))
         assert g.odd_components_after_removal(range(3)) == 4
-        assert g.components() == 1
+        assert len(g.component_masks()) == 1
 
     @pytest.mark.parametrize("label", [np.int64, np.int32, np.uint8])
     def test_numpy_integer_labels_never_build_a_wrong_graph(self, label):
@@ -390,29 +386,25 @@ class TestQueries:
             with pytest.raises(ParameterError, match="Python ints"):
                 Graph(100, edges)
         g = Graph(100).with_edge(label(1), label(90))
-        assert g.has_edge(1, 90) and g.has_edge(label(90), label(1)) and g.edge_count() == 1
-        assert g.adjacency_rows == Graph(100, [(1, 90)]).adjacency_rows
+        assert g.edge_count() == 1 and g.adjacency_rows == Graph(100, [(1, 90)]).adjacency_rows
         assert all(type(row) is int for row in g.adjacency_rows)
-        assert g.without_edge(label(90), label(1)) == Graph(100)
         assert make_complete(80).odd_components_after_removal([label(70)]) == 1
         assert make_complete(80).odd_components_after_removal([label(7), 70]) == 0
 
     @pytest.mark.parametrize("query", [
-        lambda g: g.has_edge(-1, 0),
-        lambda g: g.has_edge(0, 4),
-        lambda g: g.degree(-1),
-        lambda g: g.neighbors(-1),
         lambda g: g.with_edge(-1, 1),
         lambda g: g.with_edge(1, 7),
-        lambda g: g.without_edge(-1, 1),
-        lambda g: g.without_edge(4, 1),
+        lambda g: g.with_edge(4, 1),
+        lambda g: g.with_edge(1, -1),
+        lambda g: g.odd_components_after_removal([-1]),
+        lambda g: g.odd_components_after_removal([0, 4]),
     ])
     def test_labels_outside_the_vertex_range_are_rejected(self, query):
         # -1 would index row 3 from the end, and shifts by it raise ValueError
         g = Graph(4, [(3, 0)])
         with pytest.raises(ParameterError, match="outside vertex range 0..3"):
             query(g)
-        assert g.has_edge(3, 0) and g.degree(3) == 1 and g.neighbors(3) == (0,)
+        assert g.adjacency_rows == (0b1000, 0, 0, 0b1)
 
     def test_without_vertices_relabels(self):
         g = without_vertices(path(4), [1])
@@ -426,7 +418,7 @@ class TestQueries:
     @given(st.integers(1, 10), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
     def test_twin_classes_partition_by_neighbourhood(self, n, density, rnd):
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density])
-        nbrs = [set(g.neighbors(v)) for v in range(n)]
+        nbrs = [{u for u in range(n) if row >> u & 1} for row in g.adjacency_rows]
 
         def twins(u, v):
             return nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v}

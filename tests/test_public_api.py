@@ -1,12 +1,15 @@
-"""Every module-level name of ``oddcrit`` has a user outside the tests.
+"""Every module-level name of ``oddcrit``, and every public method and
+property of its public classes, has a user outside the tests.
 
 A name that only the tests call is code the package carries for nothing: it
 moves into ``tests/`` or goes, whether or not its name starts with '_'.
 References are read with ``ast``: a loaded ``Name`` or ``Attribute``, or an
 imported name, anywhere in ``src/oddcrit`` or ``perfbench/*.py``, except
-inside the name's own module-level definition, so recursion is no use.
-Strings, such as the entries of ``__all__``, do not count, and neither do
-the test files.  Dunder names such as ``__version__`` are left out.
+inside the name's own module-level definition, so recursion is no use.  A
+class member needs a loaded ``Attribute`` of its name: a bare ``Name``, such
+as a local ``degree``, is no call of a ``degree`` method.  Strings, such as
+the entries of ``__all__``, do not count, and neither do the test files.
+Dunder names such as ``__version__`` are left out.
 """
 import ast
 from pathlib import Path
@@ -70,6 +73,15 @@ def unused_definitions(private: bool) -> list[str]:
     )
 
 
+def public_members(tree: ast.Module):
+    """(class, member) names of the public methods and properties of the public classes."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield cls.name, node.name
+
+
 def test_every_public_name_has_a_user_outside_the_tests():
     # an allowed name that gains a user, or goes, fails too
     unused = unused_definitions(private=False)
@@ -79,3 +91,20 @@ def test_every_public_name_has_a_user_outside_the_tests():
 def test_every_private_name_has_a_user_outside_the_tests():
     # a leading '_' hides no helper that only the tests call
     assert unused_definitions(private=True) == []
+
+
+def test_every_public_member_has_a_user_outside_the_tests():
+    # dunders such as __eq__ start with '_', so they are left out
+    loaded = {
+        node.attr
+        for path in USERS
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unused = [
+        f"{path.stem}.{cls}.{name}"
+        for path in MODULES
+        for cls, name in public_members(parse(path))
+        if name not in loaded
+    ]
+    assert unused == []
