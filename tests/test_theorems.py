@@ -492,7 +492,10 @@ class TestSweep:
     def test_report_json_matches_json_dumps(self, payload):
         assert theorems.report_json(payload) == report_json_via_dumps(payload)
 
-    @pytest.mark.parametrize("payload", [7, "top", [1.0, (2.5,)]])
+    @pytest.mark.parametrize("payload", [
+        7, "top", pytest.param({"t": True, "f": False}, id="payload2"),
+        pytest.param([1.0, (2.5,)], id="payload6"),
+    ])
     def test_report_json_keys_and_top_level_values_as_json(self, payload):
         assert theorems.report_json(payload) == report_json_via_dumps(payload)
 
