@@ -18,7 +18,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -46,9 +45,7 @@ from .spectral import (
     wiener_gprime_closed_form,
     wiener_index,
 )
-from .theorems import (
-    EQUALITY_TOLERANCE, THEOREM_IDS, counterexample_sweep, one_edge_supergraphs, report_json
-)
+from .theorems import THEOREM_IDS, counterexample_sweep, one_edge_supergraphs, report_json
 
 VARIANTS = ("gprime", "g2", "g3", "gstar")
 
@@ -234,13 +231,7 @@ def _sweep(args, corpus, *, per_graph: bool) -> int:
     code 1 on a falsification, else 2 if some assertion went unconfirmed
     (above the enumeration cap), else 0.
     """
-    scale = 1.0 if args.tolerance is None else args.tolerance
-    if not (math.isfinite(scale) and scale > 0):
-        raise ParameterError(f"tolerance scale factor must be positive and finite, got {scale!r}")
-    report = counterexample_sweep(
-        corpus, args.b, args.k, args.delta, args.theorem, cap=args.cap,
-        tol=EQUALITY_TOLERANCE * scale,
-    )
+    report = counterexample_sweep(corpus, args.b, args.k, args.delta, args.theorem, cap=args.cap)
     lines = []
     if per_graph:
         lines = [
@@ -336,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--theorem", choices=THEOREM_IDS, required=True)
     shared.add_argument("--variant", choices=VARIANTS, default="gprime")
     shared.add_argument("--cap", type=int, default=ENUMERATION_CAP)
-    shared.add_argument(
-        "--tolerance", type=float, help="scale factor for the equality tolerance 1e-8"
-    )
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--out", help="write the JSON or CSV report here")
 

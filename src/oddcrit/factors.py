@@ -144,39 +144,37 @@ def _clique_cover_size(adj, n: int) -> int:
 def _twin_layout(adj):
     """The twin classes (``graphs._twin_classes``) as ``(cls, prefixes, wholes)``.
 
-    ``cls[v]`` is v's class, and ``prefixes`` and ``wholes`` are the
-    ``(block, heads, ones)`` of the two kinds of subsets that
+    ``cls[v]`` is v's class, or 0 when v has no twin, and ``prefixes`` and
+    ``wholes`` are the ``(heads, ones)`` of the two kinds of subsets that
     ``_canonical_subsets`` walks: every v heads the prefix of its class up
     to v, and the top member of every class heads the whole class.  Returns
-    () when every class is a single vertex.
+    () when every class is a single vertex.  No mask is built per vertex:
+    the layout is one list of n references and one mask per class.
     """
     classes = _twin_classes(adj)
     if not classes:
         return ()
-    n = len(adj)
-    prefix = [1 << v for v in range(n)]
-    cls = prefix[:]
-    full = firsts = tops = singles = (1 << n) - 1
+    cls = [0] * len(adj)
+    full = firsts = tops = singles = (1 << len(adj)) - 1
     for c in classes:
         firsts ^= c ^ (c & -c)
         tops ^= c ^ (1 << (c.bit_length() - 1))
         singles ^= c
         for v in _bits(c):
-            prefix[v] = c & ((2 << v) - 1)
             cls[v] = c
-    return cls, (prefix, full, firsts), (cls, tops, singles)
+    return cls, (full, firsts), (tops, singles)
 
 
-def _canonical_subsets(avail: int, size: int, cls, block, heads: int, ones: int):
+def _canonical_subsets(avail: int, size: int, cls, heads: int, ones: int):
     """Size-subsets of ``avail`` made of blocks from distinct twin classes, in increasing order.
 
-    ``block[h]`` is the block headed by h, which is its largest member,
-    ``heads`` the vertices that head a block, ``ones`` those whose block is
-    h alone, and ``cls[v]`` the class of v (see ``_twin_layout``).  With
-    ``avail`` closed under taking lower members of a class, subsets are
-    ordered by their largest member h first; h brings the rest of block[h]
-    along, and the remainder is a smaller such subset below h and outside
-    h's class.
+    The block headed by h is the prefix of h's class up to h, the whole
+    class when h is its top member, and h alone when h has no twin
+    (``cls[h]`` is 0); ``heads`` are the vertices that head a block, ``ones``
+    those whose block is h alone (see ``_twin_layout``).  With ``avail``
+    closed under taking lower members of a class, subsets are ordered by
+    their largest member h first; h brings the rest of its block along, and
+    the remainder is a smaller such subset below h and outside h's class.
     """
     if not size:
         yield 0
@@ -185,22 +183,22 @@ def _canonical_subsets(avail: int, size: int, cls, block, heads: int, ones: int)
     while rem:
         low = rem & -rem
         rem ^= low
-        h = low.bit_length() - 1
-        top = block[h]
+        c = cls[low.bit_length() - 1]
+        top = c & ((low << 1) - 1) or low
         need = size - top.bit_count()
         if need == 0:
             yield top
         elif need == 1:
             # one more block, of a single vertex
-            singles = avail & (low - 1) & ~cls[h] & ones
+            singles = avail & (low - 1) & ~c & ones
             while singles:
                 one = singles & -singles
                 yield top | one
                 singles ^= one
         elif need > 0:
-            rest = avail & (low - 1) & ~cls[h]
+            rest = avail & (low - 1) & ~c
             if rest.bit_count() >= need:
-                for below in _canonical_subsets(rest, need, cls, block, heads, ones):
+                for below in _canonical_subsets(rest, need, cls, heads, ones):
                     yield below | top
 
 

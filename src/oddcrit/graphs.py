@@ -316,21 +316,21 @@ class Graph:
 
     # -- connectivity and components ----------------------------------------
 
-    def component_masks(self, removed: int = 0) -> list[int]:
-        alive = ((1 << self.n) - 1) & ~removed
-        comps = []
-        while alive:
-            comp = _component_mask(self._adj, alive & -alive, alive)
-            comps.append(comp)
-            alive &= ~comp
-        return comps
-
     def odd_components_after_removal(self, removed: Iterable[int]) -> int:
-        """o(G-S): number of odd-order components left after deleting S."""
+        """o(G-S): number of odd-order components left after deleting S.
+
+        Each component is counted as it is peeled off, so no list of them is kept.
+        """
         mask = 0
         for v in removed:
             mask |= 1 << self._vertex(v)
-        return sum(1 for comp in self.component_masks(mask) if comp.bit_count() & 1)
+        alive = ((1 << self.n) - 1) & ~mask
+        odd = 0
+        while alive:
+            comp = _component_mask(self._adj, alive & -alive, alive)
+            alive ^= comp
+            odd += comp.bit_count() & 1
+        return odd
 
     def is_connected(self) -> bool:
         if self.n == 0:

@@ -4,9 +4,9 @@ Six sufficient conditions (labeled '1.1'..'1.6') assert that a graph meeting
 parity, connectivity, order and minimum-degree hypotheses is k-critical for
 odd factors with bound b whenever a size or spectral comparison against a
 fixed extremal family holds -- unless the graph is that extremal family
-itself.  The evaluators check the hypotheses literally, run the comparison
-within ``EQUALITY_TOLERANCE``, and classify the outcome; a sweep driver
-confirms positive verdicts by brute force and reports any falsification.
+itself.  The evaluators check the hypotheses literally, run the comparison,
+and classify the outcome; a sweep driver confirms positive verdicts by brute
+force and reports any falsification.
 
 Every comparison family is a join K_x v (K_{n-x-(bx-bk+1)} u (bx-bk+1) K_1),
 known by its layout ``(x, parts)`` from ``graphs._join_layout`` (x = delta,
@@ -17,7 +17,10 @@ every radius is ``spectral.spectral_radius``, the largest eigenvalue of the
 graph's twin quotient, read from the graph on one vertex per twin class.
 That is a handful of vertices on the extremal families and their one-edge
 supergraphs, and n only on twin-free inputs.  On the canonically labelled
-comparison family the two sides agree bit for bit.
+comparison family the two sides agree bit for bit.  Equality holds exactly at
+the extremal graph, so two radii are compared within the rounding bound of
+the two eigensolves alone, 4*n*u*(|lhs| + |rhs|) with u = 2^-53; no
+tolerance is guessed or set.
 
 The comparison side of a condition -- the family's edge count or radius and
 the exceptional graphs -- depends on the parameters (theorem, n, b, k, delta)
@@ -46,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ParameterError, ScaleLimitError
 from .factors import ENUMERATION_CAP, is_k_critical
@@ -54,11 +57,6 @@ from .graphs import ExtremalParams, Graph, _integer, _join_layout, check_paramet
 from .spectral import spectral_radius
 
 THEOREM_IDS = ("1.1", "1.2", "1.3", "1.4", "1.5", "1.6")
-
-#: spectral radii within this of each other count as equal in a condition
-EQUALITY_TOLERANCE = 1e-8
-#: margin by which the ordering lemmas' strict inequalities must hold
-_STRICT_MARGIN = 1e-9
 
 ASSERTS_CRITICAL = "asserts_critical"
 EXTREMAL_EXCEPTION = "extremal_exception"
@@ -208,15 +206,13 @@ def evaluate_theorem(
     b: int,
     k: int,
     delta: Optional[int] = None,
-    *,
-    tol: float = EQUALITY_TOLERANCE,
 ) -> TheoremVerdict:
     """Check one theorem's hypotheses and condition against a graph.
 
     Hypothesis failures yield conclusion 'inapplicable' rather than errors.
     Variant '1.4' only requires connectivity and ignores delta; the others
     require (k+1)-connectivity and minimum degree exactly delta.  A radius
-    condition is met within ``tol`` of equality.
+    condition is met when it holds within the rounding bound of the two radii.
     """
     delta = None if theorem_id == "1.4" else delta  # 1.4 ignores it: one cache entry
     bound = order_bound(theorem_id, b, k, delta)
@@ -242,61 +238,15 @@ def evaluate_theorem(
         met = lhs >= rhs
     else:
         lhs = spectral_radius(g, quantity)
-        met = lhs >= rhs - tol if orientation == "ge" else lhs <= rhs + tol
+        # eigvalsh is backward stable: a radius rho of a symmetric quotient B >= 0 (c <= n rows,
+        # ||B||_2 = rho) is off by <= p(c)*u*rho, u = 2^-53, p modest; both sides' errors add
+        guard = 4 * n * 2.0**-53 * (abs(lhs) + abs(rhs))
+        met = lhs >= rhs - guard if orientation == "ge" else lhs <= rhs + guard
     if not met:
         return TheoremVerdict(theorem_id, hyp, False, lhs, rhs, CONDITION_FAILS)
     if any(g == h for h in exceptions):
         return TheoremVerdict(theorem_id, hyp, True, lhs, rhs, EXTREMAL_EXCEPTION)
     return TheoremVerdict(theorem_id, hyp, True, lhs, rhs, ASSERTS_CRITICAL)
-
-
-def ordering_lemma_check(
-    lemma_id: str,
-    s: int,
-    parts: Sequence[int],
-    p: Optional[int] = None,
-) -> Optional[bool]:
-    """Radius comparisons between a join family and its flattened counterpart.
-
-    '2.8': with n_1 >= ... >= n_t >= p >= 1 and n_1 < n - s - p(t-1), the
-    distance radius strictly exceeds that of K_s v (K_{n-s-p(t-1)} u (t-1)K_p).
-    '2.9': the distance-signless-Laplacian radius is >= that of
-    K_s v (K_{n-s-t+1} u (t-1)K_1), with equality only for identical parts.
-    '2.10': same comparison against K_s v (K_{n-s-p(t-1)} u (t-1)K_p) under
-    n_1 >= 5p and t >= s+1.  Returns None when a lemma's hypotheses fail.
-    """
-    parts = list(parts)
-    if s < 0 or not parts or any(x < 1 for x in parts):
-        raise ParameterError("need s >= 0 and nonempty positive parts")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ParameterError("parts must be sorted in nonincreasing order")
-    t = len(parts)
-    n = s + sum(parts)
-
-    if lemma_id == "2.8":
-        if p is None or p < 1 or parts[-1] < p:
-            return None
-        big = n - s - p * (t - 1)
-        if parts[0] >= big:
-            return None
-        lhs = spectral_radius(family(s, parts), "distance")
-        rhs = spectral_radius(family(s, [big] + [p] * (t - 1)), "distance")
-        return lhs > rhs + _STRICT_MARGIN
-
-    if lemma_id == "2.9":
-        flat = [n - s - t + 1] + [1] * (t - 1)
-    elif lemma_id == "2.10":
-        if p is None or p < 1 or parts[-1] < p or parts[0] < 5 * p or t < s + 1:
-            return None
-        flat = [n - s - p * (t - 1)] + [p] * (t - 1)
-    else:
-        raise ParameterError(f"unknown lemma id {lemma_id!r}")
-
-    lhs = spectral_radius(family(s, parts), "distance_signless_laplacian")
-    rhs = spectral_radius(family(s, flat), "distance_signless_laplacian")
-    if sorted(parts, reverse=True) == sorted(flat, reverse=True):
-        return abs(lhs - rhs) <= EQUALITY_TOLERANCE
-    return lhs > rhs + _STRICT_MARGIN
 
 
 @dataclass
@@ -411,7 +361,6 @@ def counterexample_sweep(
     theorem_id: str,
     *,
     cap: int = ENUMERATION_CAP,
-    tol: float = EQUALITY_TOLERANCE,
 ) -> SweepReport:
     """Evaluate a theorem over a corpus, brute-force checking every assertion.
 
@@ -424,7 +373,7 @@ def counterexample_sweep(
     """
     report = SweepReport(theorem_id)
     for graph_id, g in corpus:
-        verdict = evaluate_theorem(g, theorem_id, b, k, delta, tol=tol)
+        verdict = evaluate_theorem(g, theorem_id, b, k, delta)
         record: dict = {"graph_id": str(graph_id), **verdict.as_dict()}
         record["brute_force_verdict"] = None
         record["witness"] = None
@@ -454,7 +403,6 @@ def one_edge_supergraphs(g: Graph) -> list[tuple[str, Graph]]:
 __all__ = [
     "ASSERTS_CRITICAL",
     "CONDITION_FAILS",
-    "EQUALITY_TOLERANCE",
     "EXTREMAL_EXCEPTION",
     "INAPPLICABLE",
     "THEOREM_IDS",
@@ -466,6 +414,5 @@ __all__ = [
     "extremal_layout_for",
     "one_edge_supergraphs",
     "order_bound",
-    "ordering_lemma_check",
     "report_json",
 ]

@@ -5,11 +5,17 @@ Each compares spectral radii of join families, each family built by
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
+from oddcrit.errors import ParameterError
 from oddcrit.graphs import ExtremalParams, family, g_star
 from oddcrit.spectral import spectral_radius
 from oddcrit.theorems import extremal_layout_for
+
+#: margin by which the ordering lemmas' strict inequalities must hold
+_STRICT_MARGIN = 1e-9
+#: radii within this of each other count as equal in Lemma 2.9
+_EQUALITY = 1e-8
 
 
 def gstar_ordering_check(n: int, b: int, k: int) -> bool:
@@ -49,3 +55,52 @@ def eta_lower_bound_check(p: ExtremalParams) -> Optional[bool]:
         return None
     eta = spectral_radius(family(s, parts), "distance_signless_laplacian")
     return eta > 2 * n + 4 * b * d - 4 * b * k + 1 + 1e-9
+
+
+def ordering_lemma_check(
+    lemma_id: str,
+    s: int,
+    parts: Sequence[int],
+    p: Optional[int] = None,
+) -> Optional[bool]:
+    """Radius comparisons between a join family and its flattened counterpart.
+
+    '2.8': with n_1 >= ... >= n_t >= p >= 1 and n_1 < n - s - p(t-1), the
+    distance radius strictly exceeds that of K_s v (K_{n-s-p(t-1)} u (t-1)K_p).
+    '2.9': the distance-signless-Laplacian radius is >= that of
+    K_s v (K_{n-s-t+1} u (t-1)K_1), with equality only for identical parts.
+    '2.10': same comparison against K_s v (K_{n-s-p(t-1)} u (t-1)K_p) under
+    n_1 >= 5p and t >= s+1.  Returns None when a lemma's hypotheses fail.
+    """
+    parts = list(parts)
+    if s < 0 or not parts or any(x < 1 for x in parts):
+        raise ParameterError("need s >= 0 and nonempty positive parts")
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise ParameterError("parts must be sorted in nonincreasing order")
+    t = len(parts)
+    n = s + sum(parts)
+
+    if lemma_id == "2.8":
+        if p is None or p < 1 or parts[-1] < p:
+            return None
+        big = n - s - p * (t - 1)
+        if parts[0] >= big:
+            return None
+        lhs = spectral_radius(family(s, parts), "distance")
+        rhs = spectral_radius(family(s, [big] + [p] * (t - 1)), "distance")
+        return lhs > rhs + _STRICT_MARGIN
+
+    if lemma_id == "2.9":
+        flat = [n - s - t + 1] + [1] * (t - 1)
+    elif lemma_id == "2.10":
+        if p is None or p < 1 or parts[-1] < p or parts[0] < 5 * p or t < s + 1:
+            return None
+        flat = [n - s - p * (t - 1)] + [p] * (t - 1)
+    else:
+        raise ParameterError(f"unknown lemma id {lemma_id!r}")
+
+    lhs = spectral_radius(family(s, parts), "distance_signless_laplacian")
+    rhs = spectral_radius(family(s, flat), "distance_signless_laplacian")
+    if sorted(parts, reverse=True) == sorted(flat, reverse=True):
+        return abs(lhs - rhs) <= _EQUALITY
+    return lhs > rhs + _STRICT_MARGIN

@@ -36,10 +36,9 @@ from oddcrit.theorems import (
     counterexample_sweep,
     evaluate_theorem,
     one_edge_supergraphs,
-    ordering_lemma_check,
 )
 from conftest import graph_from_edge_mask, has_odd_factor, random_connected_graph
-from lemma_checks import gstar_ordering_check
+from lemma_checks import gstar_ordering_check, ordering_lemma_check
 from oracles import criticality_witness_extremal, find_odd_factor, full_scan, without_edge
 from partition_helpers import join_partition
 

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -468,6 +469,22 @@ def test_subsets_examined_counts_full_scan():
     g = g_star(13, 1, 1)
     full = full_scan(g, 1, 1)
     assert full.critical and full.subsets_examined == 2 ** 13 - 2
+
+
+def test_witness_search_memory_is_linear_in_the_order():
+    # what check-critical --mode witness-only runs on the edge list "0 19999":
+    # one edge and 19,998 isolated vertices, where one 20,000-bit mask per
+    # vertex would take about 27 MB
+    g = Graph(20000, [(0, 19999)])
+    tracemalloc.start()
+    try:
+        verdict = is_k_critical(g, 1, 1, cap=20000, max_size=4)
+        odd = g.odd_components_after_removal(verdict.witness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (verdict.witness, odd) == (frozenset({0}), 19999)
+    assert peak < 2_000_000
 
 
 class TestCliqueCover:

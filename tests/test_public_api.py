@@ -22,7 +22,6 @@ USERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 UNUSED_BY_DESIGN = {
     "is_join_family": "decides the extremal exceptions under any labelling, "
     "once evaluate_theorem stops comparing labels",
-    "ordering_lemma_check": "open whether it stays library code or moves into tests/",
 }
 
 

@@ -2,6 +2,7 @@ import enum
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -31,9 +32,14 @@ from oddcrit.theorems import (
     extremal_layout_for,
     one_edge_supergraphs,
     order_bound,
+)
+from lemma_checks import (
+    eta_lower_bound_check,
+    gstar_ordering_check,
+    interlacing_bound_check,
     ordering_lemma_check,
 )
-from lemma_checks import eta_lower_bound_check, gstar_ordering_check, interlacing_bound_check
+from conftest import relabelled
 from oracles import report_json_via_dumps, without_edge
 
 
@@ -165,6 +171,22 @@ def test_every_entry_point_rejects_invalid_parameters(call, args):
         call(*args)
 
 
+def smallest_admissible_orders():
+    """(theorem, n, b, k, delta) of 1.2-1.6 on a small grid, n the smallest order it admits.
+
+    Orders above 300 are left out; 1.4 ignores delta, so it has one case per (b, k).
+    """
+    cases = {}
+    for tid in ("1.2", "1.3", "1.4", "1.5", "1.6"):
+        for b, k, d in itertools.product((1, 3), (1, 2), (2, 3, 4)):
+            delta = None if tid == "1.4" else d
+            n = math.ceil(order_bound(tid, b, k, delta))
+            n += (n - k) % 2
+            if n <= 300:
+                cases.setdefault((tid, n, b, k, delta), None)
+    return list(cases)
+
+
 class TestEvaluateTheorem:
     def test_extremal_exception_self(self):
         g = extremal_gprime(ExtremalParams(47, 1, 1, 3))
@@ -223,16 +245,8 @@ class TestEvaluateTheorem:
     def test_canonical_bases_tie_exactly(self):
         # both sides of the condition run spectral_radius on the same graph,
         # so no tolerance is needed at the smallest order that admits the family
-        cases = {}  # 1.4 ignores delta: one case per (b, k)
-        for tid in ("1.2", "1.3", "1.4", "1.5", "1.6"):
-            for b, k, d in itertools.product((1, 3), (1, 2), (2, 3, 4)):
-                delta = None if tid == "1.4" else d
-                n = math.ceil(order_bound(tid, b, k, delta))
-                n += (n - k) % 2
-                if n <= 300:
-                    cases.setdefault((tid, n, b, k, delta), None)
         met = 0
-        for tid, n, b, k, delta in cases:
+        for tid, n, b, k, delta in smallest_admissible_orders():
             g = family(*extremal_layout_for(tid, n, b, k, delta))
             verdict = evaluate_theorem(g, tid, b, k, delta)
             if verdict.hypotheses_met:
@@ -240,6 +254,41 @@ class TestEvaluateTheorem:
                 assert verdict.condition_lhs == verdict.condition_rhs, (tid, n, b, k, delta)
                 assert verdict.conclusion == EXTREMAL_EXCEPTION
         assert met == 35
+
+    def test_relabelled_bases_tie_well_inside_the_guard(self):
+        # a relabelling orders the twin classes afresh, so the eigensolves
+        # round differently; the radii still agree within a quarter of the
+        # guard 4*n*u*(|lhs| + |rhs|) on two relabellings of every base
+        rng = random.Random(24)
+        ties = 0
+        for tid, n, b, k, delta in smallest_admissible_orders():
+            for i, layout in enumerate(exceptional_layouts_for(tid, n, b, k, delta)):
+                for _ in range(2):
+                    g = relabelled(family(*layout), rng)
+                    verdict = evaluate_theorem(g, tid, b, k, delta)
+                    if not verdict.hypotheses_met:
+                        continue
+                    assert verdict.condition_met, (tid, n, b, k, delta, layout)
+                    if i == 0:  # the comparison family; 1.4's other exception lies well inside
+                        ties += 1
+                        lhs, rhs = verdict.condition_lhs, verdict.condition_rhs
+                        guard = 4 * n * 2.0**-53 * (abs(lhs) + abs(rhs))
+                        assert abs(lhs - rhs) <= guard / 4, (tid, n, b, k, delta)
+        assert ties == 70
+
+    @pytest.mark.parametrize("tid, n, sign", [("1.2", 19, -1), ("1.5", 47, 1)], ids=["ge", "le"])
+    def test_guard_is_the_only_slack(self, monkeypatch, tid, n, sign):
+        # a radius half a guard on the wrong side of the right-hand side meets
+        # the condition, two guards there do not: 1.2 is a >= condition, 1.5 a <=
+        g = extremal_gprime(ExtremalParams(n, 1, 1, 3))
+        rhs = evaluate_theorem(g, tid, 1, 1, 3).condition_rhs  # cached from here on
+        guard = 4 * n * 2.0**-53 * 2 * rhs
+        conclusions = []
+        for factor in (0.5, 2):
+            lhs = rhs + sign * factor * guard
+            monkeypatch.setattr(theorems, "spectral_radius", lambda graph, kind: lhs)
+            conclusions.append(evaluate_theorem(g, tid, 1, 1, 3).conclusion)
+        assert conclusions == [EXTREMAL_EXCEPTION, CONDITION_FAILS]
 
     @pytest.mark.parametrize("tid, n, b, k, d", [
         ("1.2", 19, 1, 1, 3),
