@@ -79,6 +79,21 @@ def _component_mask(adj, seed: int, alive: int) -> int:
     return comp
 
 
+def _odd_components(adj, alive: int, bound: int = -1) -> int:
+    """Odd components among ``alive``, peeled off one at a time.
+
+    With no ``bound`` the count is exact.  With a ``bound`` >= 0 the peeling
+    stops once the count exceeds it (a violation is certain) or once the
+    vertices left cannot push it above it (the count returned is <= bound).
+    """
+    odd = 0
+    while alive and (bound < 0 or odd <= bound < odd + alive.bit_count()):
+        comp = _component_mask(adj, alive & -alive, alive)
+        alive ^= comp
+        odd += comp.bit_count() & 1
+    return odd
+
+
 def _twin_classes(adj) -> list[int]:
     """The twin classes of more than one vertex in the graph with rows ``adj``.
 
@@ -319,24 +334,18 @@ class Graph:
     def odd_components_after_removal(self, removed: Iterable[int]) -> int:
         """o(G-S): number of odd-order components left after deleting S.
 
-        Each component is counted as it is peeled off, so no list of them is kept.
+        Isolated vertices are found in one pass and counted by one popcount;
+        only the others are peeled off, one component at a time.
         """
         mask = 0
         for v in removed:
             mask |= 1 << self._vertex(v)
+        isolated = int("0" + "".join("0" if row else "1" for row in reversed(self._adj)), 2)
         alive = ((1 << self.n) - 1) & ~mask
-        odd = 0
-        while alive:
-            comp = _component_mask(self._adj, alive & -alive, alive)
-            alive ^= comp
-            odd += comp.bit_count() & 1
-        return odd
+        return (alive & isolated).bit_count() + _odd_components(self._adj, alive & ~isolated)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        full = (1 << self.n) - 1
-        return _component_mask(self._adj, 1, full) == full
+        return self.n > 0 and _k_connected(self._adj, 1)
 
     def is_k_connected(self, k: int) -> bool:
         """Whether G stays connected after deleting any fewer than k vertices.

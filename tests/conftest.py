@@ -5,7 +5,14 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from oddcrit.factors import ENUMERATION_CAP, _bounds, _find_violation
-from oddcrit.graphs import ExtremalParams, Graph, extremal_gprime, proof_graph_g2, proof_graph_g3
+from oddcrit.graphs import (
+    ExtremalParams,
+    Graph,
+    _twin_classes,
+    extremal_gprime,
+    proof_graph_g2,
+    proof_graph_g3,
+)
 
 settings.register_profile("deterministic", derandomize=True, max_examples=60)
 settings.load_profile("deterministic")
@@ -124,3 +131,11 @@ def twin_blowups(draw, max_n=12):
         u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         edges ^= {(min(u, v), max(u, v))}
     return Graph(n, edges)
+
+
+@st.composite
+def twin_free_graphs(draw, max_n=24):
+    """A random connected graph with every twin class a single vertex (a path if need be)."""
+    n = draw(st.integers(4, max_n))
+    g = random_connected_graph(draw(st.randoms(use_true_random=False)), n, draw(st.floats(0.0, 0.6)))
+    return Graph(n, [(i, i + 1) for i in range(n - 1)]) if _twin_classes(g.adjacency_rows) else g

@@ -18,7 +18,15 @@ from networkx.algorithms.flow import build_residual_network
 
 from oddcrit.errors import DisconnectedGraphError
 from oddcrit.factors import _clique_cover_size, is_k_critical
-from oddcrit.graphs import ExtremalParams, Graph, extremal_gprime, family, join, make_complete
+from oddcrit.graphs import (
+    ExtremalParams,
+    Graph,
+    _odd_components,
+    extremal_gprime,
+    family,
+    join,
+    make_complete,
+)
 from oddcrit.spectral import distance_matrix, spectral_radius
 from oddcrit.theorems import one_edge_supergraphs
 from conftest import relabelled
@@ -54,6 +62,19 @@ def test_components_and_odd_components(case):
     assert g.odd_components_after_removal(()) == nx_odd_components(h, ())
     assert g.is_connected() == nx.is_connected(h)
     assert g.odd_components_after_removal(removed) == nx_odd_components(h, removed)
+
+
+@given(graphs_and_sets())
+def test_bounded_odd_component_count_is_on_the_side_of_the_exact_one(case):
+    # the scan's early exits never move the count across its bound; with no
+    # bound the count is exact
+    g, removed = case
+    adj = g.adjacency_rows
+    alive = ((1 << g.n) - 1) & ~sum(1 << v for v in removed)
+    exact = _odd_components(adj, alive)
+    assert exact == nx_odd_components(to_nx(g), removed)
+    for bound in range(g.n + 1):
+        assert (_odd_components(adj, alive, bound) > bound) == (exact > bound)
 
 
 @given(graphs_and_sets())

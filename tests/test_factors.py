@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 import tracemalloc
 from itertools import combinations, product
 
@@ -12,7 +13,6 @@ from oddcrit.factors import (
     CriticalityVerdict,
     _canonical_subsets,
     _clique_cover_size,
-    _subsets_of_size,
     _twin_layout,
     is_k_critical,
 )
@@ -34,6 +34,7 @@ from conftest import (
     random_graphs,
     relabelled,
     twin_blowups,
+    twin_free_graphs,
 )
 from oracles import (
     clique_cover_size_min_scan,
@@ -368,22 +369,25 @@ def union_count(class_sizes, size):
     )
 
 
+#: graphs with twins, and graphs without, whose classes are single vertices
+walk_graphs = st.one_of(twin_blowups(), twin_free_graphs(max_n=12))
+
+
 class TestTwinOrbits:
     @settings(max_examples=40)
-    @given(twin_blowups())
+    @given(walk_graphs)
     def test_orbits_come_in_increasing_order(self, g):
         # prefix blocks (size k): exactly the sets taking the lowest members
         # of every class, in numeric order, against classes found by hand
         classes = twin_classes_by_hand(g)
-        layout = _twin_layout(g.adjacency_rows)
-        assert bool(layout) == any(len(c) > 1 for c in classes)
-        if not layout:
-            return
-        cls, prefixes, _ = layout
+        cls, prefixes, _ = _twin_layout(g.adjacency_rows)
         full = (1 << g.n) - 1
+        by_size = [[] for _ in range(g.n + 1)]
+        for mask in range(1 << g.n):
+            by_size[mask.bit_count()].append(mask)
         for size in range(g.n + 1):
             expected = [
-                mask for mask in _subsets_of_size(g.n, size)
+                mask for mask in by_size[size]
                 if all(
                     [mask >> v & 1 for v in c] == sorted((mask >> v & 1 for v in c), reverse=True)
                     for c in classes
@@ -393,15 +397,12 @@ class TestTwinOrbits:
             assert len(expected) == orbit_count([len(c) for c in classes], size)
 
     @settings(max_examples=40)
-    @given(twin_blowups())
+    @given(walk_graphs)
     def test_whole_classes_come_in_increasing_order(self, g):
         # whole-class blocks (sizes above k): exactly the unions of classes
         # found by hand, in numeric order
         classes = [sum(1 << v for v in c) for c in twin_classes_by_hand(g)]
-        layout = _twin_layout(g.adjacency_rows)
-        if not layout:
-            return
-        cls, _, wholes = layout
+        cls, _, wholes = _twin_layout(g.adjacency_rows)
         full = (1 << g.n) - 1
         for size in range(g.n + 1):
             expected = sorted(
@@ -413,7 +414,7 @@ class TestTwinOrbits:
             assert list(_canonical_subsets(full, size, cls, *wholes)) == expected
 
     @settings(max_examples=100)
-    @given(twin_blowups(), st.data())
+    @given(walk_graphs, st.data())
     def test_first_violation_above_k_never_splits_a_class(self, g, data):
         # on the oracle alone, with per-vertex bounds that ignore the classes;
         # n - k is even, so that size k does not fail on parity alone
@@ -426,7 +427,7 @@ class TestTwinOrbits:
             assert set(c) <= witness or not set(c) & witness
 
     @settings(max_examples=120)
-    @given(twin_blowups(), st.integers(0, 2), st.sampled_from([1, 3, 5]), st.booleans(), st.data())
+    @given(walk_graphs, st.integers(0, 2), st.sampled_from([1, 3, 5]), st.booleans(), st.data())
     def test_orbit_scan_matches_full_scan(self, g, k, b, bounded, data):
         if g.n < k + 2:
             return
@@ -485,6 +486,17 @@ def test_witness_search_memory_is_linear_in_the_order():
         tracemalloc.stop()
     assert (verdict.witness, odd) == (frozenset({0}), 19999)
     assert peak < 2_000_000
+
+
+def test_witness_recount_time_is_linear_in_the_order():
+    # the recount check-critical --mode witness-only runs on the edge list
+    # "0 79999": peeling the 79,998 isolated vertices one component at a
+    # time took about a second, where one popcount counts them all
+    g = Graph(80000, [(0, 79999)])
+    start = time.perf_counter()
+    odd = g.odd_components_after_removal([0])
+    assert time.perf_counter() - start < 0.1
+    assert odd == 79999
 
 
 class TestCliqueCover:

@@ -33,7 +33,7 @@ from oddcrit.spectral import (
     wiener_gprime_closed_form,
     wiener_index,
 )
-from conftest import random_connected_graph, relabelled
+from conftest import random_connected_graph, relabelled, twin_free_graphs
 from oracles import reference_matrix, without_edge
 
 
@@ -375,14 +375,6 @@ def twin_blowups(draw):
             u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
             edges ^= {(min(u, v), max(u, v))}
     return Graph(n, edges)
-
-
-@st.composite
-def twin_free_graphs(draw):
-    """A random graph with every twin class a single vertex (paths if need be)."""
-    n = draw(st.integers(4, 24))
-    g = random_connected_graph(draw(st.randoms(use_true_random=False)), n, draw(st.floats(0.0, 0.6)))
-    return path(n) if _twin_classes(g.adjacency_rows) else g
 
 
 class TestSpectralRadii:
