@@ -32,6 +32,13 @@ GPRIME47E = (
     "~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~o"
     "??????w??????F????????"
 )
+# Theorem 1.4 at n = 19, b = k = 1: K_2 v (K_15 u 2K_1), K_1 v (K_17 u K_1), and the
+# first plus the edge 2-17
+THEOREM14 = (
+    "R~~~~~~~~~~~~~~~~~~~~~~~??E???\n"
+    "R~~~~~~~~~~~~~~~~~~~~~~~~~{???\n"
+    "R~~~~~~~~~~~~~~~~~~~~~~~_?E???\n"
+)
 
 INPUTS = {
     "gstar13.g6": GSTAR13 + "\n",
@@ -45,6 +52,7 @@ INPUTS = {
     "gprime47e.g6": GPRIME47E + "\n",
     "corpus.g6": GPRIME13 + "\n" + "L~~~~~~~~~~~~~\n",
     "bad.g6": "D?\n",
+    "theorem14.g6": THEOREM14,
 }
 
 _KINDS = ("adjacency", "signless_laplacian", "distance", "distance_signless_laplacian")
@@ -84,11 +92,17 @@ CASES = {
     "verify-csv-out": [*_VERIFY, "--format", "csv", "--out", "report.csv"],
     "verify-above-cap": ["verify", "--theorem", "1.5", "--n", "47", "--b", "1", "--k", "1",
                          "--delta", "3"],
+    "verify-theorem-1.4": ["verify", "--theorem", "1.4", "--b", "1", "--k", "1",
+                           "--input", "theorem14.g6"],
+    "verify-theorem-1.6-base": ["verify", "--theorem", "1.6", "--n", "63", "--b", "1", "--k", "1",
+                                "--delta", "3", "--cap", "63"],
     "sweep-json": _SWEEP,
     "sweep-json-out": [*_SWEEP, "--out", "sweep.json"],
     "sweep-csv": [*_SWEEP, "--format", "csv"],
     "sweep-csv-out": [*_SWEEP, "--format", "csv", "--out", "sweep.csv"],
     "sweep-above-cap": [*_SWEEP, "--cap", "5", "--format", "csv"],
+    "sweep-theorem-1.3": ["sweep", "--theorem", "1.3", "--n", "19", "--b", "1", "--k", "1",
+                          "--delta", "3", "--include-base"],
     "error-parity": ["extremal", "--n", "20", "--b", "1", "--k", "1", "--delta", "3"],
     "error-bad-graph6": ["analyze", "--input", "bad.g6"],
 }
