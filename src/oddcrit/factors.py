@@ -107,42 +107,43 @@ def _clique_cover_size(adj, n: int) -> int:
 
 
 def _twin_layout(adj):
-    """The twin classes (``graphs._twin_classes``) as ``(cls, prefixes, wholes)``.
+    """The twin partition (``graphs._twin_classes``) as ``(cls, prefixes, wholes)``.
 
-    ``cls[v]`` is v's class, or 0 when v has no twin, and ``prefixes`` and
-    ``wholes`` are the ``(heads, ones)`` of the two kinds of subsets that
-    ``_canonical_subsets`` walks: every v heads the prefix of its class up
-    to v, and the top member of every class heads the whole class.  In a
-    graph without twins every vertex heads a block of its own, in both
-    kinds.  No mask is built per vertex: the layout is one list of n
-    references and one mask per class.
+    ``cls[v]`` is the mask of v's class, ``1 << v`` when v has no twin, and
+    ``prefixes`` and ``wholes`` are the ``(heads, ones)`` of the two kinds
+    of subsets that ``_canonical_subsets`` walks: every v heads the prefix
+    of its class up to v, a single vertex when v is the lowest member, and
+    the top member of every class heads the whole class, a single vertex
+    for a class of one.  In a graph without twins every vertex heads a
+    block of its own, in both kinds.  Each class mask is built once from
+    its member list, and the layout is one list of n references to them.
     """
     cls = [0] * len(adj)
-    full = firsts = tops = singles = (1 << len(adj)) - 1
-    for c in _twin_classes(adj):
-        firsts ^= c ^ (c & -c)
-        tops ^= c ^ (1 << (c.bit_length() - 1))
-        singles ^= c
-        for v in _bits(c):
+    firsts = tops = 0
+    for m in _twin_classes(adj).values():
+        c = sum(1 << v for v in m)
+        for v in m:
             cls[v] = c
-    return cls, (full, firsts), (tops, singles)
+        firsts |= 1 << m[0]
+        tops |= 1 << m[-1]
+    return cls, ((1 << len(adj)) - 1, firsts), (tops, firsts & tops)
 
 
 def _canonical_subsets(avail: int, size: int, cls, heads: int, ones: int):
     """Size-subsets of ``avail`` made of blocks from distinct twin classes, in increasing order.
 
-    The block headed by h is the prefix of h's class up to h, the whole
-    class when h is its top member, and h alone when h has no twin
-    (``cls[h]`` is 0); ``heads`` are the vertices that head a block, ``ones``
-    those whose block is h alone (see ``_twin_layout``).  With ``avail``
-    closed under taking lower members of a class, subsets are ordered by
-    their largest member h first; h brings the rest of its block along, and
-    the remainder is a smaller such subset below h and outside h's class.
-    The walk runs in one frame.  A level (the heads ``rem`` left to try, the
-    blocks ``acc`` chosen above it, the ``need`` vertices still to choose
-    from ``avail``) waits on ``stack`` while the subsets below its current
-    head are walked.  A generator per level would pass every subset through
-    each frame, which made twin-free scans about 16 % slower.
+    The block headed by h is the prefix of h's class up to h, which is the
+    whole class when h is its top member; ``heads`` are the vertices that
+    head a block, ``ones`` those whose block is h alone (see
+    ``_twin_layout``).  With ``avail`` closed under taking lower members of
+    a class, subsets are ordered by their largest member h first; h brings
+    the rest of its block along, and the remainder is a smaller such subset
+    below h and outside h's class.  The walk runs in one frame.  A level
+    (the heads ``rem`` left to try, the blocks ``acc`` chosen above it, the
+    ``need`` vertices still to choose from ``avail``) waits on ``stack``
+    while the subsets below its current head are walked.  A generator per
+    level would pass every subset through each frame, which made twin-free
+    scans about 16 % slower.
     """
     if not size:
         yield 0
@@ -154,7 +155,7 @@ def _canonical_subsets(avail: int, size: int, cls, heads: int, ones: int):
             low = rem & -rem
             rem ^= low
             c = cls[low.bit_length() - 1]
-            block = c & ((low << 1) - 1) or low
+            block = c & ((low << 1) - 1)
             left = need - block.bit_count()
             if left == 1:
                 # one more block, of a single vertex

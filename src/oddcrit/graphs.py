@@ -94,31 +94,26 @@ def _odd_components(adj, alive: int, bound: int = -1) -> int:
     return odd
 
 
-def _twin_classes(adj) -> list[int]:
-    """The twin classes of more than one vertex in the graph with rows ``adj``.
+def _twin_classes(adj) -> dict[int, list[int]]:
+    """The twin partition of the graph with rows ``adj``: lowest member -> ascending members.
 
     A class holds the vertices with one closed neighbourhood (true twins) or
-    one open neighbourhood (false twins); every vertex outside them has no
-    twin.  No vertex has twins of both kinds: if u, v are true twins and u, w
-    false twins, then w is adjacent to v, so to u, yet u is not in
-    N(w) = N(u); so a vertex with a true twin skips the open map.  An
-    isolated vertex has no true twin and stays out of the closed map, which
-    would otherwise hold two n-bit ints for each one.  Each map hashes a
-    neighbourhood once, to its first vertex, whose class is kept under its
-    label; classes come in the order of their first vertices, closed first.
+    one open neighbourhood (false twins); a vertex without twins is a class
+    of its own, and every vertex is in exactly one class.  No vertex has
+    twins of both kinds: if u, v are true twins and u, w false twins, then w
+    is adjacent to v, so to u, yet u is not in N(w) = N(u); so a vertex with
+    a true twin skips the open map.  An isolated vertex has no true twin and
+    stays out of the closed map, which would otherwise hold two n-bit ints
+    for each one.  Each map hashes a neighbourhood once, to its first vertex,
+    which keys its class; classes come in the order of their lowest members.
     """
-    first_closed, first_open, closed, open_ = {}, {}, {}, {}
+    first_closed, first_open, classes = {}, {}, {}
     for v, row in enumerate(adj):
-        if row:
-            u = first_closed.setdefault(row | 1 << v, v)
-            if u != v:
-                closed[u] = closed.get(u, 1 << u) | 1 << v
-                continue
-        u = first_open.setdefault(row, v)
-        if u != v:
-            open_[u] = open_.get(u, 1 << u) | 1 << v
-    return ([closed[u] for u in first_closed.values() if u in closed]
-            + [open_[u] for u in first_open.values() if u in open_])
+        u = first_closed.setdefault(row | 1 << v, v) if row else v
+        if u == v:
+            u = first_open.setdefault(row, v)
+        classes.setdefault(u, []).append(v)
+    return classes
 
 
 def _fan_reaches(adj, sources: int, t: int, k: int) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DisconnectedGraphError, ParameterError
-from .graphs import ExtremalParams, Graph, _bits, _twin_classes, _unpack_masks
+from .graphs import ExtremalParams, Graph, _twin_classes, _unpack_masks
 
 SPECTRAL_KINDS = (
     "adjacency",
@@ -134,8 +134,10 @@ def check_kind(kind: str) -> None:
 def spectral_radius(g: Graph, kind: str = "distance") -> float:
     """Largest eigenvalue of the requested graph matrix, from its twin quotient.
 
-    With classes C_i and representatives r_i, the quotient B of a matrix M
-    has B_ij = |C_j| M(r_i, r_j) off the diagonal and B_ii = (|C_i| - 1) w_i,
+    The classes C_i are the twin partition (``graphs._twin_classes``, a
+    vertex without twins a class of its own), in the order of their lowest
+    members r_i, which represent them.  The quotient B of a matrix M has
+    B_ij = |C_j| M(r_i, r_j) off the diagonal and B_ii = (|C_i| - 1) w_i,
     with w_i the entry between two members of C_i: 1 for true twins, 0
     (adjacency) or 2 (distance) for false twins.  The signless kinds add the
     row sum at r_i, sum_j |C_j| M(r_i, r_j) + (|C_i| - 1) w_i.  The partition
@@ -156,12 +158,10 @@ def spectral_radius(g: Graph, kind: str = "distance") -> float:
     check_kind(kind)
     adj = g.adjacency_rows
     classes = _twin_classes(adj)
-    # a vertex without twins is a class of its own
-    classes += [1 << v for v in _bits(((1 << g.n) - 1) ^ sum(classes))]
-    reps = [(cls & -cls).bit_length() - 1 for cls in classes]
+    reps = list(classes)
     c = len(reps)
     # per class: its size, and w: 1 for true twins, 0 for false twins and classes of one
-    sizes, w = np.array([(cls.bit_count(), adj[r] & cls != 0) for r, cls in zip(reps, classes)]).T
+    sizes, w = np.array([(len(ms), adj[ms[0]] >> ms[-1] & 1) for ms in classes.values()]).T
     # H's adjacency: columns r_j of rows r_i
     m = _unpack_masks([adj[r] for r in reps], g.n)[:, reps]
     if kind.startswith("distance"):

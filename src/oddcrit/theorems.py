@@ -220,7 +220,7 @@ def evaluate_theorem(
     hyp: dict[str, bool] = {}
     hyp["parity"] = (n - k) % 2 == 0
     if theorem_id == "1.4":
-        hyp["connectivity"] = g.n > 0 and g.is_connected()
+        hyp["connectivity"] = g.is_connected()
     else:
         hyp["connectivity"] = g.is_k_connected(k + 1)
         hyp["min_degree"] = n > 0 and g.min_degree() == delta

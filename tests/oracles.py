@@ -283,15 +283,20 @@ def k_connected_fan_per_vertex(adj, k: int) -> bool:
     return True
 
 
-def twin_classes_every_vertex(adj) -> list[int]:
-    """Twin classes of more than one vertex, with every vertex in both neighbourhood maps."""
+def twin_classes_every_vertex(adj) -> dict[int, list[int]]:
+    """Twin partition, lowest member -> ascending members, with every vertex in both maps.
+
+    A vertex without twins is a class of its own.
+    """
     closed: dict = {}
     open_: dict = {}
     for v, row in enumerate(adj):
-        bit = 1 << v
-        closed[row | bit] = closed.get(row | bit, 0) | bit
-        open_[row] = open_.get(row, 0) | bit
-    return [c for c in (*closed.values(), *open_.values()) if c & (c - 1)]
+        closed.setdefault(row | 1 << v, []).append(v)
+        open_.setdefault(row, []).append(v)
+    twins = {c[0]: c for c in (*closed.values(), *open_.values()) if len(c) > 1}
+    members = {v for c in twins.values() for v in c}
+    classes = {**twins, **{v: [v] for v in range(len(adj)) if v not in members}}
+    return dict(sorted(classes.items()))
 
 
 def reference_matrix(g: Graph, kind: str) -> np.ndarray:

@@ -413,6 +413,17 @@ class TestTwinOrbits:
             )
             assert list(_canonical_subsets(full, size, cls, *wholes)) == expected
 
+    def test_layout_shares_one_mask_per_class_on_a_near_empty_graph(self):
+        # the edge joins the end vertices into true twins; the rest are isolated, false twins
+        n = 80000
+        cls, prefixes, wholes = _twin_layout(Graph(n, [(0, n - 1)]).adjacency_rows)
+        assert cls[0] is cls[n - 1] and cls[0] == 1 | 1 << (n - 1)
+        assert cls[1] == (1 << (n - 1)) - 2 and all(c is cls[1] for c in cls[1:n - 1])
+        # every vertex heads a prefix, and the lowest members' prefixes are single vertices
+        assert prefixes == ((1 << n) - 1, 0b11)
+        # the top members head the whole classes, and no class has one member
+        assert wholes == (1 << (n - 2) | 1 << (n - 1), 0)
+
     @settings(max_examples=100)
     @given(walk_graphs, st.data())
     def test_first_violation_above_k_never_splits_a_class(self, g, data):

@@ -424,12 +424,13 @@ class TestQueries:
         def twins(u, v):
             return nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v}
 
-        classes = [[v for v in range(n) if c >> v & 1] for c in _twin_classes(g.adjacency_rows)]
-        assert all(len(c) > 1 for c in classes)
-        members = [v for c in classes for v in c]
-        assert len(members) == len(set(members))
-        # the vertices outside the classes are classes of their own
-        classes += [[v] for v in range(n) if v not in members]
+        partition = _twin_classes(g.adjacency_rows)
+        # every vertex appears exactly once
+        assert sorted(v for c in partition.values() for v in c) == list(range(n))
+        # each class ascends and is keyed by its lowest member, and the classes ascend by it
+        assert all(c == sorted(c) and c[0] == low for low, c in partition.items())
+        assert list(partition) == sorted(partition)
+        classes = list(partition.values())
         for c in classes:
             assert all(twins(u, v) for u in c for v in c)
         for c, other in combinations(classes, 2):
@@ -599,4 +600,5 @@ class TestKernelsMatchReferences:
     )
     def test_twin_classes_match_reference_with_isolated_vertices(self, g, isolated, rnd):
         h = relabelled(disjoint_union(g, Graph(isolated)), rnd)
-        assert _twin_classes(h.adjacency_rows) == twin_classes_every_vertex(h.adjacency_rows)
+        got, want = _twin_classes(h.adjacency_rows), twin_classes_every_vertex(h.adjacency_rows)
+        assert list(got.items()) == list(want.items())
