@@ -39,6 +39,8 @@ THEOREM14 = (
     "R~~~~~~~~~~~~~~~~~~~~~~~~~{???\n"
     "R~~~~~~~~~~~~~~~~~~~~~~~_?E???\n"
 )
+# G'(17, 1, 1, 3) less the edge 3-4: every hypothesis of Theorem 1.2 holds, its condition fails
+CONDFAILS = "P~z~~~~~~~~~~~~~{?F??w??"
 
 INPUTS = {
     "gstar13.g6": GSTAR13 + "\n",
@@ -53,6 +55,8 @@ INPUTS = {
     "corpus.g6": GPRIME13 + "\n" + "L~~~~~~~~~~~~~\n",
     "bad.g6": "D?\n",
     "theorem14.g6": THEOREM14,
+    "condfails.g6": CONDFAILS + "\n",
+    "check.json": '{"b": 1, "k": 1, "mode": "witness-only", "max-size": 2}\n',
 }
 
 _KINDS = ("adjacency", "signless_laplacian", "distance", "distance_signless_laplacian")
@@ -83,6 +87,8 @@ CASES = {
                             "--mode", "witness-only", "--max-size", "4"],
     "check-witness-found-b3": ["check-critical", "--input", "gprime19b3.g6", "--b", "3",
                                "--k", "1", "--mode", "witness-only", "--out", "verdict.json"],
+    "check-witness-config": ["--config", "check.json", "check-critical", "--input", "gprime13.g6",
+                             "--max-size", "3"],
     "check-witness-inconclusive": ["check-critical", "--input", "k6.g6", "--b", "1", "--k", "2",
                                    "--mode", "witness-only", "--max-size", "3"],
     "verify-json": _VERIFY,
@@ -92,6 +98,8 @@ CASES = {
     "verify-csv-out": [*_VERIFY, "--format", "csv", "--out", "report.csv"],
     "verify-above-cap": ["verify", "--theorem", "1.5", "--n", "47", "--b", "1", "--k", "1",
                          "--delta", "3"],
+    "verify-condition-fails": ["verify", "--theorem", "1.2", "--b", "1", "--k", "1",
+                               "--delta", "3", "--input", "condfails.g6"],
     "verify-theorem-1.4": ["verify", "--theorem", "1.4", "--b", "1", "--k", "1",
                            "--input", "theorem14.g6"],
     "verify-theorem-1.6-base": ["verify", "--theorem", "1.6", "--n", "63", "--b", "1", "--k", "1",
