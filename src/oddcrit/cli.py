@@ -173,27 +173,26 @@ def cmd_extremal(args) -> int:
 def cmd_check_critical(args) -> int:
     g = _load_graph(args.input)
     payload = {"input": args.input, "b": args.b, "k": args.k, "mode": args.mode}
+    cap, max_size = args.cap, None
+    if args.mode == "witness-only":
+        # the search starts at |S| = k, so the default reaches at least that far
+        max_size = args.max_size if args.max_size is not None else min(g.n - 1, max(4, args.k))
+        cap = max(args.cap, g.n)
+        payload["max_size"] = max_size
+    verdict = is_k_critical(g, args.b, args.k, cap=cap, max_size=max_size)
+    witness = sorted(verdict.witness) if verdict.witness is not None else None
     if args.mode == "exact":
-        verdict = is_k_critical(g, args.b, args.k, cap=args.cap)
-        witness = sorted(verdict.witness) if verdict.witness is not None else None
         line = f"critical={verdict.critical} subsets_examined={verdict.subsets_examined}" + (
             f" witness={witness}" if witness is not None else ""
         )
+    elif witness is None:
+        line = f"no witness up to size {max_size}; verdict inconclusive"
     else:
-        # witness-only: search small separators, never certify criticality
-        # the search starts at |S| = k, so the default reaches at least that far
-        max_size = args.max_size if args.max_size is not None else min(g.n - 1, max(4, args.k))
-        verdict = is_k_critical(g, args.b, args.k, cap=max(args.cap, g.n), max_size=max_size)
-        payload["max_size"] = max_size
-        witness = sorted(verdict.witness) if verdict.witness is not None else None
-        if witness is None:
-            line = f"no witness up to size {max_size}; verdict inconclusive"
-        else:
-            # the scan stops counting once o(G-S) passes the bound: recount exactly
-            odd = g.odd_components_after_removal(witness)
-            bound = args.b * (len(witness) - args.k)
-            payload.update({"odd_components": odd, "bound": bound})
-            line = f"not critical: witness {witness} gives o={odd} > {bound}"
+        # the scan stops counting once o(G-S) passes the bound: recount exactly
+        odd = g.odd_components_after_removal(witness)
+        bound = args.b * (len(witness) - args.k)
+        payload.update({"odd_components": odd, "bound": bound})
+        line = f"not critical: witness {witness} gives o={odd} > {bound}"
     payload.update(
         {
             "critical": verdict.critical,
@@ -295,22 +294,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="graph invariants and one spectral radius")
     p.add_argument("--input", required=True, help="graph file (graph6 or edge list)")
-    p.add_argument("--matrix", choices=SPECTRAL_KINDS, default="distance")
+    p.add_argument("--matrix", choices=SPECTRAL_KINDS, default="distance",
+                   help="matrix whose spectral radius to report (default %(default)s)")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("extremal", help="construct an extremal family member")
     _add_params(p)
-    p.add_argument("--variant", choices=VARIANTS, default="gprime")
+    p.add_argument("--variant", choices=VARIANTS, default="gprime",
+                   help="family to build: G', its g2 or g3 variant, or G* (default %(default)s)")
     p.add_argument("--graph-out", help="write the graph6 encoding here")
     p.add_argument("--out", help="write the JSON summary here")
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("check-critical", help="odd-factor criticality of a graph")
-    p.add_argument("--input", required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "witness-only"), default="exact")
+    p.add_argument("--input", required=True, help="graph file (graph6 or edge list)")
+    p.add_argument("--b", type=int, required=True, help="odd factor bound")
+    p.add_argument("--k", type=int, required=True, help="criticality order")
+    p.add_argument("--mode", choices=("exact", "witness-only"), default="exact",
+                   help="exact: decide criticality; witness-only: search small S for a witness")
     p.add_argument(
         "--cap", type=int, default=ENUMERATION_CAP,
         help="exact: largest graph order to enumerate (default %(default)s); "
@@ -324,10 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the flags verify and sweep share: both run one theorem over a corpus
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--theorem", choices=THEOREM_IDS, required=True)
-    shared.add_argument("--variant", choices=VARIANTS, default="gprime")
-    shared.add_argument("--cap", type=int, default=ENUMERATION_CAP)
-    shared.add_argument("--format", choices=("json", "csv"), default="json")
+    shared.add_argument("--theorem", choices=THEOREM_IDS, required=True,
+                        help="the theorem whose hypotheses and condition to check")
+    shared.add_argument("--variant", choices=VARIANTS, default="gprime",
+                        help="family built from the parameters (default %(default)s)")
+    shared.add_argument("--cap", type=int, default=ENUMERATION_CAP,
+                        help="largest graph order to confirm by brute force (default %(default)s)")
+    shared.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="report format (default %(default)s)")
     shared.add_argument("--out", help="write the JSON or CSV report here")
 
     p = sub.add_parser("verify", parents=[shared], help="evaluate one theorem over a corpus")
@@ -337,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[shared], help="theorem sweep over one-edge supergraphs")
     _add_params(p)
-    p.add_argument("--include-base", action="store_true")
+    p.add_argument("--include-base", action="store_true", help="also evaluate the base graph")
     p.set_defaults(func=cmd_sweep)
     return top
 

@@ -310,9 +310,6 @@ class Graph:
                 if not self._adj[u] >> v & 1:
                     yield (u, v)
 
-    def is_complete(self) -> bool:
-        return self.edge_count() == self.n * (self.n - 1) // 2
-
     # -- edit (returns a new graph) ----------------------------------------
 
     def with_edge(self, u: int, v: int) -> "Graph":
@@ -360,9 +357,9 @@ class Graph:
         n = self.n
         if n < 2:
             raise ParameterError("vertex connectivity needs at least 2 vertices")
-        if self.is_complete():
-            return n - 1
         delta = self.min_degree()
+        if delta == n - 1:
+            return n - 1
         kappa = 0
         while kappa < delta and _k_connected(self._adj, kappa + 1):
             kappa += 1

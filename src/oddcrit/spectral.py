@@ -125,12 +125,6 @@ def distance_signless_laplacian_matrix(g: Graph) -> np.ndarray:
     return d + np.diag(d.sum(axis=1))
 
 
-def check_kind(kind: str) -> None:
-    """Raise unless ``kind`` names one of the ``SPECTRAL_KINDS``."""
-    if kind not in SPECTRAL_KINDS:
-        raise ParameterError(f"unknown matrix kind {kind!r}, expected one of {SPECTRAL_KINDS}")
-
-
 def spectral_radius(g: Graph, kind: str = "distance") -> float:
     """Largest eigenvalue of the requested graph matrix, from its twin quotient.
 
@@ -155,7 +149,8 @@ def spectral_radius(g: Graph, kind: str = "distance") -> float:
     """
     if g.n == 0:
         raise ParameterError("spectral radius undefined for the empty graph")
-    check_kind(kind)
+    if kind not in SPECTRAL_KINDS:
+        raise ParameterError(f"unknown matrix kind {kind!r}, expected one of {SPECTRAL_KINDS}")
     adj = g.adjacency_rows
     classes = _twin_classes(adj)
     reps = list(classes)

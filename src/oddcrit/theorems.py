@@ -9,11 +9,12 @@ and classify the outcome; a sweep driver confirms positive verdicts by brute
 force and reports any falsification.
 
 Every comparison family is a join K_x v (K_{n-x-(bx-bk+1)} u (bx-bk+1) K_1),
-known by its layout ``(x, parts)`` from ``graphs._join_layout`` (x = delta,
-or x = k+1 and x = k for Theorem 1.4; see ``extremal_layout_for``) and built
-by ``graphs.family``.  Both sides of a condition are computed the same way, on
-the family and on the input alike: the size condition counts edges, and
-every radius is ``spectral.spectral_radius``, the largest eigenvalue of the
+known by its layout ``(x, parts)`` from ``graphs._join_layout`` and built by
+``graphs.family``: x = delta, or x = k+1 for Theorem 1.4, which also excludes
+x = k.  ``exceptional_layouts_for`` lists the excluded layouts, the
+comparison family first.  Both sides of a condition are computed the same
+way, on the family and on the input alike: the size condition counts edges,
+and every radius is ``spectral.spectral_radius``, the largest eigenvalue of the
 graph's twin quotient, read from the graph on one vertex per twin class.
 That is a handful of vertices on the extremal families and their one-edge
 supergraphs, and n only on twin-free inputs.  On the canonically labelled
@@ -56,8 +57,6 @@ from .factors import ENUMERATION_CAP, is_k_critical
 from .graphs import ExtremalParams, Graph, _integer, _join_layout, check_parameters, family
 from .spectral import spectral_radius
 
-THEOREM_IDS = ("1.1", "1.2", "1.3", "1.4", "1.5", "1.6")
-
 ASSERTS_CRITICAL = "asserts_critical"
 EXTREMAL_EXCEPTION = "extremal_exception"
 INAPPLICABLE = "inapplicable"
@@ -72,6 +71,8 @@ _CONDITION = {
     "1.5": ("distance", "le"),
     "1.6": ("distance_signless_laplacian", "le"),
 }
+
+THEOREM_IDS = tuple(_CONDITION)
 
 #: parameter sets whose order bound and comparison side are kept
 _CACHE_SIZE = 64
@@ -129,32 +130,20 @@ def order_bound(theorem_id: str, b: int, k: int, delta: Optional[int] = None) ->
     return max(first, second)
 
 
-def extremal_layout_for(
-    theorem_id: str, n: int, b: int, k: int, delta: Optional[int]
-) -> tuple[int, list[int]]:
-    """``(s, parts)`` of a theorem's comparison family.
-
-    G' (x = delta in ``graphs._join_layout``) for every theorem but 1.4,
-    whose family is x = k+1: K_{k+1} v (K_{n-b-k-2} u (b+1)K_1).
-    """
-    order_bound(theorem_id, b, k, delta)
-    if theorem_id == "1.4":
-        return _join_layout(n, b, k, k + 1, name="(k+1)")
-    return ExtremalParams(n, b, k, delta).layout("gprime")
-
-
 def exceptional_layouts_for(
     theorem_id: str, n: int, b: int, k: int, delta: Optional[int]
 ) -> list[tuple[int, list[int]]]:
     """Layouts ``(s, parts)`` of the families excluded from the criticality conclusion.
 
-    Theorem 1.4 also excludes K_k v (K_{n-k-1} u K_1), which fits whenever
-    its comparison family does.
+    The first is the theorem's comparison family: G' (x = delta in
+    ``graphs._join_layout``) for every theorem but 1.4, whose family is
+    x = k+1, K_{k+1} v (K_{n-b-k-2} u (b+1)K_1).  Theorem 1.4 also excludes
+    K_k v (K_{n-k-1} u K_1), which fits whenever its comparison family does.
     """
-    out = [extremal_layout_for(theorem_id, n, b, k, delta)]
-    if theorem_id == "1.4":
-        out.append(_join_layout(n, b, k, k, name="k"))
-    return out
+    order_bound(theorem_id, b, k, delta)
+    if theorem_id != "1.4":
+        return [ExtremalParams(n, b, k, delta).layout("gprime")]
+    return [_join_layout(n, b, k, k + 1, name="(k+1)"), _join_layout(n, b, k, k, name="k")]
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -399,20 +388,3 @@ def one_edge_supergraphs(g: Graph) -> list[tuple[str, Graph]]:
     """All graphs obtained from g by adding a single missing edge."""
     return [(f"+{u}-{v}", g.with_edge(u, v)) for u, v in g.non_edges()]
 
-
-__all__ = [
-    "ASSERTS_CRITICAL",
-    "CONDITION_FAILS",
-    "EXTREMAL_EXCEPTION",
-    "INAPPLICABLE",
-    "THEOREM_IDS",
-    "SweepReport",
-    "TheoremVerdict",
-    "counterexample_sweep",
-    "evaluate_theorem",
-    "exceptional_layouts_for",
-    "extremal_layout_for",
-    "one_edge_supergraphs",
-    "order_bound",
-    "report_json",
-]

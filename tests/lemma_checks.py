@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 from oddcrit.errors import ParameterError
 from oddcrit.graphs import ExtremalParams, family, g_star
 from oddcrit.spectral import spectral_radius
-from oddcrit.theorems import extremal_layout_for
+from oddcrit.theorems import exceptional_layouts_for
 
 #: margin by which the ordering lemmas' strict inequalities must hold
 _STRICT_MARGIN = 1e-9
@@ -25,7 +25,8 @@ def gstar_ordering_check(n: int, b: int, k: int) -> bool:
     mu1(K_{k+2} v (K_{n-2b-k-3} u (2b+1)K_1)), each by a margin of 1e-9.
     """
     star = g_star(n, b, k)
-    mu_wide = spectral_radius(family(*extremal_layout_for("1.4", n, b, k, None)), "distance")
+    wide = exceptional_layouts_for("1.4", n, b, k, None)[0]
+    mu_wide = spectral_radius(family(*wide), "distance")
     mu_star = spectral_radius(star, "distance")
     mu_narrow = spectral_radius(
         family(k + 2, [n - 2 * b - k - 3] + [1] * (2 * b + 1)), "distance"

@@ -563,9 +563,13 @@ def test_help_lists_every_flag(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    if command in ("verify", "sweep"):
-        for flag in ("--theorem", "--variant", "--cap", "--format", "--out"):
-            assert flag in out
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices[command]
+    for action in sub._actions:
+        flag = action.option_strings[-1]
+        assert flag in out
+        assert action.help and action.help.strip(), f"{command} {flag} has no help"
 
 
 def test_unknown_theorem_flag_rejected(capsys):

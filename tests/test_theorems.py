@@ -29,7 +29,6 @@ from oddcrit.theorems import (
     counterexample_sweep,
     evaluate_theorem,
     exceptional_layouts_for,
-    extremal_layout_for,
     one_edge_supergraphs,
     order_bound,
 )
@@ -124,11 +123,11 @@ class TestOrderBounds:
 
 class TestExtremalGraphFor:
     def test_distance_variant_uses_own_family(self):
-        g = family(*extremal_layout_for("1.4", 19, 1, 1, None))
+        g = family(*exceptional_layouts_for("1.4", 19, 1, 1, None)[0])
         assert g == family(2, [15, 1, 1])
 
     def test_others_use_gprime(self):
-        g = family(*extremal_layout_for("1.5", 19, 1, 1, 3))
+        g = family(*exceptional_layouts_for("1.5", 19, 1, 1, 3)[0])
         assert g == extremal_gprime(ExtremalParams(19, 1, 1, 3))
 
     @pytest.mark.parametrize("b, k, d", [(1, 1, 3), (3, 1, 2), (1, 2, 4), (5, 1, 2), (3, 2, 3)])
@@ -147,7 +146,6 @@ class TestExtremalGraphFor:
 
 _PARAMETER_CHECKED = {
     "order_bound": lambda tid, n, b, k, d: order_bound(tid, b, k, d),
-    "extremal_layout_for": extremal_layout_for,
     "exceptional_layouts_for": exceptional_layouts_for,
     "evaluate_theorem": lambda tid, n, b, k, d: evaluate_theorem(make_complete(n), tid, b, k, d),
 }
@@ -247,7 +245,7 @@ class TestEvaluateTheorem:
         # so no tolerance is needed at the smallest order that admits the family
         met = 0
         for tid, n, b, k, delta in smallest_admissible_orders():
-            g = family(*extremal_layout_for(tid, n, b, k, delta))
+            g = family(*exceptional_layouts_for(tid, n, b, k, delta)[0])
             verdict = evaluate_theorem(g, tid, b, k, delta)
             if verdict.hypotheses_met:
                 met += 1
@@ -328,7 +326,7 @@ class TestEvaluateTheorem:
         theorems._comparison.cache_clear()
         theorems.order_bound.cache_clear()
 
-        g = family(*extremal_layout_for(tid, n, b, k, d))
+        g = family(*exceptional_layouts_for(tid, n, b, k, d)[0])
         plus = g.with_edge(*next(g.non_edges()))
         # the family is solved on the first evaluation only
         for h, graphs in ((g, [g, g]), (plus, [plus])):
@@ -355,7 +353,7 @@ class TestEvaluateTheorem:
                 low = math.ceil(order_bound(tid, b, k, delta))
                 low += (low - k) % 2
                 for n in (low, low + 2):
-                    g = family(*extremal_layout_for(tid, n, b, k, delta))
+                    g = family(*exceptional_layouts_for(tid, n, b, k, delta)[0])
                     u, v = next(g.non_edges())
                     x, y = next(iter(g.edges()))
                     for h in (g, g.with_edge(u, v), without_edge(g, x, y)):
