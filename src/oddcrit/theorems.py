@@ -387,4 +387,3 @@ def counterexample_sweep(
 def one_edge_supergraphs(g: Graph) -> list[tuple[str, Graph]]:
     """All graphs obtained from g by adding a single missing edge."""
     return [(f"+{u}-{v}", g.with_edge(u, v)) for u, v in g.non_edges()]
-
