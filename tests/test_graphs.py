@@ -12,6 +12,7 @@ from oddcrit.graphs import (
     ExtremalParams,
     Graph,
     _fan_reaches,
+    _k_connected,
     _pack_masks,
     _twin_classes,
     _unpack_masks,
@@ -40,6 +41,12 @@ from oracles import (
     without_vertices,
     write_graph6_per_bit,
 )
+
+
+#: code points outside graph6's 63..126 that ``str.strip`` keeps: invalid
+#: ASCII bytes and non-ASCII characters of 2, 3 and 4 UTF-8 bytes
+INVALID_G6 = [chr(c) for c in (*range(63), 127) if not chr(c).isspace()] + [
+    "\x80", "\u00e9", "\u00ff", "\u4e00", "\ufeff", "\U0001f600"]
 
 
 @st.composite
@@ -512,6 +519,34 @@ class TestGraphIO:
         assert sorted(tuple(sorted(e)) for e in h.edges()) == sorted(g.edges())
         assert nx.to_graph6_bytes(h, header=False).decode().strip() == text
 
+    @settings(max_examples=200)
+    @given(st.sampled_from([5, 20, 62, 63, 90]), st.booleans(), st.data())
+    def test_first_invalid_code_point_is_reported(self, n, header, data):
+        # invalid ASCII bytes and non-ASCII code points mixed, placed in the
+        # size header or the body of a string cut anywhere: the first one wins
+        # over a truncated header and a wrong body length
+        text = write_graph6(random_connected_graph(random.Random(n), n, 0.3))
+        cut = data.draw(st.integers(1, len(text)))
+        chars = list(text[:cut])
+        bad = data.draw(st.lists(st.tuples(st.integers(0, cut - 1), st.sampled_from(INVALID_G6)),
+                                 min_size=1, max_size=4))
+        for at, c in bad:
+            chars[at] = c
+        first = min(at for at, _ in bad)
+        with pytest.raises(GraphFormatError, match="invalid graph6 byte") as info:
+            parse_graph6((">>graph6<<" if header else "") + "".join(chars))
+        assert info.value.offset == first
+        assert str(info.value).startswith(f"invalid graph6 byte {ord(chars[first])} ")
+
+    @pytest.mark.parametrize("text, code, at", [
+        ("~?\x7f", 127, 2), (">>graph6<<~?\x7f", 127, 2), ("~~\x7f", 127, 2),
+        ("~\u00e9", 233, 1), ("D?\U0001f600{", 128512, 2), ("@\ufeff", 65279, 1),
+    ])
+    def test_invalid_byte_before_header_and_length(self, text, code, at):
+        with pytest.raises(GraphFormatError, match=f"invalid graph6 byte {code} ") as info:
+            parse_graph6(text)
+        assert info.value.offset == at
+
     @pytest.mark.parametrize("n, at", [(5, 1), (5, 2), (63, 0), (63, 2), (271, 4), (271, 3000)])
     @pytest.mark.parametrize("bad", ["*", "\x7f", "\u00e9", "\u4e00"])
     def test_first_bad_byte_offset(self, n, at, bad):
@@ -592,6 +627,28 @@ class TestKernelsMatchReferences:
             assert g.is_k_connected(k) == (kappa >= k)
             if g.n > k:
                 assert k_connected_fan_per_vertex(g.adjacency_rows, k) == (kappa >= k)
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(2, 4),
+        st.integers(-1, 1),
+        st.one_of(
+            random_graphs(st.integers(2, 12)),
+            st.builds(disjoint_union, random_graphs(st.integers(1, 6)), random_graphs(st.integers(1, 6))),
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_k_connected_on_joins_with_a_universal_cell(self, k, shift, h, rnd):
+        # K_s v H with s = k-1, k, k+1, relabelled: s >= k universal vertices
+        # settle the test, while s = k-1 over a disconnected H has a cut of k-1
+        g = relabelled(join(make_complete(k + shift), h), rnd)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges())
+        want = nx.node_connectivity(nxg) >= k
+        assert g.is_k_connected(k) == want
+        assert _k_connected(g.adjacency_rows, k) == want
+        assert k_connected_fan_per_vertex(g.adjacency_rows, k) == want
 
     @given(
         st.one_of(random_graphs(st.integers(0, 12)), twin_blowups()),
