@@ -9,7 +9,8 @@ sweep whose assertions were not all confirmed by brute force.
 
 ``main`` parses a runnable command line once, with the subcommand's own
 parser, after ``_dispatch`` has found the subcommand and turned a ``--config``
-file into leading flags; graph files are read as bytes and decoded as UTF-8.
+file into leading flags; graph files are read as bytes and decoded as UTF-8,
+and one leading byte-order mark is dropped from them and from a config file.
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ def _emit(text: str, out_path, human_lines) -> None:
 
 
 def _read_text(path: str) -> str:
-    """A file's UTF-8 text; other bytes are a format error naming the file.
+    """A file's UTF-8 text less one leading BOM; other bytes are a format error naming the file.
 
     Decoded from bytes, with no newline translation (the parsers split lines
     with ``str.splitlines``).  A name ``open`` rejects is read through
@@ -76,7 +77,7 @@ def _read_text(path: str) -> str:
                 data = fh.read()
         except OSError:
             data = Path(path).read_bytes()
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from None
 
@@ -384,7 +385,7 @@ def _dispatch(parser, argv: list[str]) -> tuple[argparse.ArgumentParser, list[st
         path = top.parse_known_args(argv[:at])[0].config
     if path is not None:
         try:
-            config = json.loads(Path(path).read_text(encoding="utf-8"))
+            config = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config {path}: {exc}")
         if not isinstance(config, dict):

@@ -105,14 +105,18 @@ def _twin_classes(adj) -> dict[int, list[int]]:
     a true twin skips the open map.  An isolated vertex has no true twin and
     stays out of the closed map, which would otherwise hold two n-bit ints
     for each one.  Each map hashes a neighbourhood once, to its first vertex,
-    which keys its class; classes come in the order of their lowest members.
+    which keys its class; that vertex opens the class's list, so classes come
+    in the order of their lowest members.
     """
     first_closed, first_open, classes = {}, {}, {}
     for v, row in enumerate(adj):
         u = first_closed.setdefault(row | 1 << v, v) if row else v
         if u == v:
             u = first_open.setdefault(row, v)
-        classes.setdefault(u, []).append(v)
+        if u == v:
+            classes[v] = [v]
+        else:
+            classes[u].append(v)
     return classes
 
 
@@ -213,8 +217,10 @@ def _k_connected(adj, k: int) -> bool:
     sources.  A pair with k common neighbours and a v_j with k earlier
     neighbours need no search; the latter is tested here, before the call,
     and all at once when v_1..v_k have every later vertex as a common
-    neighbour.  The degrees are counted once, and the stable sort on them in
-    reverse keeps equal degrees in label order.
+    neighbour.  First of all, k universal vertices (a join K_s v H with
+    s >= k) settle it: G - X keeps one for any X of fewer than k.  The
+    degrees are counted once, and the stable sort on them in reverse keeps
+    equal degrees in label order.
     """
     if k == 1:
         # connected: one search in place of a fan per vertex
@@ -223,6 +229,8 @@ def _k_connected(adj, k: int) -> bool:
     degree = list(map(int.bit_count, adj))
     if min(degree) < k:
         return False
+    if degree.count(len(adj) - 1) >= k:
+        return True
     order = sorted(range(len(adj)), key=degree.__getitem__, reverse=True)
     for i in range(1, k):
         t = order[i]
@@ -571,8 +579,10 @@ def g_star(n: int, b: int, k: int) -> Graph:
 _G6_HEADER = ">>graph6<<"
 #: largest order the 1- and 4-byte graph6 size headers encode
 _G6_MAX_ORDER = 258047
-#: row x holds the six bits of the graph6 byte x + 63, high bit first
-_G6_BITS = np.unpackbits(np.arange(64, dtype=np.uint8)[:, None], axis=1)[:, 2:].astype(bool)
+#: the bytes graph6 allows, '?' (63) to '~' (126)
+_G6_CODES = bytes(range(63, 127))
+#: row x holds the six bits of the graph6 byte x (of x - 63), high bit first
+_G6_BITS = np.unpackbits((np.arange(256) - 63).astype(np.uint8)[:, None], axis=1)[:, 2:].astype(bool)
 
 
 @functools.lru_cache(maxsize=4)
@@ -603,42 +613,42 @@ def write_graph6(g: Graph) -> str:
 def parse_graph6(text: str) -> Graph:
     """Parse a graph6 string (optionally prefixed with '>>graph6<<').
 
-    The body's bits come from ``_G6_BITS`` by one ``np.take``, fill the
-    strictly lower triangle through the cached mask ``_lower_triangle(n)``,
-    and ``_pack_masks`` turns the rows into ints: no Python statement runs
-    per vertex.
+    The string is validated as ASCII bytes by one ``bytes.translate``; only
+    an invalid one is scanned, by code point, for the first outside 63..126,
+    before the header or length is read.  The body's bytes index ``_G6_BITS``
+    by one ``np.take``, fill the strictly lower triangle through the cached
+    mask ``_lower_triangle(n)``, and ``_pack_masks`` turns the rows into
+    ints: no Python statement runs per vertex.
     """
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
         raise GraphFormatError("empty graph6 input", offset=0)
-    # code points, not bytes, so a non-ASCII character keeps its offset
-    data = np.frombuffer(s.encode("utf-32-le"), dtype="<u4")
-    bad = np.flatnonzero((data < 63) | (data > 126))
-    if bad.size:
-        i = int(bad[0])
-        raise GraphFormatError(f"invalid graph6 byte {int(data[i])!r}", offset=i)
+    data = s.encode() if s.isascii() else None
+    if data is None or data.translate(None, _G6_CODES):
+        i = next(i for i, c in enumerate(s) if not "?" <= c <= "~")
+        raise GraphFormatError(f"invalid graph6 byte {ord(s[i])}", offset=i)
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise GraphFormatError(f"graph6 orders beyond {_G6_MAX_ORDER} unsupported", offset=1)
         if len(data) < 4:
             raise GraphFormatError("truncated graph6 size header", offset=len(data))
-        n = (int(data[1] - 63) << 12) | (int(data[2] - 63) << 6) | int(data[3] - 63)
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         body_offset = 4
     else:
-        n = int(data[0]) - 63
+        n = data[0] - 63
         body_offset = 1
-    body = data[body_offset:]
+    size = len(data) - body_offset
     need = (n * (n - 1) // 2 + 5) // 6
-    if len(body) != need:
+    if size != need:
         raise GraphFormatError(
-            f"graph6 body holds {len(body)} bytes, order {n} needs {need}",
-            offset=body_offset + min(len(body), need),
+            f"graph6 body holds {size} bytes, order {n} needs {need}",
+            offset=body_offset + min(size, need),
         )
     # six bits per byte, high bit first; pair (u, v), u < v, is bit v(v-1)/2 + u,
     # which is the row-major order of the strictly lower triangle at (v, u)
-    bits = np.take(_G6_BITS, body - 63, axis=0).ravel()
+    bits = np.take(_G6_BITS, np.frombuffer(data, np.uint8, offset=body_offset), axis=0).ravel()
     adj = np.zeros((n, n), dtype=bool)
     adj[_lower_triangle(n)] = bits[: n * (n - 1) // 2]
     adj |= adj.T

@@ -683,6 +683,67 @@ def test_non_utf8_file_keeps_its_error_line(tmp_path, monkeypatch, name, data, s
     assert (code, out) == (2, "")
 
 
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_END_INPUTS))
+@pytest.mark.parametrize("command", [
+    ["analyze", "--input", "g.txt"],
+    ["check-critical", "--input", "g.txt", "--b", "1", "--k", "1"],
+    ["verify", "--theorem", "1.2", "--input", "g.txt", "--b", "1", "--k", "1", "--delta", "2"],
+], ids=["analyze", "check-critical", "verify"])
+def test_leading_bom_reads_like_none(tmp_path, monkeypatch, kind, command):
+    # the byte-order mark some editors write before UTF-8 text
+    results = {}
+    for name, head in (("plain", b""), ("bom", BOM)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "g.txt").write_bytes(head + LINE_END_INPUTS[kind].encode())
+        monkeypatch.chdir(tmp_path / name)
+        results[name] = run_main(command)
+    assert results["bom"] == results["plain"]
+    assert results["plain"][0] == LINE_END_CODES[kind][command[0]]
+
+
+def test_leading_bom_in_a_config_reads_like_none(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path3_file(tmp_path)
+    results = []
+    for head in (b"", BOM):
+        (tmp_path / "cfg.json").write_bytes(head + json.dumps({"b": 1, "k": 0}).encode())
+        results.append(run_main(["--config", "cfg.json", "check-critical", "--input", "p3.txt"]))
+    assert results[1] == results[0]
+    # b and k came from the config: P3 has odd order, so no odd factor
+    assert results[0][0] == 1 and '"critical": false' in results[0][1]
+
+
+@pytest.mark.parametrize("data, message", [
+    (BOM + BOM + b"0 1\n", "invalid graph6 byte 65279 (byte offset 0)"),
+    (b"\n" + BOM + b"D?{\n", "invalid graph6 byte 65279 (byte offset 0)"),
+    (b"D" + BOM + b"?{\n", "invalid graph6 byte 65279 (byte offset 1)"),
+    (b"0 1\n" + BOM + b"1 2\n", "line 2: non-integer vertex in '\\ufeff1 2'"),
+], ids=["second", "after_newline", "inside_graph6", "edge_list_line"])
+def test_bom_anywhere_else_is_rejected(tmp_path, data, message):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    assert run_main(["check-critical", "--input", str(path), "--b", "1", "--k", "0"]) == (
+        2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name, data, spell", [
+    ("g.g6", b"D?{\n\xff\n", ["check-critical", "--input", "FILE", "--b", "1", "--k", "1"]),
+    ("cfg.json", b'{"b": 1,\n\xff}', ["--config", "FILE", "sweep", "--theorem", "1.2"]),
+], ids=["graph", "config"])
+def test_invalid_byte_after_a_bom_counts_from_after_it(tmp_path, monkeypatch, name, data, spell):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / name
+    argv = [str(path) if a == "FILE" else a for a in spell]
+    path.write_bytes(data)
+    plain = run_main(argv)
+    path.write_bytes(BOM + data)
+    assert run_main(argv) == plain
+    assert "in position 4:" in plain[2] if name == "g.g6" else "in position 9:" in plain[2]
+
+
 #: a config file whose keys reach every command; flags given with it win
 CONTRACT_CONFIG = {"b": 1, "k": 1, "cap": 7, "max-size": 3, "n": 13, "delta": 2, "format": "csv",
                    "include_base": True, "matrix": "adjacency"}
