@@ -581,7 +581,8 @@ _G6_HEADER = ">>graph6<<"
 _G6_MAX_ORDER = 258047
 #: the bytes graph6 allows, '?' (63) to '~' (126)
 _G6_CODES = bytes(range(63, 127))
-#: row x holds the six bits of the graph6 byte x (of x - 63), high bit first
+#: row x holds the six bits of x - 63 for a graph6 byte x, high bit first; rows
+#: outside 63..126 are never read
 _G6_BITS = np.unpackbits((np.arange(256) - 63).astype(np.uint8)[:, None], axis=1)[:, 2:].astype(bool)
 
 

@@ -116,11 +116,17 @@ def test_edge_list_order_beyond_graph6_limit_exit_two(tmp_path, capsys, command)
     ("~~\n", "graph6 orders beyond 258047 unsupported"),
     ("0 1 2\n", "line 1: expected 'u v'"),
     ("-1 0\n", "line 1: negative vertex index"),
+    # one leading byte-order mark is dropped; any other is an invalid byte
+    ("\ufeff\ufeff0 1\n", "invalid graph6 byte 65279 (byte offset 0)"),
+    ("\n\ufeffD?{\n", "invalid graph6 byte 65279 (byte offset 0)"),
+    ("D\ufeff?{\n", "invalid graph6 byte 65279 (byte offset 1)"),
+    ("0 1\n\ufeff1 2\n", "line 2: non-integer vertex in '\\ufeff1 2'"),
 ], ids=["empty", "blank", "header_alone", "truncated_header", "order_beyond_limit",
-        "three_tokens", "negative_vertex"])
+        "three_tokens", "negative_vertex", "second_bom", "bom_after_newline", "bom_inside_graph6",
+        "bom_in_edge_list"])
 def test_malformed_graph_input_exit_two(tmp_path, capsys, text, message):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     assert main(["analyze", "--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
@@ -652,17 +658,21 @@ LINE_END_CODES = {
     ["verify", "--theorem", "1.2", "--input", "g.txt", "--b", "1", "--k", "1", "--delta", "2"],
 ], ids=["analyze", "check-critical", "verify"])
 def test_crlf_and_cr_line_ends_read_like_lf(tmp_path, monkeypatch, kind, command):
-    # the same file name in three directories, so the reports may match byte for byte
+    # the same file name in four directories, so the reports may match byte for
+    # byte; the fourth file is LF text after the byte-order mark some editors write
     results = {}
-    for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+    for name, end, head in (("lf", "\n", ""), ("crlf", "\r\n", ""), ("cr", "\r", ""),
+                            ("bom", "\n", "\ufeff")):
         (tmp_path / name).mkdir()
-        (tmp_path / name / "g.txt").write_bytes(LINE_END_INPUTS[kind].replace("\n", end).encode())
+        (tmp_path / name / "g.txt").write_bytes((head + LINE_END_INPUTS[kind].replace("\n", end)).encode())
         monkeypatch.chdir(tmp_path / name)
         results[name] = run_main(command)
-    assert results["crlf"] == results["lf"] == results["cr"]
+    assert results["crlf"] == results["lf"] == results["cr"] == results["bom"]
     assert results["lf"][0] == LINE_END_CODES[kind][command[0]]
     assert "Traceback" not in results["lf"][2]
 
+
+BOM = "\ufeff".encode()
 
 
 @pytest.mark.parametrize("name, data, spell", [
@@ -672,36 +682,16 @@ def test_crlf_and_cr_line_ends_read_like_lf(tmp_path, monkeypatch, kind, command
 def test_non_utf8_file_keeps_its_error_line(tmp_path, monkeypatch, name, data, spell):
     monkeypatch.setenv("COLUMNS", "80")
     bad = tmp_path / name
-    bad.write_bytes(data)
-    code, out, err = run_main([str(bad) if a == "FILE" else a for a in spell])
     reason = "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"
-    if name == "g.g6":
-        reason = reason.replace("9", "4")
-        assert err == f"error: cannot read {bad}: {reason}\n"
-    else:
-        assert err == f"{TOP_USAGE}oddcrit: error: cannot read config {bad}: {reason}\n"
-    assert (code, out) == (2, "")
-
-
-BOM = "\ufeff".encode()
-
-
-@pytest.mark.parametrize("kind", sorted(LINE_END_INPUTS))
-@pytest.mark.parametrize("command", [
-    ["analyze", "--input", "g.txt"],
-    ["check-critical", "--input", "g.txt", "--b", "1", "--k", "1"],
-    ["verify", "--theorem", "1.2", "--input", "g.txt", "--b", "1", "--k", "1", "--delta", "2"],
-], ids=["analyze", "check-critical", "verify"])
-def test_leading_bom_reads_like_none(tmp_path, monkeypatch, kind, command):
-    # the byte-order mark some editors write before UTF-8 text
-    results = {}
-    for name, head in (("plain", b""), ("bom", BOM)):
-        (tmp_path / name).mkdir()
-        (tmp_path / name / "g.txt").write_bytes(head + LINE_END_INPUTS[kind].encode())
-        monkeypatch.chdir(tmp_path / name)
-        results[name] = run_main(command)
-    assert results["bom"] == results["plain"]
-    assert results["plain"][0] == LINE_END_CODES[kind][command[0]]
+    # a leading byte-order mark is dropped first, so the position counts from after it
+    for head in (b"", BOM):
+        bad.write_bytes(head + data)
+        code, out, err = run_main([str(bad) if a == "FILE" else a for a in spell])
+        if name == "g.g6":
+            assert err == f"error: cannot read {bad}: {reason.replace('9', '4')}\n"
+        else:
+            assert err == f"{TOP_USAGE}oddcrit: error: cannot read config {bad}: {reason}\n"
+        assert (code, out) == (2, "")
 
 
 def test_leading_bom_in_a_config_reads_like_none(tmp_path, monkeypatch):
@@ -714,34 +704,6 @@ def test_leading_bom_in_a_config_reads_like_none(tmp_path, monkeypatch):
     assert results[1] == results[0]
     # b and k came from the config: P3 has odd order, so no odd factor
     assert results[0][0] == 1 and '"critical": false' in results[0][1]
-
-
-@pytest.mark.parametrize("data, message", [
-    (BOM + BOM + b"0 1\n", "invalid graph6 byte 65279 (byte offset 0)"),
-    (b"\n" + BOM + b"D?{\n", "invalid graph6 byte 65279 (byte offset 0)"),
-    (b"D" + BOM + b"?{\n", "invalid graph6 byte 65279 (byte offset 1)"),
-    (b"0 1\n" + BOM + b"1 2\n", "line 2: non-integer vertex in '\\ufeff1 2'"),
-], ids=["second", "after_newline", "inside_graph6", "edge_list_line"])
-def test_bom_anywhere_else_is_rejected(tmp_path, data, message):
-    path = tmp_path / "g.txt"
-    path.write_bytes(data)
-    assert run_main(["check-critical", "--input", str(path), "--b", "1", "--k", "0"]) == (
-        2, "", f"error: {message}\n")
-
-
-@pytest.mark.parametrize("name, data, spell", [
-    ("g.g6", b"D?{\n\xff\n", ["check-critical", "--input", "FILE", "--b", "1", "--k", "1"]),
-    ("cfg.json", b'{"b": 1,\n\xff}', ["--config", "FILE", "sweep", "--theorem", "1.2"]),
-], ids=["graph", "config"])
-def test_invalid_byte_after_a_bom_counts_from_after_it(tmp_path, monkeypatch, name, data, spell):
-    monkeypatch.setenv("COLUMNS", "80")
-    path = tmp_path / name
-    argv = [str(path) if a == "FILE" else a for a in spell]
-    path.write_bytes(data)
-    plain = run_main(argv)
-    path.write_bytes(BOM + data)
-    assert run_main(argv) == plain
-    assert "in position 4:" in plain[2] if name == "g.g6" else "in position 9:" in plain[2]
 
 
 #: a config file whose keys reach every command; flags given with it win
