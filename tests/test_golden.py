@@ -39,6 +39,16 @@ THEOREM14 = (
     "R~~~~~~~~~~~~~~~~~~~~~~~~~{???\n"
     "R~~~~~~~~~~~~~~~~~~~~~~~_?E???\n"
 )
+# g2(57, 3, 1, 3, 2) under the labels of random.Random(1).shuffle: not 1-critical for b = 3
+G2_57B3 = (
+    "x~~~~{?~v}~z~v~v~z~}~~v~~^~}~~}~~~^~~v~~}~~~z~~~v~~~~~~~z~~~}~~~~v~~~~^~~~}~~~~}~~~~~^~"
+    "~~~v~~~~}~~~~~z~~~~????O?~v~~~~^z~~~~n}~~~~z~v~~~~^~^~~~|~}~~~~z~}~~~~z~~^~~~|~~v~~~~^~"
+    "}~~~~z~~z~~~~n~~v~~~~^~~v~~~~^~~z~~~~n~w???A????~v~~~~^~z~^~~~|~~g???A????F}~~~~z~~Z~~~"
+    "~~~~~~"
+)
+# G'(19, 3, 1, 2) plus the edge from big-clique vertex 2 to singleton 15, under the labels
+# of random.Random(2).shuffle: 1-critical for b = 3
+GPRIME19B3BS = "RCe^~}^f{~_Wf}f}r~{~vf}{B?C~vo"
 # G'(17, 1, 1, 3) less the edge 3-4: every hypothesis of Theorem 1.2 holds, its condition fails
 CONDFAILS = "P~z~~~~~~~~~~~~~{?F??w??"
 
@@ -52,6 +62,8 @@ INPUTS = {
     "gprime31.g6": GPRIME31 + "\n",
     "gprime19b3.g6": GPRIME19B3 + "\n",
     "gprime47e.g6": GPRIME47E + "\n",
+    "g2-57-b3.g6": G2_57B3 + "\n",
+    "gprime19b3bs.g6": GPRIME19B3BS + "\n",
     "corpus.g6": GPRIME13 + "\n" + "L~~~~~~~~~~~~~\n",
     "bad.g6": "D?\n",
     "theorem14.g6": THEOREM14,
@@ -83,6 +95,10 @@ CASES = {
                                  "--k", "1", "--out", "verdict.json"],
     "check-exact-gprime47-edge": ["check-critical", "--input", "gprime47e.g6", "--b", "1",
                                   "--k", "1", "--cap", "47"],
+    "check-exact-g2-57-b3": ["check-critical", "--input", "g2-57-b3.g6", "--b", "3", "--k", "1",
+                             "--cap", "57"],
+    "check-exact-gprime19b3-bs": ["check-critical", "--input", "gprime19b3bs.g6", "--b", "3",
+                                  "--k", "1"],
     "check-witness-found": ["check-critical", "--input", "gprime31.g6", "--b", "1", "--k", "1",
                             "--mode", "witness-only", "--max-size", "4"],
     "check-witness-found-b3": ["check-critical", "--input", "gprime19b3.g6", "--b", "3",
