@@ -68,8 +68,8 @@ def _read_text(path: str) -> str:
     """A file's UTF-8 text less one leading BOM; other bytes are a format error naming the file.
 
     Decoded from bytes, with no newline translation (the parsers split lines
-    with ``str.splitlines``).  A name ``open`` rejects is read through
-    ``Path``, which reads ``x/`` as ``x`` and spells ``./x`` as ``x`` in errors.
+    themselves).  A name ``open`` rejects is read through ``Path``, which
+    reads ``x/`` as ``x`` and spells ``./x`` as ``x`` in errors.
     """
     try:
         try:

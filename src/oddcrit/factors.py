@@ -16,11 +16,13 @@ and those vertices are pairwise non-adjacent, so o(G - S) <= n - |S| and
 o(G - S) <= alpha(G) <= theta, the number of cliques in any clique cover of G.
 Once min(n - s, theta) <= b(s - k), no S of size s or larger can violate the
 criterion, and the scan stops.  theta comes from one greedy clique cover per
-scan.  Below the vertex connectivity kappa, G - S stays connected, so
-o(G - S) <= 1 <= b(s - k) for k < s < kappa, and o(G - S) = 0 at s = k when
-n - k is even: those sizes are skipped.  Whether s < kappa is decided by one
-polynomial Menger test (G is (s+1)-connected) for each size the scan reaches
-that the test could skip, until one fails.
+scan, computed at the first size where it could stop the scan: alpha is at
+least the size of any set of pairwise non-adjacent twins, so while one is
+larger than b(s - k), theta is too.  Below the vertex connectivity kappa,
+G - S stays connected, so o(G - S) <= 1 <= b(s - k) for k < s < kappa, and
+o(G - S) = 0 at s = k when n - k is even: those sizes are skipped.  Whether
+s < kappa is decided by one polynomial Menger test (G is (s+1)-connected) for
+each size the scan reaches that the test could skip, until one fails.
 
 Twins shrink the sizes that are left.  Vertices with one closed or one open
 neighbourhood can be swapped by an automorphism, which keeps o(G - S); at
@@ -29,16 +31,19 @@ the S taking the lowest-labelled members of every twin class.  Above size k
 the first violating S never splits a class: if it held v but not v's twin u,
 then u has all of v's neighbours in G - (S - v), so o(G - (S - v)) >=
 o(G - S) - 1 while the bound drops by b >= 1, and the smaller S - v would
-violate too.  Those sizes are scanned over unions of whole twin classes.
-The cost is then set by the number of classes, not by n: the one-edge
-supergraphs of the paper's extremal graphs have a handful of twin classes
-and are decided from a few subsets each, at 47 vertices as at 271.  Graphs
-without twins still cost sum C(n, s) over the open sizes, hence the default
-order cap.
+violate too.  Those sizes are scanned over unions of whole twin classes, on
+the twin quotient: each class stands for itself through its top member, and
+the walk, the odd-component count and theta all run over the tops, with no
+step per vertex.  The cost is then set by the number of classes, not by n:
+the one-edge supergraphs of the paper's extremal graphs have a handful of
+twin classes and are decided from a few subsets each, at 47 vertices as at
+271.  Graphs without twins still cost sum C(n, s) over the open sizes, hence
+the default order cap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from operator import index
 from typing import Optional
 
@@ -46,6 +51,7 @@ from .errors import ParameterError, ScaleLimitError
 from .graphs import (
     Graph,
     _bits,
+    _component_mask,
     _integer,
     _k_connected,
     _odd_components,
@@ -72,84 +78,154 @@ class CriticalityVerdict:
     subsets_examined: int
 
 
-def _clique_cover_size(adj, n: int) -> int:
+def _quotient(adj, classes):
+    """The twin quotient of the graph with rows ``adj``, indexed by the tops of its classes.
+
+    ``classes`` is the twin partition (``graphs._twin_classes``), and each
+    class stands for itself through its top (largest) member.  Returns
+    ``(tops, members, sizes, odd, ones, lone)``: ``tops`` is the mask of all
+    tops, ``members[t]`` the ascending members of top t's class and
+    ``sizes[t]`` their number; ``odd`` holds the tops of the classes of odd
+    size, ``ones`` those of the classes of one vertex and ``lone`` those of
+    the false-twin classes of at least 2 members, which are pairwise
+    non-adjacent.  A class is a module, all adjacent or all apart from any
+    vertex outside it, so ``adj[t] & tops`` is the class's row in the
+    quotient; the searches on the quotient mask every row with a set of
+    tops, so they read ``adj`` as it is.  Without twins every vertex is a
+    top and the quotient is the graph.
+    """
+    members, sizes = {}, {}
+    tops = odd = ones = lone = 0
+    for m in classes.values():
+        t = m[-1]
+        bit = 1 << t
+        members[t] = m
+        sizes[t] = len(m)
+        tops |= bit
+        if len(m) & 1:
+            odd |= bit
+        if len(m) == 1:
+            ones |= bit
+        elif not adj[t] >> m[0] & 1:
+            lone |= bit
+    return tops, members, sizes, odd, ones, lone
+
+
+def _clique_cover_size(adj, quotient) -> int:
     """Number of cliques in a greedy clique cover of the graph with rows ``adj``.
 
-    Each clique starts at an uncovered vertex of minimum degree and grows
-    inside its uncovered neighbourhood, taking the candidate adjacent to the
-    most other candidates.  Candidates that already form a clique would all
-    be taken one by one, so they are taken at once.  Any cover bounds the
-    independence number.  Degrees are those of the whole graph and never
-    change, so the starts come from one stable sort by degree: the first
-    uncovered vertex in it has minimum degree and the lowest label among
-    those.
+    Each clique starts at an uncovered vertex of least (degree, label) and
+    grows inside its uncovered neighbourhood, taking the candidate adjacent
+    to the most other candidates, the lowest label among ties; candidates
+    that already form a clique are taken at once.  Any cover bounds the
+    independence number.
+
+    The greedy is replayed on the twin ``quotient`` (``_quotient``).  Twins
+    share their degree, and the candidates of one class share one count.
+    The covered members of a class are a prefix of its members: a clique
+    that takes a vertex of a true-twin class takes the whole class, whose
+    other members stay adjacent to every later candidate, and a clique takes
+    at most one member of a lone class, its lowest uncovered one.  So the
+    start is the class with the least (degree, next uncovered label), taken
+    from a heap that a lone class re-enters while it has members left.
+    Candidate classes that are pairwise adjacent are taken at once: picked
+    in any order, they would give the clique all of each true-twin class
+    and the lowest uncovered member of each lone class.  Otherwise the
+    pick is the class with the most candidates around it, the lowest next
+    label among ties: while every candidate is a class of one, its top is
+    its label and the plain count of adjacent classes decides.  Once a
+    larger class is among them, a candidate class weighs its uncovered
+    members, and ``planes[j]`` holds the candidates whose weight has bit j
+    set, so a count is one popcount per plane.  The pick then has the
+    largest key, n times its count plus n - 1 minus its next label, where
+    ``extra`` adds a class's own other members when they are true twins and
+    the gap between its top and its next label.
     """
-    uncovered = (1 << n) - 1
-    degree = list(map(int.bit_count, adj))
+    tops, members, sizes, _, ones, lone = quotient
+    n = len(adj)
+    left = dict(sizes)
+    multi = tops & ~ones
+    depth = max(sizes.values(), default=0).bit_length()
+    heap = [(adj[t].bit_count(), m[0], t) for t, m in members.items()]
+    heapify(heap)
+    live = tops
     cliques = 0
-    for v in sorted(range(n), key=degree.__getitem__):
-        if not uncovered >> v & 1:
+    while heap:
+        _, label, t = heappop(heap)
+        if not live >> t & 1 or label != members[t][sizes[t] - left[t]]:
             continue
-        clique = 1 << v
-        candidates = adj[v] & uncovered
+        clique = 1 << t
+        candidates = adj[t] & live
         while candidates:
             ws = list(_bits(candidates))
-            counts = [(adj[w] & candidates).bit_count() for w in ws]
-            if min(counts) == len(ws) - 1:
+            keys = [(adj[w] & candidates).bit_count() for w in ws]
+            if min(keys) == len(ws) - 1:
                 clique |= candidates
                 break
-            u = ws[counts.index(max(counts))]
+            if candidates & multi:
+                planes = [candidates & ones] + [0] * (depth - 1)
+                extra = {}
+                for d in _bits(candidates & multi):
+                    m, w = members[d], left[d]
+                    extra[d] = (0 if lone >> d & 1 else n * (w - 1)) + d - m[len(m) - w]
+                    for j in _bits(w):
+                        planes[j] |= 1 << d
+                keys = [n - 1 - w + extra.get(w, 0) for w in ws]
+                for j, p in enumerate(planes):
+                    if p:
+                        scale = n << j
+                        keys = [c + (adj[w] & p).bit_count() * scale for c, w in zip(keys, ws)]
+            u = ws[keys.index(max(keys))]
             clique |= 1 << u
             candidates &= adj[u]
-        uncovered &= ~clique
         cliques += 1
+        live &= ~clique | lone
+        for t in _bits(clique & lone):
+            left[t] -= 1
+            if left[t]:
+                heappush(heap, (adj[t].bit_count(), members[t][sizes[t] - left[t]], t))
+            else:
+                live ^= 1 << t
     return cliques
 
 
-def _twin_layout(adj):
-    """The twin partition (``graphs._twin_classes``) as ``(cls, prefixes, wholes)``.
+def _twin_layout(classes, n: int):
+    """The twin partition ``classes`` as the ``(cls, firsts)`` that ``_canonical_subsets`` walks.
 
     ``cls[v]`` is the mask of v's class, ``1 << v`` when v has no twin, and
-    ``prefixes`` and ``wholes`` are the ``(heads, ones)`` of the two kinds
-    of subsets that ``_canonical_subsets`` walks: every v heads the prefix
-    of its class up to v, a single vertex when v is the lowest member, and
-    the top member of every class heads the whole class, a single vertex
-    for a class of one.  In a graph without twins every vertex heads a
-    block of its own, in both kinds.  Each class mask is built once from
-    its member list, and the layout is one list of n references to them.
+    ``firsts`` the mask of the lowest members of the classes.  Each class
+    mask is built once from its member list, and the layout is one list of
+    n references to them.
     """
-    cls = [0] * len(adj)
-    firsts = tops = 0
-    for m in _twin_classes(adj).values():
+    cls = [0] * n
+    firsts = 0
+    for m in classes.values():
         c = sum(1 << v for v in m)
         for v in m:
             cls[v] = c
         firsts |= 1 << m[0]
-        tops |= 1 << m[-1]
-    return cls, ((1 << len(adj)) - 1, firsts), (tops, firsts & tops)
+    return cls, firsts
 
 
-def _canonical_subsets(avail: int, size: int, cls, heads: int, ones: int):
-    """Size-subsets of ``avail`` made of blocks from distinct twin classes, in increasing order.
+def _canonical_subsets(avail: int, size: int, cls, firsts: int):
+    """Size-subsets of ``avail`` taking the lowest members of each twin class, in increasing order.
 
-    The block headed by h is the prefix of h's class up to h, which is the
-    whole class when h is its top member; ``heads`` are the vertices that
-    head a block, ``ones`` those whose block is h alone (see
-    ``_twin_layout``).  With ``avail`` closed under taking lower members of
-    a class, subsets are ordered by their largest member h first; h brings
-    the rest of its block along, and the remainder is a smaller such subset
-    below h and outside h's class.  The walk runs in one frame.  A level
-    (the heads ``rem`` left to try, the blocks ``acc`` chosen above it, the
-    ``need`` vertices still to choose from ``avail``) waits on ``stack``
-    while the subsets below its current head are walked.  A generator per
-    level would pass every subset through each frame, which made twin-free
-    scans about 16 % slower.
+    Every v heads a block, the prefix of its class up to v, which is v alone
+    when v is the lowest member (``firsts``; see ``_twin_layout``).  With
+    ``avail`` closed under taking lower members of a class, subsets are
+    ordered by their largest member h first; h brings the rest of its block
+    along, and the remainder is a smaller such subset below h and outside
+    h's class.  The walk runs in one frame.  A level (the heads ``rem`` left
+    to try, the blocks ``acc`` chosen above it, the ``need`` vertices still
+    to choose from ``avail``) waits on ``stack`` while the subsets below its
+    current head are walked.  A generator per level would pass every subset
+    through each frame, which made twin-free scans about 16 % slower.
     """
     if not size:
         yield 0
         return
     stack = []
-    rem, acc, need = avail & heads, 0, size
+    rem, acc, need = avail, 0, size
     while True:
         while rem:
             low = rem & -rem
@@ -160,7 +236,7 @@ def _canonical_subsets(avail: int, size: int, cls, heads: int, ones: int):
             if left == 1:
                 # one more block, of a single vertex
                 top = acc | block
-                singles = avail & (low - 1) & ~c & ones
+                singles = avail & (low - 1) & ~c & firsts
                 while singles:
                     one = singles & -singles
                     yield top | one
@@ -171,10 +247,70 @@ def _canonical_subsets(avail: int, size: int, cls, heads: int, ones: int):
                 rest = avail & (low - 1) & ~c
                 if rest.bit_count() >= left:
                     stack.append((rem, acc, need, avail))
-                    rem, acc, need, avail = rest & heads, acc | block, left, rest
+                    rem, acc, need, avail = rest, acc | block, left, rest
         if not stack:
             return
         rem, acc, need, avail = stack.pop()
+
+
+def _class_unions(tops: int, size: int, sizes, ones: int):
+    """Unions of whole twin classes with ``size`` vertices, as masks of their tops, in order.
+
+    ``sizes`` maps each top to its class's size, and ``ones`` holds the tops
+    of the classes of one vertex (see ``_quotient``).  The highest vertex of
+    a union is the top of its highest class, so two unions compare as their
+    masks of tops do, and this order is the numeric order of the unions
+    themselves.  The walk is ``_canonical_subsets``'s over the tops, each
+    weighing its class's size; below a head t lie at most t vertices, which
+    is exact without twins.
+    """
+    stack = []
+    rem, acc, need = tops, 0, size
+    while True:
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            t = low.bit_length() - 1
+            left = need - sizes[t]
+            if left == 1:
+                # one more class, of a single vertex
+                top = acc | low
+                singles = tops & (low - 1) & ones
+                while singles:
+                    one = singles & -singles
+                    yield top | one
+                    singles ^= one
+            elif left == 0:
+                yield acc | low
+            elif left > 0 and t >= left:
+                stack.append((rem, acc, need))
+                rem, acc, need = tops & (low - 1), acc | low, left
+        if not stack:
+            return
+        rem, acc, need = stack.pop()
+
+
+def _odd_class_components(adj, alive: int, bound: int, odd: int, lone: int, sizes, spare: int):
+    """Odd components of G - S, S a union of whole twin classes and ``alive`` the other tops.
+
+    The components are searched on the quotient (``_quotient``).  A lone
+    class with no live neighbour is as many isolated vertices as it has
+    members; any other component is odd iff it holds an odd number of
+    odd-size classes.  As ``graphs._odd_components`` does, the count stops
+    once it exceeds ``bound`` or once the classes left cannot push it above
+    it: each gives at most one, but a lone class up to its size, and
+    ``spare`` is what the lone classes exceed one by.
+    """
+    count = 0
+    while alive and count <= bound < count + alive.bit_count() + spare:
+        seed = alive & -alive
+        comp = _component_mask(adj, seed, alive)
+        alive ^= comp
+        if comp == seed and seed & lone:
+            count += sizes[seed.bit_length() - 1]
+        else:
+            count += (comp & odd).bit_count() & 1
+    return count
 
 
 def _find_violation(
@@ -191,17 +327,23 @@ def _find_violation(
     S ranges over k <= |S| <= n-1: deleting everything leaves no components, so
     S = V can never violate and is skipped.  The scan ends at the first size s
     with min(n - s, theta) <= b(s - k), theta the greedy clique cover size:
-    o(G-S) is at most both, and the bound b(s - k) only grows with s.  It also
-    skips the sizes k < s < kappa, and s = k when kappa > k and n - k is
-    even: G - S is connected there, with even order at s = k.  On every size
-    it enumerates, it uses the twin classes (see ``_twin_layout``): at size k
-    it tests one S per orbit of the twin swaps, the one taking the lowest
-    members of every class, which is the numerically first of its orbit;
-    above size k it tests the unions of whole classes, as the first
-    violating S never splits a class there.  Without twins every class is a
-    single vertex, and every S of the size is tested.  So the first
-    violating S is among those tested.  ``examined`` counts the subsets
-    tested.  Theta, the kappa tests and the classes are computed only when a
+    o(G-S) is at most both, and the bound b(s - k) only grows with s.  Theta
+    is not computed while a lone class (pairwise non-adjacent twins) has more
+    than b(s - k) members: alpha, and so theta, exceeds the bound then.  The
+    scan also skips the sizes k < s < kappa, and s = k when kappa > k and
+    n - k is even: G - S is connected there, with even order at s = k.  At
+    size k it tests one S per orbit of the twin swaps, the one taking the
+    lowest members of every class (``_canonical_subsets``), which is the
+    numerically first of its orbit.  Above size k the first violating S never
+    splits a class, and the scan runs on the twin quotient (``_quotient``),
+    built once: it walks the unions of whole classes as masks of their tops
+    (``_class_unions``), counts odd components over the classes
+    (``_odd_class_components``), computes theta on the classes
+    (``_clique_cover_size``) and expands only a violating union into its
+    members.  Without twins every class is a single vertex, every S of the
+    size is tested, and the quotient is the graph.  So the first violating S
+    is among those tested.  ``examined`` counts the subsets tested.  Theta,
+    the kappa tests, the classes and the quotient are computed only when a
     size needs them.
     """
     n = g.n
@@ -217,8 +359,8 @@ def _find_violation(
     theta = 0
     # whether size < kappa, tested only for the sizes it could skip
     below_kappa = True
-    # twin classes, found at the first size the scan enumerates
-    twins = None
+    # the twin classes and their quotient, found at the first size that needs them
+    classes = quotient = None
     examined = 0
     for size in range(k, top + 1):
         bound = b * (size - k)
@@ -226,20 +368,31 @@ def _find_violation(
             break
         # at size k the bound is 0, which theta >= 1 never meets
         if size > k:
-            theta = theta or _clique_cover_size(adj, n)
-            if theta <= bound:
-                break
+            if quotient is None:
+                quotient = _quotient(adj, classes or _twin_classes(adj))
+                tops, members, sizes, odd, ones, lone = quotient
+                widths = [sizes[t] for t in _bits(lone)]
+                widest = max(widths, default=0)
+                spare = sum(widths) - len(widths)
+            if widest <= bound:
+                theta = theta or _clique_cover_size(adj, quotient)
+                if theta <= bound:
+                    break
         if size > k or (n - size) % 2 == 0:
             below_kappa = below_kappa and size + 1 < n and _k_connected(adj, size + 1)
             if below_kappa:
                 continue
-        if twins is None:
-            twins = _twin_layout(adj)
-        cls, prefixes, wholes = twins
-        for mask in _canonical_subsets(full, size, cls, *(prefixes if size == k else wholes)):
+        if size == k:
+            classes = _twin_classes(adj)
+            for mask in _canonical_subsets(full, size, *_twin_layout(classes, n)):
+                examined += 1
+                if _odd_components(adj, full & ~mask, bound) > bound:
+                    return mask, examined
+            continue
+        for union in _class_unions(tops, size, sizes, ones):
             examined += 1
-            if _odd_components(adj, full & ~mask, bound) > bound:
-                return mask, examined
+            if _odd_class_components(adj, tops & ~union, bound, odd, lone, sizes, spare) > bound:
+                return sum(1 << v for t in _bits(union) for v in members[t]), examined
     return None, examined
 
 

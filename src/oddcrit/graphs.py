@@ -581,6 +581,9 @@ _G6_HEADER = ">>graph6<<"
 _G6_MAX_ORDER = 258047
 #: the bytes graph6 allows, '?' (63) to '~' (126)
 _G6_CODES = bytes(range(63, 127))
+#: the whitespace trimmed around a graph6 string: ASCII's, as ``bytes.strip``
+#: trims it; any other character is an invalid byte
+_G6_SPACE = " \t\n\r\x0b\x0c"
 #: row x holds the six bits of x - 63 for a graph6 byte x, high bit first; rows
 #: outside 63..126 are never read
 _G6_BITS = np.unpackbits((np.arange(256) - 63).astype(np.uint8)[:, None], axis=1)[:, 2:].astype(bool)
@@ -619,9 +622,10 @@ def parse_graph6(text: str) -> Graph:
     before the header or length is read.  The body's bytes index ``_G6_BITS``
     by one ``np.take``, fill the strictly lower triangle through the cached
     mask ``_lower_triangle(n)``, and ``_pack_masks`` turns the rows into
-    ints: no Python statement runs per vertex.
+    ints: no Python statement runs per vertex.  Only ASCII whitespace is
+    trimmed around the string.
     """
-    s = text.strip()
+    s = text.strip(_G6_SPACE)
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
@@ -696,7 +700,8 @@ def parse_graph_auto(text: str) -> Graph:
     graph6 bytes are printable codes >= 63 ('?'), while edge lists start with a
     digit, so the first non-blank byte decides; where it opens a '#' comment,
     the first line left after comments decides.  graph6 input is read as a
-    corpus (``parse_graph6_corpus``) that must hold one graph.
+    corpus (``parse_graph6_corpus``) that must hold one graph, so any
+    whitespace but ASCII's is an invalid graph6 byte there.
     """
     s = text.lstrip()
     if not s:
@@ -704,9 +709,9 @@ def parse_graph_auto(text: str) -> Graph:
     first = s
     if s[0] == "#":
         # with comments alone, the edge-list parser reports the empty input
-        first = next(filter(None, (raw.split("#", 1)[0].strip() for raw in s.splitlines())), s)
+        first = next(filter(None, (raw.split("#", 1)[0].strip() for raw in _g6_lines(s))), s)
     if first.startswith(_G6_HEADER) or ord(first[0]) >= 63:
-        graphs = parse_graph6_corpus(s)
+        graphs = parse_graph6_corpus(text)
         if len(graphs) > 1:
             raise GraphFormatError(
                 f"input holds {len(graphs)} graph6 lines, one graph expected; "
@@ -716,11 +721,20 @@ def parse_graph_auto(text: str) -> Graph:
     return parse_edge_list(text)
 
 
+def _g6_lines(text: str) -> list[str]:
+    """The lines of a graph6 corpus, ended by '\\n', '\\r\\n' or '\\r' alone."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_graph6_corpus(text: str) -> list[Graph]:
-    """Parse a corpus file: one graph6 string per line, '#' comments ignored."""
+    """Parse a corpus file: one graph6 string per line, '#' comments ignored.
+
+    Lines end at '\\n', '\\r\\n' or '\\r' alone, and only ASCII whitespace
+    is trimmed around a line (see ``parse_graph6``).
+    """
     graphs = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+    for raw in _g6_lines(text):
+        line = raw.split("#", 1)[0].strip(_G6_SPACE)
         if line:
             graphs.append(parse_graph6(line))
     return graphs

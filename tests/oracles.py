@@ -18,7 +18,12 @@ ones in the package.  So are ``parse_graph6_per_row``,
 ``clique_cover_size_min_scan``, ``k_connected_fan_per_vertex`` and
 ``twin_classes_every_vertex``: the graph6 decoder, greedy clique cover,
 Even's test and twin detector as they were before their per-vertex steps
-moved into builtins and numpy.
+moved into builtins and numpy.  ``find_violation_per_vertex`` is the
+criticality scan as it was before it moved onto the twin quotient, with
+its walk ``canonical_subsets_per_vertex`` and layout
+``twin_layout_per_vertex``: every subset it tests and every odd-component
+count runs on vertices, and theta comes from the vertex-level greedy
+``clique_cover_size_min_scan``.
 
 ``reference_matrix`` builds the full matrix of each spectral kind from the
 edge list and scipy's shortest paths, sharing no code with the package.
@@ -34,7 +39,17 @@ from scipy.sparse.csgraph import shortest_path
 
 from oddcrit.errors import GraphFormatError, ParameterError, ScaleLimitError
 from oddcrit.factors import CriticalityVerdict
-from oddcrit.graphs import ExtremalParams, Graph, _bits, _component_mask, _fan_reaches
+from oddcrit.graphs import (
+    ExtremalParams,
+    Graph,
+    _bits,
+    _component_mask,
+    _fan_reaches,
+    _integer,
+    _k_connected,
+    _odd_components,
+    _twin_classes,
+)
 
 #: size limits of the constructive odd-factor search
 ORACLE_MAX_VERTICES = 12
@@ -260,6 +275,144 @@ def clique_cover_size_min_scan(adj, n: int) -> int:
         uncovered &= ~clique
         cliques += 1
     return cliques
+
+
+def twin_layout_per_vertex(adj):
+    """The twin partition (``graphs._twin_classes``) as ``(cls, prefixes, wholes)``.
+
+    ``cls[v]`` is the mask of v's class, ``1 << v`` when v has no twin, and
+    ``prefixes`` and ``wholes`` are the ``(heads, ones)`` of the two kinds
+    of subsets that ``canonical_subsets_per_vertex`` walks: every v heads
+    the prefix of its class up to v, a single vertex when v is the lowest
+    member, and the top member of every class heads the whole class, a
+    single vertex for a class of one.  In a graph without twins every vertex heads a
+    block of its own, in both kinds.  Each class mask is built once from
+    its member list, and the layout is one list of n references to them.
+    """
+    cls = [0] * len(adj)
+    firsts = tops = 0
+    for m in _twin_classes(adj).values():
+        c = sum(1 << v for v in m)
+        for v in m:
+            cls[v] = c
+        firsts |= 1 << m[0]
+        tops |= 1 << m[-1]
+    return cls, ((1 << len(adj)) - 1, firsts), (tops, firsts & tops)
+
+
+def canonical_subsets_per_vertex(avail: int, size: int, cls, heads: int, ones: int):
+    """Size-subsets of ``avail`` made of blocks from distinct twin classes, in increasing order.
+
+    The block headed by h is the prefix of h's class up to h, which is the
+    whole class when h is its top member; ``heads`` are the vertices that
+    head a block, ``ones`` those whose block is h alone (see
+    ``twin_layout_per_vertex``).  With ``avail`` closed under taking lower
+    members of a class, subsets are ordered by their largest member h first; h brings
+    the rest of its block along, and the remainder is a smaller such subset
+    below h and outside h's class.  The walk runs in one frame.  A level
+    (the heads ``rem`` left to try, the blocks ``acc`` chosen above it, the
+    ``need`` vertices still to choose from ``avail``) waits on ``stack``
+    while the subsets below its current head are walked.  A generator per
+    level would pass every subset through each frame, which made twin-free
+    scans about 16 % slower.
+    """
+    if not size:
+        yield 0
+        return
+    stack = []
+    rem, acc, need = avail & heads, 0, size
+    while True:
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            c = cls[low.bit_length() - 1]
+            block = c & ((low << 1) - 1)
+            left = need - block.bit_count()
+            if left == 1:
+                # one more block, of a single vertex
+                top = acc | block
+                singles = avail & (low - 1) & ~c & ones
+                while singles:
+                    one = singles & -singles
+                    yield top | one
+                    singles ^= one
+            elif left == 0:
+                yield acc | block
+            elif left > 0:
+                rest = avail & (low - 1) & ~c
+                if rest.bit_count() >= left:
+                    stack.append((rem, acc, need, avail))
+                    rem, acc, need, avail = rest & heads, acc | block, left, rest
+        if not stack:
+            return
+        rem, acc, need, avail = stack.pop()
+
+
+def find_violation_per_vertex(
+    g: Graph,
+    b: int,
+    k: int,
+    *,
+    cap: int,
+    max_size: Optional[int] = None,
+):
+    """First S (by size, then numeric bitmask order) with o(G - S) > b(|S| - k).
+
+    Returns ``(mask, examined)``, with ``mask`` None when no S violates it.
+    S ranges over k <= |S| <= n-1: deleting everything leaves no components, so
+    S = V can never violate and is skipped.  The scan ends at the first size s
+    with min(n - s, theta) <= b(s - k), theta the greedy clique cover size:
+    o(G-S) is at most both, and the bound b(s - k) only grows with s.  It also
+    skips the sizes k < s < kappa, and s = k when kappa > k and n - k is
+    even: G - S is connected there, with even order at s = k.  On every size
+    it enumerates, it uses the twin classes (see ``twin_layout_per_vertex``):
+    at size k it tests one S per orbit of the twin swaps, the one taking the lowest
+    members of every class, which is the numerically first of its orbit;
+    above size k it tests the unions of whole classes, as the first
+    violating S never splits a class there.  Without twins every class is a
+    single vertex, and every S of the size is tested.  So the first
+    violating S is among those tested.  ``examined`` counts the subsets
+    tested.  Theta, the kappa tests and the classes are computed only when a
+    size needs them.
+    """
+    n = g.n
+    cap = _integer(cap, "cap")
+    if n > cap:
+        raise ScaleLimitError(
+            f"graph order {n} exceeds the enumeration cap {cap}; "
+            "raise the cap explicitly to run anyway"
+        )
+    adj = g.adjacency_rows
+    full = (1 << n) - 1
+    top = n - 1 if max_size is None else min(max_size, n - 1)
+    theta = 0
+    # whether size < kappa, tested only for the sizes it could skip
+    below_kappa = True
+    # twin classes, found at the first size the scan enumerates
+    twins = None
+    examined = 0
+    for size in range(k, top + 1):
+        bound = b * (size - k)
+        if n - size <= bound:
+            break
+        # at size k the bound is 0, which theta >= 1 never meets
+        if size > k:
+            theta = theta or clique_cover_size_min_scan(adj, n)
+            if theta <= bound:
+                break
+        if size > k or (n - size) % 2 == 0:
+            below_kappa = below_kappa and size + 1 < n and _k_connected(adj, size + 1)
+            if below_kappa:
+                continue
+        if twins is None:
+            twins = twin_layout_per_vertex(adj)
+        cls, prefixes, wholes = twins
+        blocks = prefixes if size == k else wholes
+        for mask in canonical_subsets_per_vertex(full, size, cls, *blocks):
+            examined += 1
+            if _odd_components(adj, full & ~mask, bound) > bound:
+                return mask, examined
+    return None, examined
 
 
 def k_connected_fan_per_vertex(adj, k: int) -> bool:

@@ -17,11 +17,12 @@ from networkx.algorithms.connectivity import (
 from networkx.algorithms.flow import build_residual_network
 
 from oddcrit.errors import DisconnectedGraphError
-from oddcrit.factors import _clique_cover_size, is_k_critical
+from oddcrit.factors import _clique_cover_size, _quotient, is_k_critical
 from oddcrit.graphs import (
     ExtremalParams,
     Graph,
     _odd_components,
+    _twin_classes,
     extremal_gprime,
     family,
     join,
@@ -81,7 +82,8 @@ def test_bounded_odd_component_count_is_on_the_side_of_the_exact_one(case):
 def test_clique_cover_bounds_independence_number(case):
     g, _ = case
     alpha = max(len(c) for c in nx.find_cliques(nx.complement(to_nx(g))))
-    assert alpha <= _clique_cover_size(g.adjacency_rows, g.n) <= g.n
+    adj = g.adjacency_rows
+    assert alpha <= _clique_cover_size(adj, _quotient(adj, _twin_classes(adj))) <= g.n
 
 
 @given(graphs_and_sets(min_n=2))

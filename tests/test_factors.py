@@ -8,11 +8,16 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oddcrit import cli, factors
 from oddcrit.errors import ParameterError, ScaleLimitError
 from oddcrit.factors import (
     CriticalityVerdict,
     _canonical_subsets,
+    _class_unions,
     _clique_cover_size,
+    _find_violation,
+    _odd_class_components,
+    _quotient,
     _twin_layout,
     is_k_critical,
 )
@@ -22,8 +27,13 @@ from oddcrit.graphs import (
     extremal_gprime,
     g_star,
     make_complete,
+    parse_graph6,
     proof_graph_g2,
     proof_graph_g3,
+    write_graph6,
+    _bits,
+    _odd_components,
+    _twin_classes,
 )
 from oddcrit.theorems import one_edge_supergraphs
 from conftest import (
@@ -40,6 +50,7 @@ from oracles import (
     clique_cover_size_min_scan,
     criticality_witness_extremal,
     find_odd_factor,
+    find_violation_per_vertex,
     full_scan,
     is_k_critical_definitional,
 )
@@ -380,7 +391,7 @@ class TestTwinOrbits:
         # prefix blocks (size k): exactly the sets taking the lowest members
         # of every class, in numeric order, against classes found by hand
         classes = twin_classes_by_hand(g)
-        cls, prefixes, _ = _twin_layout(g.adjacency_rows)
+        cls, firsts = _twin_layout(_twin_classes(g.adjacency_rows), g.n)
         full = (1 << g.n) - 1
         by_size = [[] for _ in range(g.n + 1)]
         for mask in range(1 << g.n):
@@ -393,36 +404,42 @@ class TestTwinOrbits:
                     for c in classes
                 )
             ]
-            assert list(_canonical_subsets(full, size, cls, *prefixes)) == expected
+            assert list(_canonical_subsets(full, size, cls, firsts)) == expected
             assert len(expected) == orbit_count([len(c) for c in classes], size)
 
     @settings(max_examples=40)
     @given(walk_graphs)
     def test_whole_classes_come_in_increasing_order(self, g):
-        # whole-class blocks (sizes above k): exactly the unions of classes
-        # found by hand, in numeric order
+        # sizes above k: the unions of classes found by hand, in numeric
+        # order, walked as masks of their tops
         classes = [sum(1 << v for v in c) for c in twin_classes_by_hand(g)]
-        cls, _, wholes = _twin_layout(g.adjacency_rows)
-        full = (1 << g.n) - 1
-        for size in range(g.n + 1):
+        adj = g.adjacency_rows
+        tops, members, sizes, _, ones, _ = _quotient(adj, _twin_classes(adj))
+        for size in range(1, g.n + 1):
             expected = sorted(
                 sum(chosen)
                 for r in range(len(classes) + 1)
                 for chosen in combinations(classes, r)
                 if sum(c.bit_count() for c in chosen) == size
             )
-            assert list(_canonical_subsets(full, size, cls, *wholes)) == expected
+            unions = list(_class_unions(tops, size, sizes, ones))
+            assert [sum(1 << v for t in _bits(u) for v in members[t]) for u in unions] == expected
 
     def test_layout_shares_one_mask_per_class_on_a_near_empty_graph(self):
         # the edge joins the end vertices into true twins; the rest are isolated, false twins
         n = 80000
-        cls, prefixes, wholes = _twin_layout(Graph(n, [(0, n - 1)]).adjacency_rows)
+        adj = Graph(n, [(0, n - 1)]).adjacency_rows
+        classes = _twin_classes(adj)
+        cls, firsts = _twin_layout(classes, n)
         assert cls[0] is cls[n - 1] and cls[0] == 1 | 1 << (n - 1)
         assert cls[1] == (1 << (n - 1)) - 2 and all(c is cls[1] for c in cls[1:n - 1])
-        # every vertex heads a prefix, and the lowest members' prefixes are single vertices
-        assert prefixes == ((1 << n) - 1, 0b11)
-        # the top members head the whole classes, and no class has one member
-        assert wholes == (1 << (n - 2) | 1 << (n - 1), 0)
+        # the lowest members' prefixes are single vertices
+        assert firsts == 0b11
+        # the quotient has two tops; the isolated vertices are one lone class of even size
+        tops, members, sizes, odd, ones, lone = _quotient(adj, classes)
+        assert tops == 1 << (n - 2) | 1 << (n - 1)
+        assert sizes == {n - 1: 2, n - 2: n - 2} and members[n - 1] == [0, n - 1]
+        assert (odd, ones, lone) == (0, 0, 1 << (n - 2))
 
     @settings(max_examples=100)
     @given(walk_graphs, st.data())
@@ -447,6 +464,79 @@ class TestTwinOrbits:
         slow = full_scan(g, b, k, max_size=max_size)
         assert (fast.critical, fast.witness) == (slow.critical, slow.witness)
         assert fast.subsets_examined <= slow.subsets_examined
+
+
+#: the parameter grid of the extremal families, built once
+FAMILY_GRID = build_parameter_grid()
+
+
+@st.composite
+def family_supergraphs(draw):
+    """A relabelled G' or g2 of the parameter grid, or one of its one-edge supergraphs."""
+    base = draw(st.sampled_from([extremal_gprime, proof_graph_g2]))(
+        ExtremalParams(*draw(st.sampled_from(FAMILY_GRID)))
+    )
+    g = draw(st.sampled_from([base] + [h for _, h in one_edge_supergraphs(base)]))
+    return relabelled(g, draw(st.randoms(use_true_random=False)))
+
+
+class TestQuotientScan:
+    """The scan on the twin quotient against the vertex-level scan it replaced."""
+
+    @settings(max_examples=200)
+    @given(
+        st.one_of(twin_blowups(), twin_free_graphs(max_n=12), family_supergraphs()),
+        st.sampled_from([1, 3, 5]),
+        st.integers(0, 3),
+        st.sampled_from([None, 0, 1]),
+    )
+    def test_same_first_violation_and_subset_count(self, g, b, k, extra):
+        if g.n < k + 2:
+            return
+        max_size = None if extra is None else k + extra
+        fast = _find_violation(g, b, k, cap=g.n, max_size=max_size)
+        slow = find_violation_per_vertex(g, b, k, cap=g.n, max_size=max_size)
+        assert fast == slow
+
+    @settings(max_examples=40)
+    @given(twin_blowups())
+    def test_odd_class_components_decide_as_the_vertex_count(self, g):
+        adj = g.adjacency_rows
+        tops, members, sizes, odd, ones, lone = _quotient(adj, _twin_classes(adj))
+        spare = sum(sizes[t] - 1 for t in _bits(lone))
+        full = (1 << g.n) - 1
+        for size in range(g.n):
+            for union in _class_unions(tops, size, sizes, ones):
+                alive = full & ~sum(1 << v for t in _bits(union) for v in members[t])
+                exact = _odd_components(adj, alive)
+                rest = tops & ~union
+                for bound in range(max(exact - 1, 0), exact + 2):
+                    count = _odd_class_components(adj, rest, bound, odd, lone, sizes, spare)
+                    assert (count > bound) == (exact > bound)
+
+    @pytest.mark.parametrize("g, b, code, thetas", [
+        # a lone class wider than b(s - k) at every size the scan reaches
+        (relabelled(proof_graph_g2(ExtremalParams(57, 3, 1, 3, 2)), random.Random(1)), 3, 1, 0),
+        (relabelled(proof_graph_g2(ExtremalParams(59, 1, 1, 3, 2)), random.Random(1)), 1, 1, 0),
+        # critical: theta ends the scan, computed once
+        (relabelled(extremal_gprime(ExtremalParams(19, 3, 1, 2)).with_edge(2, 15),
+                    random.Random(2)), 3, 0, 1),
+    ], ids=["g2-57-b3", "g2-59-b1", "gprime19-b3-bs"])
+    def test_check_critical_computes_theta_only_when_a_size_needs_it(
+        self, g, b, code, thetas, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def counted(adj, quotient):
+            calls.append(quotient)
+            return _clique_cover_size(adj, quotient)
+
+        monkeypatch.setattr(factors, "_clique_cover_size", counted)
+        path = tmp_path / "g.g6"
+        path.write_text(write_graph6(g) + "\n")
+        argv = ["check-critical", "--input", str(path), "--b", str(b), "--k", "1", "--cap", str(g.n)]
+        assert cli.main(argv) == code
+        assert len(calls) == thetas
 
 
 class TestExtremalWitness:
@@ -510,19 +600,44 @@ def test_witness_recount_time_is_linear_in_the_order():
     assert odd == 79999
 
 
+def class_theta(adj):
+    """Theta as the scan computes it, on the twin quotient of ``adj``."""
+    return _clique_cover_size(adj, _quotient(adj, _twin_classes(adj)))
+
+
 class TestCliqueCover:
-    """The greedy cover size theta against the loop that scans for each start."""
+    """Theta on the twin classes against the vertex-level greedy, which scans for each start."""
 
     @settings(max_examples=150)
     @given(random_graphs(st.integers(0, 30)))
     def test_random_graphs(self, g):
         adj = g.adjacency_rows
-        assert _clique_cover_size(adj, g.n) == clique_cover_size_min_scan(adj, g.n)
+        assert class_theta(adj) == clique_cover_size_min_scan(adj, g.n)
 
     @given(twin_blowups(max_n=20))
     def test_twin_blowups(self, g):
         adj = g.adjacency_rows
-        assert _clique_cover_size(adj, g.n) == clique_cover_size_min_scan(adj, g.n)
+        assert class_theta(adj) == clique_cover_size_min_scan(adj, g.n)
+
+    @pytest.mark.parametrize("text, theta", [
+        # ties go to the lowest label
+        ("EuZW", 3),
+        # a true-twin class counts its own other members, and ties go to the lowest next label
+        (r"Gp\}Z{", 2),
+        ("H{~yeY]", 3),
+        # a lone class's next label moves on once its lowest member is covered
+        ("IoVgouzXG", 4),
+        # ties between classes go to the lowest next label, not to the lowest top
+        (r"Jimq\c?~\h?", 5),
+        # nor to a class of more members over a class of one with a lower label
+        ("JVludvPfSy?", 6),
+        # a lone class weighs the members it has left
+        (r"XH^kJx|^XR~^}}^^oouCLTBbzxzz}JZm||~F^^pxRm\v~}vo`hP", 7),
+    ])
+    def test_tie_breaks_and_class_weights(self, text, theta):
+        g = parse_graph6(text)
+        adj = g.adjacency_rows
+        assert class_theta(adj) == clique_cover_size_min_scan(adj, g.n) == theta
 
     def test_relabelled_family_supergraphs(self):
         rng = random.Random(17)
@@ -534,4 +649,4 @@ class TestCliqueCover:
                 for g in [base] + rng.sample(sups, min(4, len(sups))):
                     h = relabelled(g, rng)
                     adj = h.adjacency_rows
-                    assert _clique_cover_size(adj, h.n) == clique_cover_size_min_scan(adj, h.n)
+                    assert class_theta(adj) == clique_cover_size_min_scan(adj, h.n)

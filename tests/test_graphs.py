@@ -43,10 +43,14 @@ from oracles import (
 )
 
 
-#: code points outside graph6's 63..126 that ``str.strip`` keeps: invalid
-#: ASCII bytes and non-ASCII characters of 2, 3 and 4 UTF-8 bytes
-INVALID_G6 = [chr(c) for c in (*range(63), 127) if not chr(c).isspace()] + [
-    "\x80", "\u00e9", "\u00ff", "\u4e00", "\ufeff", "\U0001f600"]
+#: code points outside graph6's 63..126 but ASCII whitespace, the one kind
+#: a graph6 string is trimmed of: invalid ASCII bytes (the separators
+#: \x1c-\x1f among them), non-ASCII characters of 2, 3 and 4 UTF-8 bytes,
+#: and the non-ASCII whitespace and line breaks that ``str.strip`` and
+#: ``str.splitlines`` would take
+INVALID_G6 = [chr(c) for c in (*range(63), 127) if chr(c) not in " \t\n\r\x0b\x0c"] + [
+    "\x80", "\u00e9", "\u00ff", "\u4e00", "\ufeff", "\U0001f600",
+    "\x85", "\xa0", "\u2028", "\u2029", "\u3000"]
 
 
 @st.composite
@@ -494,6 +498,32 @@ class TestGraphIO:
         text = "# two graphs\nD?{\n" + write_graph6(make_complete(4)) + "\n"
         graphs = parse_graph6_corpus(text)
         assert [g.n for g in graphs] == [5, 4]
+
+    @pytest.mark.parametrize("text, code, at", [
+        ("\xa0D?{", 160, 0), ("D?{\u3000", 12288, 3), ("D?{\x1c", 28, 3),
+        ("\x1fD?{", 31, 0), ("\x85D?{", 133, 0), (" D?{\u2028", 8232, 3),
+        (">>graph6<<D?{\xa0", 160, 3),
+    ])
+    def test_only_ascii_whitespace_is_trimmed(self, text, code, at):
+        # str.strip would take these and return the graph of D?{
+        for parse in (parse_graph6, parse_graph6_corpus, parse_graph_auto):
+            with pytest.raises(GraphFormatError, match=f"invalid graph6 byte {code} ") as info:
+                parse(text)
+            assert info.value.offset == at
+        assert parse_graph6(" \t\x0b\x0cD?{\r\n") == parse_graph6("D?{")
+
+    @pytest.mark.parametrize("end, code", [
+        ("\x85", 133), ("\u2028", 8232), ("\u2029", 8233), ("\x1c", 28), ("\x1e", 30),
+        ("\x0b", 11), ("\x0c", 12),
+    ])
+    def test_corpus_lines_end_only_at_cr_and_lf(self, end, code):
+        # str.splitlines would split there and read two graphs
+        for parse in (parse_graph6_corpus, parse_graph_auto):
+            with pytest.raises(GraphFormatError, match=f"invalid graph6 byte {code} ") as info:
+                parse(f"# a note{end}D?{{\nD?{{{end}D?{{\n")
+            assert info.value.offset == 3
+        graphs = parse_graph6_corpus("D?{\r\nD?{\rD?{\n\rD?{")
+        assert [g.n for g in graphs] == [5] * 4
 
     @given(st.integers(0, 62), st.randoms(use_true_random=False))
     def test_roundtrip_small(self, n, rnd):
