@@ -34,11 +34,12 @@ o(G - S) - 1 while the bound drops by b >= 1, and the smaller S - v would
 violate too.  Those sizes are scanned over unions of whole twin classes, on
 the twin quotient: each class stands for itself through its top member, and
 the walk, the odd-component count and theta all run over the tops, with no
-step per vertex.  The cost is then set by the number of classes, not by n:
-the one-edge supergraphs of the paper's extremal graphs have a handful of
-twin classes and are decided from a few subsets each, at 47 vertices as at
-271.  Graphs without twins still cost sum C(n, s) over the open sizes, hence
-the default order cap.
+step per vertex, on the graph's own partition (``Graph._twins``), which the
+spectral radius reads too.  The cost is then set by the number of classes,
+not by n: the one-edge supergraphs of the paper's extremal graphs have a
+handful of twin classes and are decided from a few subsets each, at 47
+vertices as at 271.  Graphs without twins still cost sum C(n, s) over the
+open sizes, hence the default order cap.
 """
 from __future__ import annotations
 
@@ -55,7 +56,6 @@ from .graphs import (
     _integer,
     _k_connected,
     _odd_components,
-    _twin_classes,
 )
 
 #: default cap on the order of graphs accepted for exhaustive subset enumeration
@@ -81,8 +81,8 @@ class CriticalityVerdict:
 def _quotient(adj, classes):
     """The twin quotient of the graph with rows ``adj``, indexed by the tops of its classes.
 
-    ``classes`` is the twin partition (``graphs._twin_classes``), and each
-    class stands for itself through its top (largest) member.  Returns
+    ``classes`` is the twin partition, the graph's own ``Graph._twins``, and
+    each class stands for itself through its top (largest) member.  Returns
     ``(tops, members, sizes, odd, ones, lone)``: ``tops`` is the mask of all
     tops, ``members[t]`` the ascending members of top t's class and
     ``sizes[t]`` their number; ``odd`` holds the tops of the classes of odd
@@ -343,8 +343,8 @@ def _find_violation(
     members.  Without twins every class is a single vertex, every S of the
     size is tested, and the quotient is the graph.  So the first violating S
     is among those tested.  ``examined`` counts the subsets tested.  Theta,
-    the kappa tests, the classes and the quotient are computed only when a
-    size needs them.
+    the kappa tests, the size-k layout and the quotient are computed only
+    when a size needs them.
     """
     n = g.n
     cap = _integer(cap, "cap")
@@ -359,8 +359,8 @@ def _find_violation(
     theta = 0
     # whether size < kappa, tested only for the sizes it could skip
     below_kappa = True
-    # the twin classes and their quotient, found at the first size that needs them
-    classes = quotient = None
+    # the quotient, built at the first size above k that needs it
+    quotient = None
     examined = 0
     for size in range(k, top + 1):
         bound = b * (size - k)
@@ -369,7 +369,7 @@ def _find_violation(
         # at size k the bound is 0, which theta >= 1 never meets
         if size > k:
             if quotient is None:
-                quotient = _quotient(adj, classes or _twin_classes(adj))
+                quotient = _quotient(adj, g._twins)
                 tops, members, sizes, odd, ones, lone = quotient
                 widths = [sizes[t] for t in _bits(lone)]
                 widest = max(widths, default=0)
@@ -383,8 +383,7 @@ def _find_violation(
             if below_kappa:
                 continue
         if size == k:
-            classes = _twin_classes(adj)
-            for mask in _canonical_subsets(full, size, *_twin_layout(classes, n)):
+            for mask in _canonical_subsets(full, size, *_twin_layout(g._twins, n)):
                 examined += 1
                 if _odd_components(adj, full & ~mask, bound) > bound:
                     return mask, examined

@@ -3,7 +3,8 @@
 Vertices are the integers ``0..n-1``.  Adjacency is stored as one int bitmask
 per vertex, which keeps component scans cheap enough for exhaustive subset
 enumeration on graphs of ~20 vertices.  Graphs are immutable: edits return new
-objects, so values can be shared freely between threads.
+objects, so values can be shared freely between threads, and each keeps the
+twin partition that every stage reads (``Graph._twins``), built once.
 
 Join-family constructors use a canonical labeling: the join cell comes first,
 then the parts in the given order.  ``is_join_family`` recognises a family
@@ -250,7 +251,7 @@ def _k_connected(adj, k: int) -> bool:
 class Graph:
     """Finite simple undirected graph on vertex set {0..n-1}."""
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "_adj", "_partition")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         n = _integer(n, "vertex count n")
@@ -289,6 +290,16 @@ class Graph:
     def adjacency_rows(self) -> tuple[int, ...]:
         """Per-vertex neighbor bitmasks (row ``v`` has bit ``u`` iff ``uv`` is an edge)."""
         return self._adj
+
+    @property
+    def _twins(self) -> dict[int, list[int]]:
+        """The twin partition (``_twin_classes``), built on the first read; ``==`` ignores it.
+
+        Threads racing on the first read build equal dicts, so no lock is needed.
+        """
+        if not hasattr(self, "_partition"):
+            self._partition = _twin_classes(self._adj)
+        return self._partition
 
     def _vertex(self, v: int) -> int:
         """``v`` as a vertex of this graph; ParameterError if no integer in 0..n-1."""
@@ -438,31 +449,31 @@ def family(s: int, parts: list[int]) -> Graph:
 def is_join_family(g: Graph, s: int, parts: Sequence[int]) -> bool:
     """Whether G is isomorphic to ``family(s, parts)``, whatever its labels.
 
-    In K_s v (K_{n_1} u ... u K_{n_t}) with t >= 2 the join cell is exactly
-    the set of universal vertices, and the rest splits into t clique
-    components.  A lone part is universal too (K_s v K_p = K_{s+p}), so the
-    expected layout is normalised that way before the universal count and
-    the sorted component orders are compared.
+    Read per class of G's twin partition.  In K_s v (K_{n_1} u ... u K_{n_t})
+    with t >= 2 the cell is exactly the universal vertices, one class; each
+    part of two or more is a true-twin class of degree s + n_i - 1, and the
+    singletons are one class of degree s: every neighbourhood holds the cell,
+    so those degrees leave no other edge.  A lone part is universal too
+    (K_s v K_p = K_{s+p}), so the layout is normalised that way first.
     """
     if len(parts) == 1:
         s, parts = s + parts[0], ()
     n = g.n
     if n != s + sum(parts):
         return False
-    full = (1 << n) - 1
     adj = g._adj
-    universal = sum(1 << v for v in range(n) if adj[v] | (1 << v) == full)
-    if universal.bit_count() != s:
-        return False
-    rest = full ^ universal
-    orders = []
-    while rest:
-        comp = _component_mask(adj, rest & -rest, rest)
-        if any(adj[v] & comp != comp ^ (1 << v) for v in _bits(comp)):
+    cell, orders = 0, []
+    for r, m in g._twins.items():
+        degree = adj[r].bit_count()
+        if degree == n - 1:
+            cell = len(m)
+        elif adj[r] >> m[-1] & 1 and degree == s + len(m) - 1:
+            orders.append(len(m))
+        elif degree == s:
+            orders += [1] * len(m)
+        else:
             return False
-        orders.append(comp.bit_count())
-        rest ^= comp
-    return sorted(orders) == sorted(parts)
+    return cell == s and sorted(orders) == sorted(parts)
 
 
 # -- the extremal families ----------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DisconnectedGraphError, ParameterError
-from .graphs import ExtremalParams, Graph, _twin_classes, _unpack_masks
+from .graphs import ExtremalParams, Graph, _unpack_masks
 
 SPECTRAL_KINDS = (
     "adjacency",
@@ -128,7 +128,7 @@ def distance_signless_laplacian_matrix(g: Graph) -> np.ndarray:
 def spectral_radius(g: Graph, kind: str = "distance") -> float:
     """Largest eigenvalue of the requested graph matrix, from its twin quotient.
 
-    The classes C_i are the twin partition (``graphs._twin_classes``, a
+    The classes C_i are the graph's twin partition (``Graph._twins``, a
     vertex without twins a class of its own), in the order of their lowest
     members r_i, which represent them.  The quotient B of a matrix M has
     B_ij = |C_j| M(r_i, r_j) off the diagonal and B_ii = (|C_i| - 1) w_i,
@@ -152,7 +152,7 @@ def spectral_radius(g: Graph, kind: str = "distance") -> float:
     if kind not in SPECTRAL_KINDS:
         raise ParameterError(f"unknown matrix kind {kind!r}, expected one of {SPECTRAL_KINDS}")
     adj = g.adjacency_rows
-    classes = _twin_classes(adj)
+    classes = g._twins
     reps = list(classes)
     c = len(reps)
     # per class: its size, and w: 1 for true twins, 0 for false twins and classes of one

@@ -23,7 +23,9 @@ criticality scan as it was before it moved onto the twin quotient, with
 its walk ``canonical_subsets_per_vertex`` and layout
 ``twin_layout_per_vertex``: every subset it tests and every odd-component
 count runs on vertices, and theta comes from the vertex-level greedy
-``clique_cover_size_min_scan``.
+``clique_cover_size_min_scan``.  ``is_join_family_components`` is the
+join-family test as it was before it read the twin partition: it counts
+the universal vertices and searches the components of the rest.
 
 ``reference_matrix`` builds the full matrix of each spectral kind from the
 edge list and scipy's shortest paths, sharing no code with the package.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
@@ -450,6 +452,36 @@ def twin_classes_every_vertex(adj) -> dict[int, list[int]]:
     members = {v for c in twins.values() for v in c}
     classes = {**twins, **{v: [v] for v in range(len(adj)) if v not in members}}
     return dict(sorted(classes.items()))
+
+
+def is_join_family_components(g: Graph, s: int, parts: Sequence[int]) -> bool:
+    """Whether G is isomorphic to ``family(s, parts)``, whatever its labels.
+
+    In K_s v (K_{n_1} u ... u K_{n_t}) with t >= 2 the join cell is exactly
+    the set of universal vertices, and the rest splits into t clique
+    components.  A lone part is universal too (K_s v K_p = K_{s+p}), so the
+    expected layout is normalised that way before the universal count and
+    the sorted component orders are compared.
+    """
+    if len(parts) == 1:
+        s, parts = s + parts[0], ()
+    n = g.n
+    if n != s + sum(parts):
+        return False
+    full = (1 << n) - 1
+    adj = g._adj
+    universal = sum(1 << v for v in range(n) if adj[v] | (1 << v) == full)
+    if universal.bit_count() != s:
+        return False
+    rest = full ^ universal
+    orders = []
+    while rest:
+        comp = _component_mask(adj, rest & -rest, rest)
+        if any(adj[v] & comp != comp ^ (1 << v) for v in _bits(comp)):
+            return False
+        orders.append(comp.bit_count())
+        rest ^= comp
+    return sorted(orders) == sorted(parts)
 
 
 def reference_matrix(g: Graph, kind: str) -> np.ndarray:

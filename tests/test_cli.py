@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import oddcrit
 from oddcrit.graphs import ExtremalParams, Graph, extremal_gprime, make_complete, write_graph6
-from oddcrit import cli, theorems
+from oddcrit import cli, graphs, theorems
 from oddcrit.cli import build_parser, main
 from conftest import random_graphs
 from oracles import without_edge
@@ -337,6 +337,28 @@ class TestVerifyAndSweep:
         assert (report["graphs"], report["falsification_count"], report["unconfirmed_count"]) == (
             127, 0, 0
         )
+
+    def test_each_graph_builds_its_twin_partition_once(self, tmp_path, monkeypatch):
+        # the radius and the scan read the graph's one partition: the 127
+        # graphs of the sweep and its comparison family build one each, and
+        # extremal's G'(47,1,1,3) one for its radii and its scan
+        twin_classes = graphs._twin_classes
+        built = []
+
+        def counting(adj):
+            built.append(len(adj))
+            return twin_classes(adj)
+
+        monkeypatch.setattr(graphs, "_twin_classes", counting)
+        for args, builds in (
+            (["sweep", "--theorem", "1.5", "--n", "47", "--b", "1", "--k", "1", "--delta", "3",
+              "--include-base", "--cap", "47", "--out", str(tmp_path / "s.json")], 128),
+            (["extremal", "--n", "47", "--b", "1", "--k", "1", "--delta", "3"], 1),
+        ):
+            theorems._comparison.cache_clear()
+            built.clear()
+            assert main(args) == 0
+            assert built == [47] * builds
 
     def test_falsification_beats_unconfirmed(self, tmp_path, capsys, monkeypatch):
         # G'(13,1,1,2) minus a big-clique edge has a radius 0.17 below the
